@@ -250,10 +250,6 @@ class Network:
         return conv3d(d, self.head)
 
 
-def build_model(cfg: ModelConfig, rng: Rng | None = None) -> Network:
-    return Network(cfg, rng)
-
-
 def copy_shared_weights(src: Network, dst: Network):
     """Copy every parameter whose name exists in both models (bitwise)."""
     src_params = src.named_parameters()

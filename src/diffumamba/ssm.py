@@ -14,8 +14,9 @@ phi(u) ~= 1 + u/2 for |u| < 1e-4, which also covers the a = 0 limit
 Two execution routes exist for the token-independent (LTI) case: the
 sequential recurrence ``ssm_scan`` and the global-convolution kernel
 ``ssm_kernel``; they must agree and are cross-checked in the tests.
-The mamba block uses the input-dependent (selective) recurrence on the
-autodiff tape.
+The mamba block uses the input-dependent (selective) recurrence, which
+``selective_scan_t`` runs as one fused tape op with a hand-written
+reverse-scan adjoint.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import tensor as T
 from .nnops import init_linear, silu
-from .tensor import Tensor, ShapeError, exp, softplus, where
+from .tensor import Tensor, ShapeError, exp, softplus
 
 PHI_SERIES_CUTOFF = 1e-4
 
@@ -174,30 +175,66 @@ def kernel_apply(kernel, x):
 
 
 # ----------------------------------------------------------------------
-# selective scan on the autodiff tape
+# selective scan as one fused tape op
 
 
 def selective_scan_t(x: Tensor, dt: Tensor, b_sel: Tensor, c_sel: Tensor, a: Tensor) -> Tensor:
-    """Batched selective recurrence on Tensors.
+    """Batched selective recurrence as a single tape node.
 
     x, dt: (B, L, C); b_sel, c_sel: (B, L, N); a: (C, N) with entries <= 0.
+    Returns y (B, L, C) with h_t = exp(u_t) h_{t-1} + dt_t phi(u_t) b_t x_t,
+    u_t = dt_t a, y_t = h_t . c_t and h_0 = 0.
+
+    The discretization runs vectorized over a token-major (L, B, C, N)
+    layout; only the two-op recurrence loops over tokens.  The per-token
+    states are kept for the backward pass, which runs the adjoint
+    recurrence dh_t = g_t c_t + exp(u_{t+1}) dh_{t+1} in reverse and then
+    forms all five input gradients at once.
     """
     bsz, length, ch = x.shape
     n = a.shape[1]
-    a_r = a.reshape((1, ch, n))
-    h = T.zeros((bsz, ch, n), dtype=x.dtype)
-    ys = []
-    for t in range(length):
-        d_t = dt.narrow(1, t, 1).reshape((bsz, ch, 1))
-        x_t = x.narrow(1, t, 1).reshape((bsz, ch, 1))
-        b_t = b_sel.narrow(1, t, 1).reshape((bsz, 1, n))
-        c_t = c_sel.narrow(1, t, 1).reshape((bsz, 1, n))
-        u = d_t * a_r
-        small = np.abs(u.data) < PHI_SERIES_CUTOFF
-        phi = where(small, u * 0.5 + 1.0, (exp(u) - 1.0) / where(small, 1.0, u))
-        h = exp(u) * h + (d_t * phi) * b_t * x_t
-        ys.append((h * c_t).sum(axis=2).reshape((bsz, 1, ch)))
-    return T.concat(ys, axis=1)
+    if dt.shape != x.shape or b_sel.shape != (bsz, length, n) or \
+            c_sel.shape != (bsz, length, n) or a.shape != (ch, n):
+        raise ShapeError(f"selective scan shapes x{x.shape} dt{dt.shape} b{b_sel.shape} "
+                         f"c{c_sel.shape} a{a.shape} do not form (B, L, C)/(B, L, N)/(C, N)")
+    xs = x.data.transpose(1, 0, 2)[..., None]              # (L, B, C, 1)
+    ds = dt.data.transpose(1, 0, 2)[..., None]             # (L, B, C, 1)
+    bs = b_sel.data.transpose(1, 0, 2)[:, :, None, :]      # (L, B, 1, N)
+    cs = c_sel.data.transpose(1, 0, 2)[:, :, None, :]      # (L, B, 1, N)
+    u = ds * a.data                                        # (L, B, C, N)
+    e = np.exp(u)
+    small = np.abs(u) < PHI_SERIES_CUTOFF
+    safe_u = np.where(small, 1.0, u)
+    # exp(u) - 1 rather than expm1 keeps f64 results equal to the taped oracle
+    phi = np.where(small, u * 0.5 + 1.0, (e - 1.0) / safe_u)
+    hs = ds * phi * bs * xs
+    for t in range(1, length):
+        hs[t] += e[t] * hs[t - 1]
+    y = (hs * cs).sum(axis=3).transpose(1, 0, 2)
+
+    def backward(g):
+        gs = g.transpose(1, 0, 2)[..., None]                # (L, B, C, 1)
+        dh = gs * cs                                       # g_t c_t, then the adjoint
+        for t in range(length - 2, -1, -1):
+            dh[t] += e[t + 1] * dh[t + 1]
+        if c_sel.requires_grad or c_sel._parents:
+            c_sel._accumulate((gs * hs).sum(axis=2).transpose(1, 0, 2))
+        dt_phi = ds * phi                                  # Bbar / b
+        if x.requires_grad or x._parents:
+            x._accumulate((dh * dt_phi * bs).sum(axis=3).transpose(1, 0, 2))
+        if b_sel.requires_grad or b_sel._parents:
+            b_sel._accumulate((dh * dt_phi * xs).sum(axis=2).transpose(1, 0, 2))
+        d_inc = dh * bs * xs                               # adjoint of dt * phi
+        # phi'(u) = (e - phi) / u, and 1/2 on the series branch
+        du = d_inc * ds * np.where(small, 0.5, (e - phi) / safe_u)
+        du[1:] += dh[1:] * e[1:] * hs[:-1]                 # through exp(u_t) h_{t-1}
+        if dt.requires_grad or dt._parents:
+            ddt = (d_inc * phi + du * a.data).sum(axis=3)
+            dt._accumulate(ddt.transpose(1, 0, 2))
+        if a.requires_grad or a._parents:
+            a._accumulate((du * ds).sum(axis=(0, 1)))
+
+    return T.make_op(y, (x, dt, b_sel, c_sel, a), "selective_scan", backward)
 
 
 def causal_depthwise_conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:

@@ -437,7 +437,8 @@ def where(mask, a, b):
 
     The mask itself carries no gradient; adjoints route to the selected
     branch only, so a NaN-producing untaken branch must be masked by the
-    caller before this op (see the ZOH fallback in ``ssm``).
+    caller before this op (see the ZOH fallback of the taped scan oracle
+    in the ssm tests).
     """
     a, b = _wrap(a), _wrap(b)
     mask = np.asarray(mask, dtype=bool)

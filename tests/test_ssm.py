@@ -5,11 +5,45 @@ import pytest
 from diffumamba import tensor as T
 from diffumamba.gradcheck import finite_difference_check
 from diffumamba.nnops import silu
-from diffumamba.ssm import (SSMParams, causal_depthwise_conv1d,
+from diffumamba.ssm import (PHI_SERIES_CUTOFF, SSMParams, causal_depthwise_conv1d,
                             init_mamba_block, kernel_apply, mamba_block,
                             mamba_param_count, selective_scan_t, ssm_kernel,
                             ssm_scan, zoh_discretize, _token_layer_norm)
 from diffumamba.tensor import Rng, Tensor
+
+
+def taped_selective_scan(x, dt, b_sel, c_sel, a):
+    """Reference oracle for ``selective_scan_t``: the recurrence unrolled
+    per token into elementary tape ops, so autodiff derives its adjoint."""
+    bsz, length, ch = x.shape
+    n = a.shape[1]
+    a_r = a.reshape((1, ch, n))
+    h = T.zeros((bsz, ch, n), dtype=x.dtype)
+    ys = []
+    for t in range(length):
+        d_t = dt.narrow(1, t, 1).reshape((bsz, ch, 1))
+        x_t = x.narrow(1, t, 1).reshape((bsz, ch, 1))
+        b_t = b_sel.narrow(1, t, 1).reshape((bsz, 1, n))
+        c_t = c_sel.narrow(1, t, 1).reshape((bsz, 1, n))
+        u = d_t * a_r
+        small = np.abs(u.data) < PHI_SERIES_CUTOFF
+        phi = T.where(small, u * 0.5 + 1.0, (T.exp(u) - 1.0) / T.where(small, 1.0, u))
+        h = T.exp(u) * h + (d_t * phi) * b_t * x_t
+        ys.append((h * c_t).sum(axis=2).reshape((bsz, 1, ch)))
+    return T.concat(ys, axis=1)
+
+
+def _tape_nodes(root):
+    """Number of nodes with a backward closure reachable from ``root``."""
+    seen, todo, count = set(), [root], 0
+    while todo:
+        node = todo.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        count += node._backward_fn is not None
+        todo.extend(node._parents)
+    return count
 
 
 class TestZohDiscretize:
@@ -176,8 +210,72 @@ class TestSelectiveScanTape:
         cs = Tensor(r.normal((bsz, L, N)), requires_grad=True)
         x = Tensor(r.normal((bsz, L, C)), requires_grad=True)
         rel, _ = finite_difference_check(lambda: selective_scan_t(x, dt, bs, cs, a),
-                                         [x, bs, cs, a], rel_tol=1e-6, seed=4)
+                                         [x, dt, bs, cs, a], rel_tol=1e-6, seed=4)
         assert rel < 1e-6
+
+    def test_gradients_series_branch(self, f64_mode):
+        # every |dt * a| below the cutoff: checks the phi' = 1/2 adjoint
+        r = Rng(5, "scan-grad-series")
+        bsz, L, C, N = 1, 4, 2, 2
+        a = Tensor(-np.exp(r.normal((C, N), dtype=np.float64)), requires_grad=True)
+        dt = Tensor(r.uniform(2e-6, 1e-5, (bsz, L, C), dtype=np.float64), requires_grad=True)
+        assert np.all(np.abs(dt.data[..., None] * a.data) < PHI_SERIES_CUTOFF)
+        bs = Tensor(r.normal((bsz, L, N)), requires_grad=True)
+        cs = Tensor(r.normal((bsz, L, N)), requires_grad=True)
+        x = Tensor(r.normal((bsz, L, C)), requires_grad=True)
+        rel, _ = finite_difference_check(lambda: selective_scan_t(x, dt, bs, cs, a),
+                                         [x, dt, bs, cs, a], rel_tol=1e-6, seed=5)
+        assert rel < 1e-6
+
+
+class TestSelectiveScanFused:
+    """The fused op against the per-token taped oracle."""
+
+    @staticmethod
+    def _inputs(shape, dtype, seed):
+        bsz, L, C, N = shape
+        r = Rng(seed, "scan-fused")
+        a = -np.exp(r.normal((C, N), dtype=np.float64))
+        # log-uniform dt over [1e-7, 1]: both sides of the phi series cutoff
+        dt = np.exp(r.uniform(np.log(1e-7), 0.0, (bsz, L, C), dtype=np.float64))
+        dt.reshape(-1)[0] = 1e-7
+        dt.reshape(-1)[-1] = 0.5
+        arrays = [r.normal((bsz, L, C), dtype=np.float64), dt,
+                  r.normal((bsz, L, N), dtype=np.float64),
+                  r.normal((bsz, L, N), dtype=np.float64), a]
+        return [Tensor(v, requires_grad=True, dtype=dtype) for v in arrays]
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)],
+                             ids=["f64", "f32"])
+    @pytest.mark.parametrize("shape", [(2, 1, 3, 2), (2, 9, 3, 4), (2, 64, 8, 4)],
+                             ids=["L1", "L9", "L64"])
+    def test_matches_taped_oracle(self, shape, dtype, tol):
+        fused_in = self._inputs(shape, dtype, seed=sum(shape))
+        taped_in = self._inputs(shape, dtype, seed=sum(shape))
+        u = fused_in[1].data[..., None] * fused_in[4].data
+        small = np.abs(u) < PHI_SERIES_CUTOFF
+        assert small.any() and (~small).any()
+
+        y = selective_scan_t(*fused_in)
+        y_ref = taped_selective_scan(*taped_in)
+        assert y.dtype == y_ref.dtype == dtype
+        proj = Rng(7, "proj").normal(y.shape, dtype=dtype)
+        (y * Tensor(proj, dtype=dtype)).sum().backward()
+        (y_ref * Tensor(proj, dtype=dtype)).sum().backward()
+
+        def rel(got, want):
+            return np.abs(got - want).max() / np.abs(want).max()
+
+        assert rel(y.data, y_ref.data) < tol
+        for name, t, t_ref in zip("x dt b c a".split(), fused_in, taped_in):
+            assert t.grad.shape == t_ref.grad.shape
+            assert rel(t.grad, t_ref.grad) < tol, name
+
+    def test_no_grad_records_no_tape(self):
+        inputs = self._inputs((2, 9, 3, 4), np.float32, seed=3)
+        with T.no_grad():
+            y = selective_scan_t(*inputs)
+        assert not y.requires_grad and y._parents == () and y._backward_fn is None
 
 
 class TestCausalConv1d:
@@ -273,6 +371,14 @@ class TestMambaBlock:
         rel, _ = finite_difference_check(lambda: mamba_block(x, p), wiggle,
                                          rel_tol=1e-6, seed=6)
         assert rel < 1e-6
+
+    def test_tape_size_flat_in_token_count(self, rng):
+        p = init_mamba_block(rng, channels=2, n_state=2)
+        counts = []
+        for side in (2, 8):                       # L = 8 and L = 512 tokens
+            x = Tensor(rng.normal((1, 2, side, side, side)), requires_grad=True)
+            counts.append(_tape_nodes(mamba_block(x, p)))
+        assert counts[0] == counts[1]
 
     def test_param_count_matches_field_sum(self, rng):
         p = init_mamba_block(rng, channels=4, n_state=3)
