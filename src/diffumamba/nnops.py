@@ -1,10 +1,10 @@
 """Neural network layers and losses on top of the tensor engine.
 
-3D convolution is im2col + BLAS matmul; the column matrix is rebuilt in
-the backward pass rather than cached, trading a little compute for a
-much smaller live graph.  The segmentation loss is the unweighted sum
-of soft Dice (per class over the whole batch, averaged over foreground
-classes) and mean voxel cross-entropy.
+3D convolution is one BLAS matmul per kernel tap over a strided window
+of the padded input; the backward pass gathers each window again rather
+than caching it, which keeps the live graph small.  The segmentation
+loss is the unweighted sum of soft Dice (per class over the whole
+batch, averaged over foreground classes) and mean voxel cross-entropy.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (ShapeError, Tensor, exp, log_softmax, make_op, mul,
-                     sigmoid, where)
+from .tensor import ShapeError, Tensor, exp, log_softmax, make_op, mul, sigmoid
 
 EPS_NORM = 1e-5       # instance norm variance floor
 EPS_DICE = 1e-5       # soft Dice smooth term
@@ -45,61 +44,52 @@ def conv_output_shape(spatial, kernel, stride, padding):
     return tuple(out)
 
 
-def _im2col(xp, kernel, stride, out_spatial):
-    # xp: padded input (B, C, Dp, Hp, Wp) -> (B*Do*Ho*Wo, C*kd*kh*kw)
-    kd, kh, kw = kernel
-    sd, sh, sw = stride
-    view = np.lib.stride_tricks.sliding_window_view(xp, (kd, kh, kw), axis=(2, 3, 4))
-    view = view[:, :, ::sd, ::sh, ::sw]
-    b, c = xp.shape[0], xp.shape[1]
-    do, ho, wo = out_spatial
-    cols = view.transpose(0, 2, 3, 4, 1, 5, 6, 7).reshape(b * do * ho * wo, c * kd * kh * kw)
-    return np.ascontiguousarray(cols)
-
-
 def conv3d(x: Tensor, p: ConvParams) -> Tensor:
-    """Direct 3D convolution (cross-correlation) with zero padding."""
+    """Direct 3D convolution (cross-correlation) with zero padding, as one
+    GEMM per kernel tap summed into an output already in NCDHW layout."""
     if x.ndim != 5:
         raise ShapeError(f"conv3d expects (B,C,D,H,W), got {x.shape}")
     c_out, c_in, kd, kh, kw = p.weight.shape
     if x.shape[1] != c_in:
-        raise ShapeError(f"conv3d channel mismatch: input has {x.shape[1]}, "
-                         f"weight expects {c_in}")
-    b = x.shape[0]
-    spatial = x.shape[2:]
-    out_spatial = conv_output_shape(spatial, (kd, kh, kw), p.stride, p.padding)
-    do, ho, wo = out_spatial
+        raise ShapeError(f"conv3d channel mismatch: input has {x.shape[1]}, weight expects {c_in}")
+    b, spatial = x.shape[0], x.shape[2:]
+    do, ho, wo = conv_output_shape(spatial, (kd, kh, kw), p.stride, p.padding)
     pd, ph, pw = p.padding
-
+    sd, sh, sw = p.stride
     xp = np.pad(x.data, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)))
-    cols = _im2col(xp, (kd, kh, kw), p.stride, out_spatial)
-    w_mat = p.weight.data.reshape(c_out, -1)
-    out = cols @ w_mat.T
+    # (kd, kh, kw, C_out, C_in): each tap's weight slice is one contiguous matrix
+    w_taps = np.ascontiguousarray(p.weight.data.transpose(2, 3, 4, 0, 1))
+
+    def window(arr, i, j, k):
+        # the voxels of the padded ``arr`` that tap (i, j, k) meets
+        return arr[:, :, i:i + do * sd:sd, j:j + ho * sh:sh, k:k + wo * sw:sw]
+
+    def gathered():
+        # each tap's input window, copied into one reused (B, C_in, N) buffer
+        cols = np.empty((b, c_in, do, ho, wo), dtype=xp.dtype)
+        for t in np.ndindex(kd, kh, kw):
+            np.copyto(cols, window(xp, *t))
+            yield t, cols.reshape(b, c_in, -1)
+
+    out = sum(np.matmul(w_taps[t], cols) for t, cols in gathered())
     if p.bias is not None:
-        out += p.bias.data
-    out = out.reshape(b, do, ho, wo, c_out).transpose(0, 4, 1, 2, 3)
+        out += p.bias.data[:, None]
+    out = out.reshape(b, c_out, do, ho, wo)
 
     weight, bias = p.weight, p.bias
-    sd, sh, sw = p.stride
 
     def backward(g):
-        g_mat = g.transpose(0, 2, 3, 4, 1).reshape(-1, c_out)
+        g_mat = g.reshape(b, c_out, -1)
         if weight.requires_grad:
-            cols_b = _im2col(xp, (kd, kh, kw), p.stride, out_spatial)
-            weight._accumulate((g_mat.T @ cols_b).reshape(weight.shape))
+            dw = [np.matmul(g_mat, cols.transpose(0, 2, 1)).sum(axis=0) for _, cols in gathered()]
+            weight._accumulate(np.reshape(dw, w_taps.shape).transpose(3, 4, 0, 1, 2))
         if bias is not None and bias.requires_grad:
-            bias._accumulate(g_mat.sum(axis=0))
+            bias._accumulate(g_mat.sum(axis=(0, 2)))
         if x.requires_grad or x._parents:
-            dcols = (g_mat @ w_mat).reshape(b, do, ho, wo, c_in, kd, kh, kw)
             dxp = np.zeros_like(xp)
-            for i in range(kd):
-                for j in range(kh):
-                    for k in range(kw):
-                        dxp[:, :, i:i + do * sd:sd, j:j + ho * sh:sh, k:k + wo * sw:sw] += \
-                            dcols[:, :, :, :, :, i, j, k].transpose(0, 4, 1, 2, 3)
-            if pd or ph or pw:
-                dxp = dxp[:, :, pd:pd + spatial[0], ph:ph + spatial[1], pw:pw + spatial[2]]
-            x._accumulate(dxp)
+            for t in np.ndindex(kd, kh, kw):
+                window(dxp, *t)[...] += np.matmul(w_taps[t].T, g_mat).reshape(b, c_in, do, ho, wo)
+            x._accumulate(dxp[:, :, pd:pd + spatial[0], ph:ph + spatial[1], pw:pw + spatial[2]])
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return make_op(out, parents, "conv3d", backward)
@@ -170,11 +160,19 @@ def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = EPS_NORM)
 
 
 def leaky_relu(x: Tensor, alpha: float = LEAKY_SLOPE) -> Tensor:
-    return where(x.data >= 0, x, x * alpha)
+    """x where x >= 0, else alpha * x; the slope at 0 is 1."""
+    mask = x.data >= 0
+    out = np.where(mask, x.data, x.data * alpha)
+
+    def backward(g):
+        x._accumulate(np.where(mask, g, g * alpha))
+
+    return make_op(out, (x,), "leaky_relu", backward)
 
 
 def relu(x: Tensor) -> Tensor:
-    return where(x.data >= 0, x, x * 0.0)
+    """leaky_relu with slope 0 (negative inputs give -0.0)."""
+    return leaky_relu(x, 0.0)
 
 
 def silu(x: Tensor) -> Tensor:

@@ -97,9 +97,10 @@ class Tensor:
 
     ``data`` is always a contiguous row-major ndarray.  ``grad`` is
     lazily allocated during ``backward`` and has the same shape as
-    ``data``.  Tensors are immutable after construction as far as the
-    tape is concerned; optimizers mutate ``data`` in place between
-    forward passes, never mid-graph.
+    ``data``; after ``backward`` only leaves still hold one.  Tensors
+    are immutable after construction as far as the tape is concerned;
+    optimizers mutate ``data`` in place between forward passes, never
+    mid-graph.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn",
@@ -161,10 +162,12 @@ class Tensor:
         self.grad = None
 
     def backward(self):
-        """Populate ``grad`` on every reachable tensor in the graph.
+        """Populate ``grad`` on every reachable leaf of the graph.
 
         The root must be a scalar produced under an active tape.  Each
-        node's closure runs exactly once, in reverse topological order.
+        node's closure runs exactly once, in reverse topological order,
+        and an intermediate node's ``grad`` is dropped (set to None) as
+        soon as its closure has passed it on, so only leaves keep one.
         Calling backward twice on the same root is an error.
         """
         if self.shape != ():
@@ -180,6 +183,8 @@ class Tensor:
         for node in reversed(order):
             if node._backward_fn is not None:
                 node._backward_fn(node.grad)
+            if node._parents:
+                node.grad = None
 
     # ------------------------------------------------------------------
     # operator sugar

@@ -6,12 +6,13 @@ import pytest
 
 from diffumamba import tensor as T
 from diffumamba.gradcheck import finite_difference_check
-from diffumamba.network import (ModelConfig, Network, copy_shared_weights,
+from diffumamba.network import (CHECKPOINT_MAGIC, ModelConfig, Network, copy_shared_weights,
                                 desk_config, init_residual_block,
                                 load_checkpoint, paper_scale_config,
                                 residual_block, save_checkpoint)
-from diffumamba.recordio import (BadMagicError, TruncatedPayloadError,
-                                 UnknownVersionError)
+from diffumamba.nnops import dice_ce_loss
+from diffumamba.recordio import (BadMagicError, ContainerError, TruncatedPayloadError,
+                                 UnknownVersionError, write_container)
 from diffumamba.tensor import Rng, ShapeError, Tensor
 
 
@@ -132,6 +133,23 @@ class TestForward:
         assert rel < 1e-6
 
 
+class TestTapeSize:
+    """Tape nodes in one training step's loss graph (nodes with a
+    backward closure): conv3d, each rectifier and the selective scan
+    are one node apiece."""
+
+    @pytest.mark.parametrize("cfg,side,nodes", [
+        (desk_config(), 32, 400),
+        (ModelConfig(n_stages=3, channels=(8, 16, 32), strides=(1, 2, 1)), 16, 282),
+    ], ids=["desk", "longseq"])
+    def test_training_step_tape_nodes(self, rng, cfg, side, nodes):
+        m = Network(cfg)
+        x = Tensor(rng.normal((2, 1, side, side, side)))
+        labels = (rng.random((2, side, side, side)) > 0.8).astype(np.int64)
+        loss = dice_ce_loss(m.forward(x), labels).total
+        assert sum(n._backward_fn is not None for n in T._toposort(loss)) == nodes
+
+
 class TestParamAccounting:
     def test_diff_equals_baseline_plus_nrm(self):
         diff_model = Network(tiny_config(seed=7))
@@ -204,6 +222,22 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(UnknownVersionError, match="version"):
             load_checkpoint(path)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path):
+        m = Network(tiny_config())
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(m, path, step=3)
+        good = path.read_bytes()
+        # an int64 record is refused mid-write, after the header went out
+        with pytest.raises(ContainerError, match="unsupported dtype"):
+            write_container(path, CHECKPOINT_MAGIC, 1,
+                            [{"w": np.zeros(2, np.float32), "bad": np.zeros(2, np.int64)}, {}])
+        assert path.read_bytes() == good
+        assert os.listdir(tmp_path) == ["m.ckpt"]
+        m2, aux = load_checkpoint(path)
+        assert aux["step"] == 3
+        for name, t in m.named_parameters().items():
+            npt.assert_array_equal(m2.named_parameters()[name].data, t.data)
 
     def test_save_load_dtype_preserved_f64(self, tmp_path, f64_mode):
         m = Network(tiny_config())

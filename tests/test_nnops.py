@@ -10,7 +10,46 @@ from diffumamba.nnops import (ConvParams, ConvTransposeParams, adaptive_avg_pool
                               conv3d, conv_output_shape, conv_transpose3d,
                               dice_ce_loss, init_conv, init_conv_transpose,
                               instance_norm, leaky_relu, relu, silu, softmax)
-from diffumamba.tensor import NumericError, Rng, ShapeError, Tensor
+from diffumamba.tensor import NumericError, Rng, ShapeError, Tensor, make_op
+
+
+def im2col_conv3d(x, p):
+    """The im2col + single-GEMM conv3d with its col2im input adjoint,
+    kept as the reference for the per-tap ``conv3d``."""
+    c_out, c_in, kd, kh, kw = p.weight.shape
+    b, spatial = x.shape[0], x.shape[2:]
+    out_spatial = conv_output_shape(spatial, (kd, kh, kw), p.stride, p.padding)
+    do, ho, wo = out_spatial
+    pd, ph, pw = p.padding
+    sd, sh, sw = p.stride
+    xp = np.pad(x.data, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)))
+    view = np.lib.stride_tricks.sliding_window_view(xp, (kd, kh, kw), axis=(2, 3, 4))
+    # one row per output voxel: (B*Do*Ho*Wo, C_in*kd*kh*kw)
+    cols = view[:, :, ::sd, ::sh, ::sw].transpose(0, 2, 3, 4, 1, 5, 6, 7).reshape(
+        b * do * ho * wo, c_in * kd * kh * kw)
+    w_mat = p.weight.data.reshape(c_out, -1)
+    out = cols @ w_mat.T
+    if p.bias is not None:
+        out += p.bias.data
+    out = out.reshape(b, do, ho, wo, c_out).transpose(0, 4, 1, 2, 3)
+    weight, bias = p.weight, p.bias
+
+    def backward(g):
+        g_mat = g.transpose(0, 2, 3, 4, 1).reshape(-1, c_out)
+        weight._accumulate((g_mat.T @ cols).reshape(weight.shape))
+        if bias is not None:
+            bias._accumulate(g_mat.sum(axis=0))
+        dcols = (g_mat @ w_mat).reshape(b, do, ho, wo, c_in, kd, kh, kw)
+        dxp = np.zeros_like(xp)
+        for i in range(kd):
+            for j in range(kh):
+                for k in range(kw):
+                    dxp[:, :, i:i + do * sd:sd, j:j + ho * sh:sh, k:k + wo * sw:sw] += \
+                        dcols[:, :, :, :, :, i, j, k].transpose(0, 4, 1, 2, 3)
+        x._accumulate(dxp[:, :, pd:pd + spatial[0], ph:ph + spatial[1], pw:pw + spatial[2]])
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return make_op(out, parents, "im2col_conv3d", backward)
 
 
 def _conv(weight, bias=None, stride=(1, 1, 1), padding=(0, 0, 0)):
@@ -88,6 +127,67 @@ class TestConv3d:
         p = init_conv(r, 2, 2, (3, 3, 3))
         rel, _ = finite_difference_check(lambda: conv3d(x, p),
                                          [x, p.weight, p.bias], rel_tol=1e-6, seed=1)
+        assert rel < 1e-6
+
+
+class TestConv3dAgainstIm2col:
+    """The per-tap conv3d against the im2col oracle, on every shape class
+    the network uses."""
+
+    # (B, C_in, spatial, C_out, k, stride, padding)
+    CASES = [
+        (2, 3, (6, 6, 6), 4, 3, 1, 1),      # residual conv
+        (2, 3, (6, 6, 6), 4, 3, 2, 1),      # downsampling residual conv
+        (2, 3, (6, 6, 6), 4, 3, 1, 0),      # no padding
+        (2, 3, (6, 6, 6), 5, 1, 1, 0),      # head, NRM 1x1 downsampling
+        (2, 3, (6, 6, 6), 5, 1, 2, 0),      # strided shortcut projection
+        (2, 1, (6, 6, 6), 4, 3, 1, 1),      # C_in = 1 stem
+        (2, 4, (2, 2, 2), 4, 3, 1, 1),      # 2^3 bottleneck
+        (2, 4, (2, 2, 2), 4, 3, 2, 1),      # 2^3 bottleneck, strided
+        (2, 3, (5, 6, 7), 4, 3, 2, 1),      # odd non-cubic extent
+        (2, 3, (5, 6, 7), 4, 1, 2, 0),
+    ]
+
+    @staticmethod
+    def _run(conv, x, w, bias, g, stride, padding):
+        xt = Tensor(x, requires_grad=True)
+        p = ConvParams(Tensor(w, requires_grad=True), Tensor(bias, requires_grad=True),
+                       stride=(stride,) * 3, padding=(padding,) * 3)
+        y = conv(xt, p)
+        (y * Tensor(g)).sum().backward()
+        return y.data, xt.grad, p.weight.grad, p.bias.grad
+
+    @pytest.mark.parametrize("dtype,tol", [("f64", 1e-12), ("f32", 1e-5)])
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: "{}-k{}s{}p{}c{}".format(
+        "x".join(map(str, c[2])), c[4], c[5], c[6], c[1]))
+    def test_matches_im2col(self, case, dtype, tol):
+        T.set_default_dtype(dtype)
+        b, c_in, spatial, c_out, k, stride, padding = case
+        r = Rng(sum(spatial) + k + stride, "conv-taps")
+        x = r.normal((b, c_in) + spatial)
+        w = r.normal((c_out, c_in, k, k, k))
+        bias = r.normal((c_out,))
+        out_spatial = conv_output_shape(spatial, (k,) * 3, (stride,) * 3, (padding,) * 3)
+        g = r.normal((b, c_out) + out_spatial)
+        got = self._run(conv3d, x, w, bias, g, stride, padding)
+        want = self._run(im2col_conv3d, x, w, bias, g, stride, padding)
+        for name, a, e in zip(("out", "x", "weight", "bias"), got, want):
+            assert a.shape == e.shape and a.dtype == e.dtype, name
+            err = np.abs(a - e).max() / np.abs(e).max()
+            assert err < tol, f"{name}: relative error {err:.2e}"
+
+    def test_input_without_grad_gets_none(self, rng):
+        x = Tensor(rng.normal((2, 2, 4, 4, 4)))
+        p = init_conv(rng, 2, 3, (3, 3, 3))
+        conv3d(x, p).sum().backward()
+        assert x.grad is None and p.weight.grad is not None
+
+    def test_gradients_f64_strided_batch(self, f64_mode):
+        r = Rng(4, "conv64s2")
+        x = Tensor(r.normal((2, 2, 5, 6, 7)), requires_grad=True)
+        p = init_conv(r, 2, 3, (3, 3, 3), stride=(2, 2, 2))
+        rel, _ = finite_difference_check(lambda: conv3d(x, p),
+                                         [x, p.weight, p.bias], rel_tol=1e-6, seed=5)
         assert rel < 1e-6
 
 
@@ -200,6 +300,48 @@ class TestActivations:
         x = rng.normal((20,))
         out = relu(Tensor(x))
         npt.assert_array_equal(out.data, np.maximum(x, 0))
+
+    def test_relu_of_negative_is_negative_zero(self):
+        out = relu(Tensor([-2.0, 3.0])).data
+        assert out[0] == 0.0 and np.signbit(out[0]) and out[1] == 3.0
+
+    @pytest.mark.parametrize("act", [relu, leaky_relu])
+    def test_zero_input_passes_value_and_unit_slope(self, act):
+        x = Tensor([0.0, 0.0], requires_grad=True)
+        y = act(x)
+        npt.assert_array_equal(y.data, [0.0, 0.0])
+        assert not np.signbit(y.data).any()
+        (y * Tensor([1.5, -2.0])).sum().backward()
+        npt.assert_array_equal(x.grad, [1.5, -2.0])
+
+    @pytest.mark.parametrize("act", [relu, leaky_relu])
+    def test_one_tape_node(self, rng, act):
+        x = Tensor(rng.normal((2, 3, 4)), requires_grad=True)
+        y = act(x)
+        assert y._parents == (x,)
+        assert sum(n._backward_fn is not None for n in T._toposort(y)) == 1
+
+    @pytest.mark.parametrize("act", [relu, lambda x: leaky_relu(x, 0.01),
+                                     lambda x: leaky_relu(x, 0.3)])
+    def test_gradients_f64(self, f64_mode, act):
+        r = Rng(12, "act64")
+        v = r.normal((2, 3, 3, 3, 3))
+        # keep every input at least 0.1 away from the kink at 0
+        x = Tensor(np.where(v >= 0, v + 0.1, v - 0.1), requires_grad=True)
+        rel, _ = finite_difference_check(lambda: act(x), [x], rel_tol=1e-6,
+                                         n_coords=8, seed=9)
+        assert rel < 1e-6
+
+    def test_gradients_f64_negative_side(self, f64_mode):
+        # every coordinate on the alpha branch, so the slope itself is checked
+        r = Rng(13, "act64neg")
+        x = Tensor(-np.abs(r.normal((2, 4, 3))) - 0.1, requires_grad=True)
+        rel, _ = finite_difference_check(lambda: leaky_relu(x, 0.2), [x], rel_tol=1e-6,
+                                         seed=10)
+        assert rel < 1e-6
+        x.zero_grad()
+        leaky_relu(x, 0.2).sum().backward()
+        npt.assert_allclose(x.grad, 0.2, rtol=1e-12)
 
 
 class TestAdaptivePool:

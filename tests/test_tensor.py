@@ -130,6 +130,16 @@ class TestBackward:
         (x.sum() + (x * 3.0).sum()).backward()
         npt.assert_allclose(x.grad, np.full(3, 4.0), rtol=1e-6)
 
+    def test_only_leaves_keep_grads(self, rng):
+        x = Tensor(rng.normal((3,)), requires_grad=True)
+        w = Tensor(rng.normal((3,)), requires_grad=True)
+        hidden = x * w
+        loss = T.exp(hidden).sum()
+        loss.backward()
+        npt.assert_allclose(x.grad, w.data * np.exp(x.data * w.data), rtol=1e-6)
+        npt.assert_allclose(w.grad, x.data * np.exp(x.data * w.data), rtol=1e-6)
+        assert hidden.grad is None and loss.grad is None
+
 
 class TestShapeOps:
     def test_reshape_round_trip(self, rng):
