@@ -8,16 +8,16 @@ Each bottleneck channel, flattened over spatial positions, is one point
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .recordio import read_container, write_container
 from .tensor import Rng, Tensor, no_grad
+from .util import write_csv
 
 LATENT_MAGIC = b"DUML"
 LATENT_VERSION = 1
@@ -185,13 +185,9 @@ class LambdaReport:
     threshold: float
 
     def write_csv(self, path, meta=None):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            for k, v in (meta or {}).items():
-                fh.write(f"# {k}={v}\n")
-            w = csv.writer(fh)
-            w.writerow(["step"] + [f"lambda_{i + 1}" for i in range(self.trace.shape[1])])
-            for step, row in enumerate(self.trace):
-                w.writerow([step] + [f"{v:.8f}" for v in row])
+        write_csv(path, ["step"] + [f"lambda_{i + 1}" for i in range(self.trace.shape[1])],
+                  ([step] + [f"{v:.8f}" for v in row] for step, row in enumerate(self.trace)),
+                  meta=meta)
 
 
 def read_lambda_trace_csv(path) -> np.ndarray:
@@ -310,10 +306,4 @@ def write_analysis_csv(rows, path, meta=None):
     if not rows:
         raise ValueError("no analysis rows to write")
     cols = list(rows[0].keys())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        for k, v in (meta or {}).items():
-            fh.write(f"# {k}={v}\n")
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for r in rows:
-            w.writerow([r.get(c, "") for c in cols])
+    write_csv(path, cols, ([r.get(c, "") for c in cols] for r in rows), meta=meta)

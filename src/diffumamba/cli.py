@@ -12,24 +12,17 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import tensor as T
-from .analysis import (DEFAULT_K_RANGE, analyze_model, kmeans_silhouette,
-                       pearson, write_analysis_csv)
+from .analysis import DEFAULT_K_RANGE, analyze_model, write_analysis_csv
 from .data import (DataError, NOISE_FAMILIES, PhantomConfig, gen_phantoms,
                    load_dataset, save_dataset)
-from .gradcheck import finite_difference_check
-from .metrics import (dsc_iou, evaluate_model, hd95, perturbation_grid,
-                      write_perturb_csv)
-from .network import (CheckpointError, ModelConfig, Network, copy_shared_weights,
-                      load_checkpoint)
-from .nnops import init_conv, conv3d, instance_norm, leaky_relu
+from .metrics import evaluate_model, perturbation_grid, write_perturb_csv
+from .network import CheckpointError, ModelConfig, load_checkpoint
+from .oracles import SELFCHECKS
 from .recordio import ContainerError
-from .ssm import SSMParams, init_mamba_block, mamba_block, kernel_apply, ssm_kernel, ssm_scan
-from .tensor import NumericError, Rng, Tensor
+from .tensor import NumericError
 from .train import ExperimentConfig, run_experiment
-from .util import build_id, read_json, write_json
+from .util import atomic_write, build_id, read_json, write_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -131,7 +124,10 @@ def cmd_gen_data(args):
 
 def cmd_train(args):
     if args.config:
-        cfg = ExperimentConfig.from_dict(read_json(args.config))
+        try:
+            cfg = ExperimentConfig.from_dict(read_json(args.config))
+        except (AttributeError, TypeError, ValueError) as err:   # incl. JSONDecodeError
+            raise DataError(f"bad config {args.config}: {err}") from err
     else:
         cfg = ExperimentConfig()
     # flags win over the config file
@@ -215,129 +211,28 @@ def cmd_analyze(args):
 # selfcheck
 
 
-def _check(name, measured, tol, ok, lines):
-    status = "PASS" if ok else "FAIL"
-    lines.append(f"[{status}] {name:40s} measured={measured:.3e}  tol={tol:g}")
-    return ok
-
-
 def run_selfcheck(seed=0, corrupt_adjoint=False, print_fn=print) -> bool:
-    """Gradient, scan-vs-kernel, equivalence and metric oracles."""
-    lines = []
+    """Run every check in ``oracles.SELFCHECKS``; print one line per check."""
     ok = True
-    rng = Rng(seed, "selfcheck")
     if corrupt_adjoint:
         T.set_gradient_fault(1.02)
     try:
-        # gradient checks on representative ops (f32 tolerance)
-        a = Tensor(rng.normal((4, 5)), requires_grad=True)
-        b = Tensor(rng.normal((5, 3)), requires_grad=True)
-
-        def fd(name, out_fn, wiggle):
-            nonlocal ok
+        for name, tol, fn in SELFCHECKS:
+            detail = None
             try:
-                rel, _ = finite_difference_check(out_fn, wiggle, rel_tol=1e-3, seed=seed)
-                ok &= _check(name, rel, 1e-3, True, lines)
-            except AssertionError as err:
-                ok &= _check(name, float("nan"), 1e-3, False, lines)
-                lines.append(f"       {err}")
-
-        fd("grad: matmul", lambda: a @ b, [a, b])
-
-        conv = init_conv(rng.derive("c"), 2, 3, (3, 3, 3))
-        x = Tensor(rng.normal((1, 2, 4, 4, 4)), requires_grad=True)
-        gamma = Tensor(np.ones(3), requires_grad=True)
-        beta = Tensor(np.zeros(3), requires_grad=True)
-        fd("grad: conv3d+instancenorm+lrelu",
-           lambda: leaky_relu(instance_norm(conv3d(x, conv), gamma, beta)),
-           [x, conv.weight, gamma])
-
-        mp = init_mamba_block(rng.derive("m"), 3, n_state=4)
-        xm = Tensor(rng.normal((1, 3, 2, 2, 2)), requires_grad=True)
-        fd("grad: mamba block", lambda: mamba_block(xm, mp),
-           [xm, mp.a_log, mp.dt_bias])
-
-        # LTI scan vs kernel
-        worst = 0.0
-        for i in range(10):
-            r = rng.derive(f"lti{i}")
-            n = 4
-            params = SSMParams(a=-np.exp(r.normal((2, n), dtype=np.float64)),
-                               b=r.normal((n,), dtype=np.float64),
-                               c=r.normal((n,), dtype=np.float64),
-                               delta=float(np.exp(r.uniform(-3, -0.5))))
-            xs = r.normal((24, 2), dtype=np.float64)
-            diff = np.abs(ssm_scan(params, xs)
-                          - kernel_apply(ssm_kernel(params, 24), xs)).max()
-            worst = max(worst, float(diff))
-        ok &= _check("ssm: scan == kernel conv (10 seeds)", worst, 1e-5, worst < 1e-5, lines)
-
-        y = ssm_scan(SSMParams(a=np.zeros((1, 1)), b=np.ones(1), c=np.ones(1), delta=1.0),
-                     np.ones(3))
-        exact = float(np.abs(y - np.array([1.0, 2.0, 3.0])).max())
-        ok &= _check("ssm: worked case y=[1,2,3]", exact, 0.0, exact == 0.0, lines)
-
-        # equivalence: noise reduction module off == baseline
-        cfg = ModelConfig(channels=(4, 8), strides=(1, 2), n_stages=2, seed=seed)
-        diff_model = Network(cfg)
-        base_model = Network(ModelConfig.from_dict({**cfg.to_dict(), "nrm_enabled": False}))
-        copy_shared_weights(diff_model, base_model)
-        diff_model.nrm.lam.values.data[...] = 0.0
-        for name, t in diff_model.nrm.m2.named("m2"):
-            if name.endswith(("_b", "bias", "beta")):
-                t.data[...] = 0.0
-        worst = 0.0
-        for i in range(3):
-            xi = Tensor(rng.derive(f"eq{i}").normal((1, 1, 8, 8, 8)))
-            with T.no_grad():
-                d = diff_model.forward(xi).data
-                bse = base_model.forward(xi).data
-            worst = max(worst, float(np.abs(d - bse).max()))
-        ok &= _check("equivalence: module-off == baseline", worst, 1e-6, worst < 1e-6, lines)
-
-        # metric oracles
-        rng_m = rng.derive("metrics")
-        worst = 0.0
-        for i in range(5):
-            p = rng_m.random((6, 6, 6)) < 0.2
-            g = rng_m.random((6, 6, 6)) < 0.2
-            if not p.any() or not g.any():
-                continue
-            h_fast = hd95(p, g)
-            h_brute = _brute_hd95(p, g)
-            worst = max(worst, abs(h_fast - h_brute))
-        ok &= _check("metrics: hd95 == brute force", worst, 1e-6, worst < 1e-6, lines)
-
-        p = rng_m.random((5, 5, 5)) < 0.3
-        g = rng_m.random((5, 5, 5)) < 0.3
-        d, i_ = dsc_iou(p, g)
-        ident = abs(d - 2 * i_ / (1 + i_))
-        ok &= _check("metrics: dsc == 2*iou/(1+iou)", ident, 1e-6, ident < 1e-6, lines)
-
-        r = pearson([1, 2, 3], [1, 2, 4])
-        err = abs(r - 0.9819805060619659)
-        ok &= _check("analysis: pearson hand case", err, 1e-5, err < 1e-5, lines)
-
-        pts = np.array([[0.0], [0.1], [10.0], [10.1]])
-        _, _, mean_s = kmeans_silhouette(pts, k_range=(2,), seed=0)
-        ok &= _check("analysis: silhouette 2-cluster fixture", mean_s, 0.8,
-                     mean_s > 0.8, lines)
+                measured = fn(seed)
+            except AssertionError as err:      # a failed gradient check
+                measured, detail = float("nan"), err
+            passed = measured <= tol
+            ok &= passed
+            print_fn(f"[{'PASS' if passed else 'FAIL'}] {name:40s} "
+                     f"measured={measured:.3e}  tol={tol:g}")
+            if detail is not None:
+                print_fn(f"       {detail}")
     finally:
         T.set_gradient_fault(None)
-
-    for line in lines:
-        print_fn(line)
     print_fn(f"selfcheck: {'all checks passed' if ok else 'FAILURES detected'}")
-    return ok
-
-
-def _brute_hd95(pred, gt, spacing=(1.0, 1.0, 1.0)):
-    from .metrics import surface_voxels
-    sp = np.argwhere(surface_voxels(pred)) * np.asarray(spacing)
-    sg = np.argwhere(surface_voxels(gt)) * np.asarray(spacing)
-    d = np.sqrt(((sp[:, None, :] - sg[None, :, :]) ** 2).sum(axis=2))
-    pooled = np.concatenate([d.min(axis=1), d.min(axis=0)])
-    return float(np.percentile(pooled, 95, method="linear"))
+    return bool(ok)
 
 
 def cmd_selfcheck(args):
@@ -351,7 +246,7 @@ def cmd_selfcheck(args):
                        print_fn=tee)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "selfcheck.txt"), "w", encoding="utf-8") as fh:
+        with atomic_write(os.path.join(args.out, "selfcheck.txt")) as fh:
             fh.write(f"# seed={args.seed} build_id={build_id()}\n")
             fh.write("\n".join(lines) + "\n")
     return EXIT_OK if ok else EXIT_SELFCHECK

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import Rng, Tensor
+from .util import atomic_write
 
 
 class DataError(Exception):
@@ -233,7 +234,7 @@ def write_volume(path, array: np.ndarray, spacing):
     key = (array.dtype.kind, array.dtype.itemsize)
     if key not in _SVOL_TAGS:
         raise VolumeFormatError(f"unsupported volume dtype {array.dtype}")
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(SVOL_MAGIC)
         fh.write(struct.pack("<I", SVOL_VERSION))
         fh.write(struct.pack("<B", _SVOL_TAGS[key]))
@@ -289,7 +290,7 @@ def load_sample(sample_id, image_path, label_path) -> VolumeSample:
 
 
 def write_manifest(path, entries):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for sample_id, image_path, label_path in entries:
             fh.write(f"{sample_id}\t{image_path}\t{label_path}\n")
 

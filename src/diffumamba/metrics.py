@@ -11,8 +11,6 @@ report instead.
 
 from __future__ import annotations
 
-import csv
-import json
 import zlib
 from dataclasses import dataclass, field
 
@@ -21,6 +19,7 @@ from scipy import ndimage
 
 from .data import NoiseSpec, noise_hook
 from .tensor import ShapeError, Tensor, no_grad
+from .util import write_csv, write_json
 
 
 def dsc_iou(pred, gt):
@@ -124,19 +123,14 @@ class MetricsReport:
         return self.summary()["dsc"]["mean"]
 
     def write_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            for k, v in self.meta.items():
-                fh.write(f"# {k}={v}\n")
-            w = csv.writer(fh)
-            w.writerow(["sample_id", "class", "dsc", "iou", "hd95"])
-            for s in self.samples:
-                for cls, m in sorted(s.per_class.items()):
-                    hd = "" if m["hd95"] is None else f"{m['hd95']:.6f}"
-                    w.writerow([s.sample_id, cls, f"{m['dsc']:.6f}", f"{m['iou']:.6f}", hd])
+        write_csv(path, ["sample_id", "class", "dsc", "iou", "hd95"],
+                  ([s.sample_id, cls, f"{m['dsc']:.6f}", f"{m['iou']:.6f}",
+                    "" if m["hd95"] is None else f"{m['hd95']:.6f}"]
+                   for s in self.samples for cls, m in sorted(s.per_class.items())),
+                  meta=self.meta)
 
     def write_json(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True)
+        write_json(path, self.summary())
 
 
 def evaluate_masks(pred_labels, gt_labels, n_classes, spacing, sample_id) -> SampleMetrics:
@@ -227,11 +221,6 @@ def hash_u32(text: str) -> int:
 
 
 def write_perturb_csv(cells, path, meta=None):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        for k, v in (meta or {}).items():
-            fh.write(f"# {k}={v}\n")
-        w = csv.writer(fh)
-        w.writerow(["family", "level", "param", "mean_dsc", "mean_perturbation"])
-        for c in cells:
-            w.writerow([c.family, c.level, f"{c.param:g}",
-                        f"{c.mean_dsc:.6f}", f"{c.mean_perturbation:.6f}"])
+    write_csv(path, ["family", "level", "param", "mean_dsc", "mean_perturbation"],
+              ([c.family, c.level, f"{c.param:g}", f"{c.mean_dsc:.6f}",
+                f"{c.mean_perturbation:.6f}"] for c in cells), meta=meta)

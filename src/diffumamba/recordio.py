@@ -22,11 +22,11 @@ distinct errors below.
 
 from __future__ import annotations
 
-import contextlib
-import os
 import struct
 
 import numpy as np
+
+from .util import atomic_write
 
 
 class ContainerError(Exception):
@@ -94,24 +94,16 @@ def _read_record(fh):
 def write_container(path, magic: bytes, version: int, sections):
     """Write sections (each an ordered name -> ndarray mapping).
 
-    The bytes go to ``<path>.tmp`` first, which then replaces ``path``
-    in one step: a write that fails or is cut short leaves any previous
-    file at ``path`` as it was, and no temp file behind.
+    Written through ``util.atomic_write``: a write that fails or is cut
+    short leaves any previous file at ``path`` as it was.
     """
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(magic)
-            fh.write(struct.pack("<I", version))
-            for section in sections:
-                fh.write(struct.pack("<Q", len(section)))
-                for name, arr in section.items():
-                    _write_record(fh, name, np.asarray(arr))
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    with atomic_write(path, binary=True) as fh:
+        fh.write(magic)
+        fh.write(struct.pack("<I", version))
+        for section in sections:
+            fh.write(struct.pack("<Q", len(section)))
+            for name, arr in section.items():
+                _write_record(fh, name, np.asarray(arr))
 
 
 def read_container(path, magic: bytes, versions=(1,), n_sections=2):

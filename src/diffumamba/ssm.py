@@ -11,12 +11,10 @@ computed via phi(u) = (e^u - 1)/u with a second-order series fallback
 phi(u) ~= 1 + u/2 for |u| < 1e-4, which also covers the a = 0 limit
 (Abar = 1, Bbar = delta * b) exactly.
 
-Two execution routes exist for the token-independent (LTI) case: the
-sequential recurrence ``ssm_scan`` and the global-convolution kernel
-``ssm_kernel``; they must agree and are cross-checked in the tests.
-The mamba block uses the input-dependent (selective) recurrence, which
-``selective_scan_t`` runs as one fused tape op with a hand-written
-reverse-scan adjoint.
+The mamba block runs the input-dependent (selective) recurrence as one
+fused tape op, ``selective_scan_t``, with a hand-written reverse-scan
+adjoint.  Its independent check, the LTI global-convolution kernel with
+its own ``expm1``-based discretization, lives in ``oracles``.
 """
 
 from __future__ import annotations
@@ -30,148 +28,6 @@ from .nnops import init_linear, silu
 from .tensor import Tensor, ShapeError, exp, softplus
 
 PHI_SERIES_CUTOFF = 1e-4
-
-
-def _phi_np(u):
-    small = np.abs(u) < PHI_SERIES_CUTOFF
-    safe = np.where(small, 1.0, u)
-    return np.where(small, 1.0 + u / 2.0, np.expm1(u) / safe)
-
-
-def zoh_discretize(a, b, delta):
-    """Zero-order-hold discretization of a diagonal system.
-
-    Broadcasts over any common shape of ``a``, ``b``, ``delta``.
-    Raises on nonpositive delta.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    delta = np.asarray(delta, dtype=np.float64)
-    if np.any(delta <= 0):
-        raise ValueError("zoh_discretize: timescale delta must be positive")
-    u = delta * a
-    abar = np.exp(u)
-    bbar = delta * b * _phi_np(u)
-    return abar, bbar
-
-
-@dataclass
-class SSMParams:
-    """Diagonal SSM parameters, token-independent or selective.
-
-    a: (C, N) realized diagonal state matrix.  Entries must be <= 0;
-       the learned parameterization -exp(a_log) is strictly negative,
-       a = 0 is accepted as the analytic limit served by the series
-       fallback.
-    b, c: (N,) shared across tokens (LTI) or (L, N) per token.
-    delta: positive scalar, (L,), or (L, C).
-    """
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    delta: float | np.ndarray
-
-    def __post_init__(self):
-        self.a = np.atleast_2d(np.asarray(self.a, dtype=np.float64))
-        self.b = np.asarray(self.b, dtype=np.float64)
-        self.c = np.asarray(self.c, dtype=np.float64)
-        if np.any(self.a > 0):
-            raise ValueError("SSMParams: diagonal state entries must be <= 0 for stability")
-        if np.any(np.asarray(self.delta) <= 0):
-            raise ValueError("SSMParams: delta must be positive for every token")
-
-    @property
-    def n_state(self):
-        return self.a.shape[-1]
-
-    @property
-    def is_lti(self):
-        return self.b.ndim == 1 and self.c.ndim == 1 and np.ndim(self.delta) == 0
-
-
-def _normalize_scan_inputs(params: SSMParams, x):
-    x = np.asarray(x, dtype=np.float64)
-    if len(x) < 1:
-        raise ShapeError("scan needs at least one token")
-    squeeze = x.ndim == 1
-    x2 = x.reshape(len(x), -1)
-    L, C = x2.shape
-    N = params.n_state
-
-    a = params.a
-    if a.shape == (1, N) and C > 1:
-        a = np.broadcast_to(a, (C, N))
-    if a.shape != (C, N):
-        raise ShapeError(f"state matrix shape {params.a.shape} incompatible with "
-                         f"{C}-channel input (need (C, N))")
-
-    b = params.b if params.b.ndim == 2 else np.broadcast_to(params.b, (L, N))
-    c = params.c if params.c.ndim == 2 else np.broadcast_to(params.c, (L, N))
-    if b.shape != (L, N) or c.shape != (L, N):
-        raise ShapeError(f"b/c shapes {params.b.shape}/{params.c.shape} do not "
-                         f"match L={L}, N={N}")
-
-    delta = np.asarray(params.delta, dtype=np.float64)
-    if delta.ndim == 0:
-        delta = np.full((L, C), float(delta))
-    elif delta.ndim == 1:
-        delta = np.broadcast_to(delta[:, None], (L, C))
-    if delta.shape != (L, C):
-        raise ShapeError(f"delta shape {np.shape(params.delta)} does not match (L, C)")
-    return x2, a, b, c, delta, squeeze
-
-
-def ssm_scan(params: SSMParams, x):
-    """Sequential recurrence h_t = Abar h_{t-1} + Bbar x_t, y_t = c . h_t.
-
-    ``x`` is (L,) or (L, C); the state starts at zero and the output is
-    strictly causal.  Works for both LTI and selective parameters.
-    """
-    x2, a, b, c, delta, squeeze = _normalize_scan_inputs(params, x)
-    L, C = x2.shape
-    N = a.shape[1]
-    h = np.zeros((C, N))
-    y = np.zeros((L, C))
-    for t in range(L):
-        u = delta[t][:, None] * a                        # (C, N)
-        abar = np.exp(u)
-        bbar = delta[t][:, None] * b[t][None, :] * _phi_np(u)
-        h = abar * h + bbar * x2[t][:, None]
-        y[t] = h @ c[t]
-    return y[:, 0] if squeeze else y
-
-
-def ssm_kernel(params: SSMParams, m: int):
-    """Global-convolution kernel (c Bbar, c Abar Bbar, ..., c Abar^{m-1} Bbar).
-
-    Token-independent parameters only; raises if called with selective
-    (per-token) b/c/delta.  Returns shape (m, C).
-    """
-    if not params.is_lti:
-        raise ValueError("ssm_kernel requires token-independent (LTI) parameters; "
-                         "got selective per-token b/c/delta")
-    a = params.a
-    abar, bbar = zoh_discretize(a, params.b[None, :], float(params.delta))
-    kernel = np.zeros((m, a.shape[0]))
-    w = bbar.copy()
-    for i in range(m):
-        kernel[i] = w @ params.c
-        w = w * abar
-    return kernel
-
-
-def kernel_apply(kernel, x):
-    """Causal convolution of ``x`` with an ``ssm_kernel`` result."""
-    x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    x2 = x.reshape(len(x), -1)
-    L, C = x2.shape
-    if kernel.shape[0] < L:
-        raise ShapeError(f"kernel length {kernel.shape[0]} shorter than sequence {L}")
-    y = np.zeros((L, C))
-    for ch in range(C):
-        y[:, ch] = np.convolve(x2[:, ch], kernel[:, ch])[:L]
-    return y[:, 0] if squeeze else y
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,6 @@ clipping at 12.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 import time
@@ -17,11 +16,12 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .analysis import lambda_report
 from .metrics import evaluate_model
 from .network import ModelConfig, Network, save_checkpoint
 from .nnops import dice_ce_loss
 from .tensor import NumericError, Rng, Tensor
-from .util import build_id, write_json
+from .util import build_id, write_csv, write_json
 
 
 @dataclass
@@ -183,30 +183,15 @@ def train_run(model: Network, samples, tcfg: TrainConfig, out_dir,
                     extra={"epochs": tcfg.epochs, "build_id": build_id(),
                            "seed": tcfg.seed, "wall_seconds": time.time() - t_start})
     trace = model.nrm.lam.trace() if model.nrm is not None else None
-    _write_epoch_log(os.path.join(out_dir, "train_log.csv"), epoch_log, tcfg.seed)
+    meta = {"seed": tcfg.seed, "build_id": build_id()}
+    write_csv(os.path.join(out_dir, "train_log.csv"),
+              ["epoch", "lr", "loss", "dice_loss", "ce_loss"],
+              ([r["epoch"]] + [f"{r[k]:.8f}" for k in ("lr", "loss", "dice_loss", "ce_loss")]
+               for r in epoch_log), meta=meta)
     if trace is not None and len(trace):
-        _write_lambda_trace(os.path.join(out_dir, "lambda_trace.csv"), trace, tcfg.seed)
+        lambda_report(trace).write_csv(os.path.join(out_dir, "lambda_trace.csv"), meta=meta)
     return TrainResult(epoch_log=epoch_log, lambda_trace=trace, final_path=final_path,
                        best_path=best_path, best_epoch_loss=best[0], steps=steps)
-
-
-def _write_epoch_log(path, rows, seed):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# seed={seed}\n# build_id={build_id()}\n")
-        w = csv.writer(fh)
-        w.writerow(["epoch", "lr", "loss", "dice_loss", "ce_loss"])
-        for r in rows:
-            w.writerow([r["epoch"], f"{r['lr']:.8f}", f"{r['loss']:.8f}",
-                        f"{r['dice_loss']:.8f}", f"{r['ce_loss']:.8f}"])
-
-
-def _write_lambda_trace(path, trace, seed):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# seed={seed}\n# build_id={build_id()}\n")
-        w = csv.writer(fh)
-        w.writerow(["step"] + [f"lambda_{i + 1}" for i in range(trace.shape[1])])
-        for step, row in enumerate(trace):
-            w.writerow([step] + [f"{v:.8f}" for v in row])
 
 
 def run_experiment(cfg: ExperimentConfig, samples, quiet=False) -> TrainResult:
@@ -256,13 +241,9 @@ def paired_comparison(train_samples, test_samples, model_cfg: ModelConfig,
     summary["seeds"] = list(seeds)
     summary["build_id"] = build_id()
 
-    with open(os.path.join(out_dir, "comparison.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        fh.write(f"# build_id={build_id()}\n")
-        w = csv.writer(fh)
-        w.writerow(["variant", "seed", "test_dsc", "wall_seconds"])
-        for r in rows:
-            w.writerow([r["variant"], r["seed"], f"{r['test_dsc']:.6f}",
-                        f"{r['wall_seconds']:.1f}"])
+    write_csv(os.path.join(out_dir, "comparison.csv"),
+              ["variant", "seed", "test_dsc", "wall_seconds"],
+              ([r["variant"], r["seed"], f"{r['test_dsc']:.6f}", f"{r['wall_seconds']:.1f}"]
+               for r in rows), meta={"build_id": build_id()})
     write_json(os.path.join(out_dir, "comparison.json"), summary)
     return summary

@@ -3,21 +3,13 @@ import numpy.testing as npt
 import pytest
 
 from diffumamba.data import gen_phantoms
-from diffumamba.metrics import (MetricsReport, SampleMetrics, dsc_iou,
+from diffumamba.metrics import (MetricsReport, PerturbCell, SampleMetrics, dsc_iou,
                                 evaluate_masks, evaluate_model, hd95,
                                 perturbation_grid, surface_voxels,
                                 write_perturb_csv)
 from diffumamba.network import ModelConfig, Network
+from diffumamba.oracles import brute_hd95
 from diffumamba.tensor import Rng, ShapeError
-
-
-def brute_hd95(pred, gt, spacing=(1.0, 1.0, 1.0)):
-    """O(n^2) oracle: all pairwise surface distances, pooled percentile."""
-    sp = np.argwhere(surface_voxels(pred)).astype(float) * np.asarray(spacing)
-    sg = np.argwhere(surface_voxels(gt)).astype(float) * np.asarray(spacing)
-    d = np.sqrt(((sp[:, None, :] - sg[None, :, :]) ** 2).sum(axis=2))
-    pooled = np.concatenate([d.min(axis=1), d.min(axis=0)])
-    return float(np.percentile(pooled, 95, method="linear"))
 
 
 class TestDscIou:
@@ -185,3 +177,15 @@ class TestEvaluateAndPerturb:
         body = [l for l in path.read_text().splitlines() if not l.startswith("#")]
         assert body[0] == "family,level,param,mean_dsc,mean_perturbation"
         assert len(body) == 3
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "p.csv"
+        good = [PerturbCell("gaussian", 1, 0.0, 0.9, 0.0)]
+        write_perturb_csv(good, path, meta={"seed": 0})
+        before = path.read_bytes()
+        # the second row raises after the header and the first row are written
+        bad = good + [PerturbCell("gaussian", 2, 2.0, "not a number", 0.1)]
+        with pytest.raises(ValueError):
+            write_perturb_csv(bad, path, meta={"seed": 1})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv"]

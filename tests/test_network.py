@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from diffumamba import tensor as T
-from diffumamba.gradcheck import finite_difference_check
+from diffumamba.oracles import finite_difference_check
 from diffumamba.network import (CHECKPOINT_MAGIC, ModelConfig, Network, copy_shared_weights,
                                 desk_config, init_residual_block,
                                 load_checkpoint, paper_scale_config,

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from diffumamba import tensor as T
-from diffumamba.gradcheck import finite_difference_check
+from diffumamba.oracles import finite_difference_check
 from diffumamba.nnops import (ConvParams, ConvTransposeParams, adaptive_avg_pool3d,
                               conv3d, conv_output_shape, conv_transpose3d,
                               dice_ce_loss, init_conv, init_conv_transpose,

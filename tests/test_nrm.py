@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from diffumamba import tensor as T
-from diffumamba.gradcheck import finite_difference_check
+from diffumamba.oracles import finite_difference_check
 from diffumamba.nrm import (aggregate, downsample_stage, init_downsample_block,
                             init_lambda_state, init_nrm, nrm_forward,
                             nrm_param_count)

@@ -3,12 +3,12 @@ import numpy.testing as npt
 import pytest
 
 from diffumamba import tensor as T
-from diffumamba.gradcheck import finite_difference_check
 from diffumamba.nnops import silu
-from diffumamba.ssm import (PHI_SERIES_CUTOFF, SSMParams, causal_depthwise_conv1d,
-                            init_mamba_block, kernel_apply, mamba_block,
-                            mamba_param_count, selective_scan_t, ssm_kernel,
-                            ssm_scan, zoh_discretize, _token_layer_norm)
+from diffumamba.oracles import (finite_difference_check, kernel_apply, lti_scan,
+                                ssm_kernel, zoh_discretize)
+from diffumamba.ssm import (PHI_SERIES_CUTOFF, causal_depthwise_conv1d,
+                            init_mamba_block, mamba_block, mamba_param_count,
+                            selective_scan_t, _token_layer_norm)
 from diffumamba.tensor import Rng, Tensor
 
 
@@ -31,6 +31,36 @@ def taped_selective_scan(x, dt, b_sel, c_sel, a):
         h = T.exp(u) * h + (d_t * phi) * b_t * x_t
         ys.append((h * c_t).sum(axis=2).reshape((bsz, 1, ch)))
     return T.concat(ys, axis=1)
+
+
+def scan64(x, dt, b_sel, c_sel, a):
+    """``selective_scan_t`` on plain arrays in f64; returns y (B, L, C)."""
+    return selective_scan_t(*(Tensor(v, dtype=np.float64)
+                              for v in (x, dt, b_sel, c_sel, a))).data
+
+
+def hand_selective_scan(x, dt, b_sel, c_sel, a):
+    """Per-row, per-channel NumPy loop of the ZOH selective recursion."""
+    bsz, L, C = x.shape
+    y = np.zeros((bsz, L, C))
+    for bi in range(bsz):
+        for ch in range(C):
+            h = np.zeros(a.shape[1])
+            for t in range(L):
+                u = dt[bi, t, ch] * a[ch]
+                phi = np.where(np.abs(u) < 1e-4, 1 + u / 2, np.expm1(u) / u)
+                h = np.exp(u) * h + dt[bi, t, ch] * phi * b_sel[bi, t] * x[bi, t, ch]
+                y[bi, t, ch] = h @ c_sel[bi, t]
+    return y
+
+
+def _random_scan_inputs(r, bsz, L, C, N):
+    """Selective (per-token) x, dt, b, c and a stable a, as f64 arrays."""
+    a = -np.exp(r.normal((C, N), dtype=np.float64))
+    dt = np.exp(r.normal((bsz, L, C), dtype=np.float64) - 1.5)
+    return [r.normal((bsz, L, C), dtype=np.float64), dt,
+            r.normal((bsz, L, N), dtype=np.float64),
+            r.normal((bsz, L, N), dtype=np.float64), a]
 
 
 def _tape_nodes(root):
@@ -80,103 +110,76 @@ class TestZohDiscretize:
 
 
 class TestSsmScan:
+    """The recurrence as ``selective_scan_t`` computes it."""
+
     def test_hand_recursion(self):
-        p = SSMParams(a=np.zeros((1, 1)), b=np.ones(1), c=np.ones(1), delta=1.0)
-        npt.assert_array_equal(ssm_scan(p, np.ones(3)), [1.0, 2.0, 3.0])
+        ones = np.ones((1, 3, 1))
+        y = scan64(ones, ones, ones, ones, np.zeros((1, 1)))
+        npt.assert_array_equal(y[0, :, 0], [1.0, 2.0, 3.0])
 
     def test_zero_input_zero_output(self, rng):
-        p = SSMParams(a=-np.exp(rng.normal((1, 4), dtype=np.float64)),
-                      b=rng.normal((4,), dtype=np.float64),
-                      c=rng.normal((4,), dtype=np.float64), delta=0.5)
-        npt.assert_array_equal(ssm_scan(p, np.zeros(8)), np.zeros(8))
+        x, dt, bs, cs, a = _random_scan_inputs(rng, 2, 8, 3, 4)
+        npt.assert_array_equal(scan64(np.zeros_like(x), dt, bs, cs, a), np.zeros_like(x))
 
     def test_strictly_causal(self, rng):
-        p = SSMParams(a=-np.exp(rng.normal((1, 3), dtype=np.float64)),
-                      b=rng.normal((3,), dtype=np.float64),
-                      c=rng.normal((3,), dtype=np.float64), delta=0.3)
-        x = rng.normal((10,), dtype=np.float64)
-        y = ssm_scan(p, x)
+        x, dt, bs, cs, a = _random_scan_inputs(rng, 2, 10, 2, 3)
+        y = scan64(x, dt, bs, cs, a)
         x2 = x.copy()
-        x2[-1] += 100.0
-        y2 = ssm_scan(p, x2)
-        npt.assert_array_equal(y[:-1], y2[:-1])
-        assert y[-1] != y2[-1]
+        x2[:, -1] += 100.0
+        y2 = scan64(x2, dt, bs, cs, a)
+        npt.assert_array_equal(y[:, :-1], y2[:, :-1])
+        assert np.all(y[:, -1] != y2[:, -1])
 
     def test_selective_tokens_hand_loop(self, rng):
         # per-token b, c, delta against an explicit reference recursion
-        L, C, N = 6, 2, 3
-        a = -np.exp(rng.normal((C, N), dtype=np.float64))
-        b = rng.normal((L, N), dtype=np.float64)
-        c = rng.normal((L, N), dtype=np.float64)
-        delta = np.exp(rng.normal((L, C), dtype=np.float64) - 1.5)
-        x = rng.normal((L, C), dtype=np.float64)
-        p = SSMParams(a=a, b=b, c=c, delta=delta)
-        y = ssm_scan(p, x)
-
-        expect = np.zeros((L, C))
-        for ch in range(C):
-            h = np.zeros(N)
-            for t in range(L):
-                u = delta[t, ch] * a[ch]
-                abar = np.exp(u)
-                phi = np.where(np.abs(u) < 1e-4, 1 + u / 2, np.expm1(u) / u)
-                h = abar * h + delta[t, ch] * phi * b[t] * x[t, ch]
-                expect[t, ch] = h @ c[t]
-        npt.assert_allclose(y, expect, rtol=1e-12)
-
-    def test_rejects_positive_a(self):
-        with pytest.raises(ValueError, match="stability"):
-            SSMParams(a=np.ones((1, 2)), b=np.ones(2), c=np.ones(2), delta=1.0)
+        x, dt, bs, cs, a = _random_scan_inputs(rng, 1, 6, 2, 3)
+        npt.assert_allclose(scan64(x, dt, bs, cs, a), hand_selective_scan(x, dt, bs, cs, a),
+                            rtol=1e-12)
 
     def test_state_bounded_under_bounded_input(self, rng):
-        p = SSMParams(a=-np.exp(rng.normal((1, 4), dtype=np.float64)),
-                      b=rng.normal((4,), dtype=np.float64),
-                      c=rng.normal((4,), dtype=np.float64), delta=1.0)
-        y = ssm_scan(p, np.ones(512))
+        a = -np.exp(rng.normal((1, 4), dtype=np.float64))
+        y = lti_scan(a, rng.normal((4,), dtype=np.float64),
+                     rng.normal((4,), dtype=np.float64), 1.0, np.ones((512, 1)))
         assert np.all(np.isfinite(y))
         assert np.abs(y[256:]).max() <= np.abs(y).max() + 1e-9  # settled, no blow-up
 
 
 class TestSsmKernel:
     def test_unit_kernel(self):
-        p = SSMParams(a=np.zeros((1, 1)), b=np.ones(1), c=np.ones(1), delta=1.0)
-        npt.assert_array_equal(ssm_kernel(p, 3).ravel(), [1.0, 1.0, 1.0])
+        kernel = ssm_kernel(np.zeros((1, 1)), np.ones(1), np.ones(1), 1.0, 3)
+        npt.assert_array_equal(kernel.ravel(), [1.0, 1.0, 1.0])
 
     def test_term_by_term_oracle(self, rng):
         n = 3
-        p = SSMParams(a=-np.exp(rng.normal((1, n), dtype=np.float64)),
-                      b=rng.normal((n,), dtype=np.float64),
-                      c=rng.normal((n,), dtype=np.float64), delta=0.4)
-        abar, bbar = zoh_discretize(p.a, p.b[None, :], 0.4)
+        a = -np.exp(rng.normal((1, n), dtype=np.float64))
+        b = rng.normal((n,), dtype=np.float64)
+        c = rng.normal((n,), dtype=np.float64)
+        abar, bbar = zoh_discretize(a, b[None, :], 0.4)
         m = 5
-        expect = [float((p.c * (abar[0] ** i) * bbar[0]).sum()) for i in range(m)]
-        npt.assert_allclose(ssm_kernel(p, m)[:, 0], expect, rtol=1e-12)
+        expect = [float((c * (abar[0] ** i) * bbar[0]).sum()) for i in range(m)]
+        npt.assert_allclose(ssm_kernel(a, b, c, 0.4, m)[:, 0], expect, rtol=1e-12)
 
     def test_kernel_conv_equals_scan(self):
-        p = SSMParams(a=np.zeros((1, 1)), b=np.ones(1), c=np.ones(1), delta=1.0)
-        x = np.ones(3)
-        npt.assert_allclose(kernel_apply(ssm_kernel(p, 3), x), ssm_scan(p, x), rtol=1e-12)
+        args = (np.zeros((1, 1)), np.ones(1), np.ones(1), 1.0)
+        x = np.ones((3, 1))
+        npt.assert_allclose(kernel_apply(ssm_kernel(*args, 3), x), lti_scan(*args, x),
+                            rtol=1e-12)
 
-    def test_zero_output_map(self, rng):
-        p = SSMParams(a=-np.ones((1, 2)), b=np.ones(2), c=np.zeros(2), delta=0.7)
-        npt.assert_array_equal(ssm_kernel(p, 4), np.zeros((4, 1)))
-
-    def test_rejects_selective_params(self, rng):
-        p = SSMParams(a=-np.ones((1, 2)), b=rng.normal((5, 2), dtype=np.float64),
-                      c=np.ones(2), delta=0.7)
-        with pytest.raises(ValueError, match="selective"):
-            ssm_kernel(p, 5)
+    def test_zero_output_map(self):
+        kernel = ssm_kernel(-np.ones((1, 2)), np.ones(2), np.zeros(2), 0.7, 4)
+        npt.assert_array_equal(kernel, np.zeros((4, 1)))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_lti_equivalence_random(self, seed):
         r = Rng(seed, "lti")
         n, ch, L = 4, 3, 48
-        p = SSMParams(a=-np.exp(r.normal((ch, n), dtype=np.float64)),
-                      b=r.normal((n,), dtype=np.float64),
-                      c=r.normal((n,), dtype=np.float64),
-                      delta=float(np.exp(r.uniform(-3.0, 0.0))))
+        a = -np.exp(r.normal((ch, n), dtype=np.float64))
+        b = r.normal((n,), dtype=np.float64)
+        c = r.normal((n,), dtype=np.float64)
+        delta = float(np.exp(r.uniform(-3.0, 0.0)))
         x = r.normal((L, ch), dtype=np.float64)
-        diff = np.abs(ssm_scan(p, x) - kernel_apply(ssm_kernel(p, L), x)).max()
+        diff = np.abs(lti_scan(a, b, c, delta, x)
+                      - kernel_apply(ssm_kernel(a, b, c, delta, L), x)).max()
         assert diff < 1e-5
 
     def test_stability_abar_below_one(self, rng):
@@ -188,18 +191,13 @@ class TestSsmKernel:
 
 class TestSelectiveScanTape:
     def test_matches_numpy_scan(self, rng):
-        bsz, L, C, N = 2, 5, 3, 2
-        a = -np.exp(rng.normal((C, N), dtype=np.float64))
-        dt = np.exp(rng.normal((bsz, L, C), dtype=np.float64) - 1.0)
-        bs = rng.normal((bsz, L, N), dtype=np.float64)
-        cs = rng.normal((bsz, L, N), dtype=np.float64)
-        x = rng.normal((bsz, L, C), dtype=np.float64)
-        y = selective_scan_t(Tensor(x, dtype=np.float64), Tensor(dt, dtype=np.float64),
-                             Tensor(bs, dtype=np.float64), Tensor(cs, dtype=np.float64),
-                             Tensor(a, dtype=np.float64))
-        for bi in range(bsz):
-            p = SSMParams(a=a, b=bs[bi], c=cs[bi], delta=dt[bi])
-            npt.assert_allclose(y.data[bi], ssm_scan(p, x[bi]), rtol=1e-10)
+        # batched per-token b, c, dt: each row is its own recursion
+        x, dt, bs, cs, a = _random_scan_inputs(rng, 2, 6, 3, 2)
+        y = scan64(x, dt, bs, cs, a)
+        npt.assert_allclose(y, hand_selective_scan(x, dt, bs, cs, a), rtol=1e-12)
+        for bi in range(x.shape[0]):
+            row = [v[bi:bi + 1] for v in (x, dt, bs, cs)]
+            npt.assert_allclose(y[bi:bi + 1], scan64(*row, a), rtol=1e-12)
 
     def test_gradients(self, f64_mode):
         r = Rng(4, "scan-grad")

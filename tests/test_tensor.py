@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from diffumamba import tensor as T
-from diffumamba.gradcheck import finite_difference_check
+from diffumamba.oracles import finite_difference_check
 from diffumamba.tensor import GradError, NumericError, Rng, ShapeError, Tensor
 
 

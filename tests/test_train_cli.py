@@ -1,10 +1,12 @@
 import json
 import os
+import re
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from diffumamba.analysis import read_lambda_trace_csv
 from diffumamba.cli import main
 from diffumamba.data import PhantomConfig, gen_phantoms
 from diffumamba.network import ModelConfig, Network, load_checkpoint
@@ -71,6 +73,8 @@ class TestTrainRun:
         assert os.path.exists(tmp_path / "train_log.csv")
         assert os.path.exists(tmp_path / "lambda_trace.csv")
         assert res.lambda_trace.shape == (res.steps, 2)
+        npt.assert_allclose(read_lambda_trace_csv(tmp_path / "lambda_trace.csv"),
+                            res.lambda_trace, rtol=0, atol=1e-8)
 
     def test_same_seed_identical_loss_curves(self, tmp_path):
         def run(sub):
@@ -190,6 +194,17 @@ class TestCli:
                    "--out", str(tmp_path)])
         assert rc == 2
 
+    @pytest.mark.parametrize("text", ['{"train": {"epochz": 3}}', '{"model": {"n_stages": 1}}',
+                                      '{"train": '], ids=["unknown-field", "bad-value",
+                                                          "not-json"])
+    def test_malformed_config_is_data_error(self, cli_dataset, tmp_path, capsys, text):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        rc = main(["train", "--config", str(cfg_path), "--out", str(tmp_path),
+                   "--train-manifest", str(cli_dataset / "manifest.tsv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"data error: bad config {cfg_path}")
+
     def test_empty_manifest_is_data_error(self, tmp_path):
         manifest = tmp_path / "empty.tsv"
         manifest.write_text("")
@@ -205,8 +220,46 @@ class TestCli:
                    "--out", str(tmp_path)])
         assert rc == 2
 
-    def test_selfcheck_passes(self):
-        assert main(["selfcheck"]) == 0
+    def test_selfcheck_passes(self, tmp_path, capsys):
+        rc, lines, checks = _run_selfcheck(tmp_path, capsys)
+        assert rc == 0
+        assert checks == [("PASS", name) for name in SELFCHECK_NAMES]
+        assert lines[-1] == "selfcheck: all checks passed"
 
-    def test_selfcheck_detects_injected_fault(self):
-        assert main(["selfcheck", "--corrupt-adjoint"]) == 4
+    def test_selfcheck_detects_injected_fault(self, tmp_path, capsys):
+        rc, lines, checks = _run_selfcheck(tmp_path, capsys, "--corrupt-adjoint")
+        assert rc == 4
+        assert [name for _, name in checks] == SELFCHECK_NAMES
+        assert [name for status, name in checks if status == "FAIL"] == \
+            ["grad: matmul", "grad: mamba block"]
+        for i, line in enumerate(lines):
+            if line.startswith("[FAIL]"):     # each failure carries its detail line
+                assert lines[i + 1].startswith("       gradient check failed")
+        assert lines[-1] == "selfcheck: FAILURES detected"
+
+
+SELFCHECK_NAMES = ["grad: matmul", "grad: conv3d+instancenorm+lrelu", "grad: mamba block",
+                   "ssm: scan == kernel conv (10 seeds)", "ssm: worked case y=[1,2,3]",
+                   "equivalence: module-off == baseline", "metrics: hd95 == brute force",
+                   "metrics: dsc == 2*iou/(1+iou)", "analysis: pearson hand case",
+                   "analysis: silhouette 2-cluster fixture"]
+
+
+def _run_selfcheck(out, capsys, *flags):
+    """Run ``selfcheck --out``; return (exit code, printed lines, (status, name) per check).
+
+    The written report must be a provenance header plus exactly the
+    printed lines, and every check line must keep its column layout.
+    """
+    rc = main(["selfcheck", "--seed", "0", "--out", str(out), *flags])
+    lines = capsys.readouterr().out.splitlines()
+    written = (out / "selfcheck.txt").read_text().splitlines()
+    assert re.fullmatch(r"# seed=0 build_id=[0-9a-f]{12}", written[0])
+    assert written[1:] == lines
+    checks = []
+    for line in lines:
+        if line.startswith("["):
+            m = re.fullmatch(r"\[(PASS|FAIL)\] (.{40}) measured=\S+  tol=\S+", line)
+            assert m, line
+            checks.append((m.group(1), m.group(2).rstrip()))
+    return rc, lines, checks
