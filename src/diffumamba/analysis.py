@@ -8,14 +8,13 @@ Each bottleneck channel, flattened over spatial positions, is one point
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .recordio import read_container, write_container
+from .recordio import json_from_record, json_record, read_container, write_container
 from .tensor import Rng, Tensor, no_grad
 from .util import write_csv
 
@@ -249,14 +248,13 @@ def capture_latents(model, sample) -> dict:
 
 
 def save_latent_dump(path, tensors: dict, meta: dict):
-    meta_rec = {"meta.json": np.frombuffer(json.dumps(meta, sort_keys=True).encode(),
-                                           dtype=np.uint8).copy()}
-    write_container(path, LATENT_MAGIC, LATENT_VERSION, [dict(tensors), meta_rec])
+    write_container(path, LATENT_MAGIC, LATENT_VERSION,
+                    [dict(tensors), {"meta.json": json_record(meta)}])
 
 
 def load_latent_dump(path):
     _, (tensors, meta_rec) = read_container(path, LATENT_MAGIC, versions=(LATENT_VERSION,))
-    meta = json.loads(bytes(meta_rec["meta.json"]).decode()) if "meta.json" in meta_rec else {}
+    meta = json_from_record(meta_rec["meta.json"]) if "meta.json" in meta_rec else {}
     return tensors, meta
 
 

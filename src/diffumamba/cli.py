@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from . import tensor as T
 from .analysis import DEFAULT_K_RANGE, analyze_model, write_analysis_csv
 from .data import (DataError, NOISE_FAMILIES, PhantomConfig, gen_phantoms,
                    load_dataset, save_dataset)
 from .metrics import evaluate_model, perturbation_grid, write_perturb_csv
-from .network import CheckpointError, ModelConfig, load_checkpoint
+from .network import CheckpointError, load_checkpoint
 from .oracles import SELFCHECKS
 from .recordio import ContainerError
 from .tensor import NumericError
@@ -140,9 +141,9 @@ def cmd_train(args):
     if args.batch_size is not None:
         cfg.train.batch_size = args.batch_size
     if args.no_nrm:
-        cfg.model = ModelConfig.from_dict({**cfg.model.to_dict(), "nrm_enabled": False})
+        cfg.model = replace(cfg.model, nrm_enabled=False)
     cfg.train.seed = args.seed
-    cfg.model = ModelConfig.from_dict({**cfg.model.to_dict(), "seed": args.seed})
+    cfg.model = replace(cfg.model, seed=args.seed)
     cfg.out_dir = args.out
     if not cfg.train_manifest:
         raise DataError("no training manifest given (--train-manifest or config)")

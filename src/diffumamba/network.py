@@ -9,7 +9,6 @@ enabled the decoder consumes m1 - m2 instead.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -17,7 +16,8 @@ import numpy as np
 from .nnops import (ConvParams, ConvTransposeParams, conv3d, conv_transpose3d,
                     init_conv, init_conv_transpose, instance_norm, leaky_relu)
 from .nrm import NRMParams, init_nrm, nrm_forward, nrm_param_count
-from .recordio import ContainerError, read_container, write_container
+from .recordio import (ContainerError, json_from_record, json_record, read_container,
+                       write_container)
 from .ssm import init_mamba_block, mamba_block
 from .tensor import Rng, ShapeError, Tensor, concat
 
@@ -199,10 +199,6 @@ class Network:
     def nrm_param_count(self) -> int:
         return nrm_param_count(self.nrm)
 
-    def zero_grad(self):
-        for t in self.named_parameters().values():
-            t.zero_grad()
-
     # -- forward ---------------------------------------------------------
 
     def forward(self, x: Tensor, noise_hook=None, capture=None) -> Tensor:
@@ -269,26 +265,17 @@ def copy_shared_weights(src: Network, dst: Network):
 # checkpoints
 
 
-def _json_record(obj) -> np.ndarray:
-    return np.frombuffer(json.dumps(obj, sort_keys=True).encode("utf-8"),
-                         dtype=np.uint8).copy()
-
-
-def _json_from_record(arr) -> dict:
-    return json.loads(bytes(arr).decode("utf-8"))
-
-
 def save_checkpoint(model: Network, path, optimizer_state=None, rng: Rng | None = None,
                     step: int = 0, extra: dict | None = None):
     """Write model weights plus config / optimizer / RNG / step blocks."""
     tensors = {name: t.data for name, t in model.named_parameters().items()}
-    meta = {"config.json": _json_record(model.cfg.to_dict()),
-            "meta.json": _json_record({"step": int(step), **(extra or {})})}
+    meta = {"config.json": json_record(model.cfg.to_dict()),
+            "meta.json": json_record({"step": int(step), **(extra or {})})}
     if optimizer_state is not None:
         for name, buf in optimizer_state.items():
             meta[f"momentum/{name}"] = np.asarray(buf)
     if rng is not None:
-        meta["rng.json"] = _json_record(rng.state())
+        meta["rng.json"] = json_record(rng.state())
     write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, [tensors, meta])
 
 
@@ -303,7 +290,7 @@ def load_checkpoint(path):
                                         versions=(CHECKPOINT_VERSION,))
     if "config.json" not in meta:
         raise CheckpointError("checkpoint is missing its config block")
-    cfg = ModelConfig.from_dict(_json_from_record(meta["config.json"]))
+    cfg = ModelConfig.from_dict(json_from_record(meta["config.json"]))
     model = Network(cfg)
     params = model.named_parameters()
     if set(params.keys()) != set(tensors.keys()):
@@ -320,11 +307,11 @@ def load_checkpoint(path):
     aux = {"step": 0, "momentum": {}, "rng_state": None, "extra": {}}
     for name, arr in meta.items():
         if name == "meta.json":
-            d = _json_from_record(arr)
+            d = json_from_record(arr)
             aux["step"] = d.pop("step", 0)
             aux["extra"] = d
         elif name == "rng.json":
-            aux["rng_state"] = _json_from_record(arr)
+            aux["rng_state"] = json_from_record(arr)
         elif name.startswith("momentum/"):
             aux["momentum"][name[len("momentum/"):]] = arr
     return model, aux

@@ -85,7 +85,7 @@ def conv3d(x: Tensor, p: ConvParams) -> Tensor:
             weight._accumulate(np.reshape(dw, w_taps.shape).transpose(3, 4, 0, 1, 2))
         if bias is not None and bias.requires_grad:
             bias._accumulate(g_mat.sum(axis=(0, 2)))
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             dxp = np.zeros_like(xp)
             for t in np.ndindex(kd, kh, kw):
                 window(dxp, *t)[...] += np.matmul(w_taps[t].T, g_mat).reshape(b, c_in, do, ho, wo)
@@ -134,7 +134,7 @@ def conv_transpose3d(x: Tensor, p: ConvTransposeParams) -> Tensor:
             weight._accumulate((x_mat.T @ g_mat).reshape(weight.shape))
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2, 3, 4)))
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             dx = (g_mat @ w_mat.T).reshape(b, d, h, w, c_in).transpose(0, 4, 1, 2, 3)
             x._accumulate(np.ascontiguousarray(dx))
 

@@ -10,7 +10,7 @@ into the noise estimate m2, and the denoised bottleneck is m1 - m2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,62 +19,26 @@ from .ssm import MambaBlockParams, init_mamba_block, mamba_block
 from .tensor import ShapeError, Tensor
 
 
-@dataclass
-class DownsampleBlockParams:
-    """1x1x1 conv C_i -> C' followed by ReLU and adaptive pooling.
+def downsample_stage(f_i: Tensor, conv: ConvParams, target) -> Tensor:
+    """e_i = AdapPool(ReLU(Conv_1x1x1(F_i))) resized to ``target``.
 
     The pooling target is the bottleneck spatial shape, taken from m1
     at forward time so one parameter set serves any input size.
     """
-    conv: ConvParams
-
-    def named(self, prefix):
-        yield f"{prefix}.conv.weight", self.conv.weight
-        if self.conv.bias is not None:
-            yield f"{prefix}.conv.bias", self.conv.bias
+    return adaptive_avg_pool3d(relu(conv3d(f_i, conv)), target)
 
 
-def init_downsample_block(rng, c_in, c_out) -> DownsampleBlockParams:
-    return DownsampleBlockParams(conv=init_conv(rng, c_in, c_out, (1, 1, 1)))
-
-
-def downsample_stage(f_i: Tensor, p: DownsampleBlockParams, target) -> Tensor:
-    """e_i = AdapPool(ReLU(Conv_1x1x1(F_i))) resized to ``target``."""
-    return adaptive_avg_pool3d(relu(conv3d(f_i, p.conv)), target)
-
-
-@dataclass
-class LambdaState:
-    """Per-stage aggregation weights plus their optimizer-step history."""
-    values: Tensor                       # shape (l,), unconstrained
-    history: list = field(default_factory=list)
-
-    @property
-    def n_stages(self):
-        return self.values.shape[0]
-
-    def log_step(self):
-        self.history.append([float(v) for v in self.values.data])
-
-    def trace(self) -> np.ndarray:
-        return np.asarray(self.history, dtype=np.float64)
-
-
-def init_lambda_state(n_stages, lambda_init=0.5) -> LambdaState:
-    return LambdaState(values=Tensor(np.full(n_stages, lambda_init), requires_grad=True))
-
-
-def aggregate(e_list, lam: LambdaState) -> Tensor:
+def aggregate(e_list, lambdas: Tensor) -> Tensor:
     """Weighted sum e_hat = sum_i lambda_i e_i; gradients reach every term."""
-    if len(e_list) != lam.n_stages:
-        raise ShapeError(f"{len(e_list)} stage features for {lam.n_stages} lambdas")
+    if len(e_list) != lambdas.shape[0]:
+        raise ShapeError(f"{len(e_list)} stage features for {lambdas.shape[0]} lambdas")
     shape = e_list[0].shape
     for i, e in enumerate(e_list):
         if e.shape != shape:
             raise ShapeError(f"stage feature {i} has shape {e.shape}, expected {shape}")
     out = None
     for i, e in enumerate(e_list):
-        lam_i = lam.values.narrow(0, i, 1).reshape(())
+        lam_i = lambdas.narrow(0, i, 1).reshape(())
         term = e * lam_i
         out = term if out is None else out + term
     return out
@@ -82,25 +46,26 @@ def aggregate(e_list, lam: LambdaState) -> Tensor:
 
 @dataclass
 class NRMParams:
-    downsample: list[DownsampleBlockParams]
-    lam: LambdaState
+    downsample: list[ConvParams]     # one 1x1x1 conv C_i -> C' per stage
+    lambdas: Tensor                  # shape (l,), unconstrained
     m2: MambaBlockParams
 
     def named(self, prefix="nrm"):
-        for i, ds in enumerate(self.downsample):
-            yield from ds.named(f"{prefix}.ds{i + 1}")
-        yield f"{prefix}.lambdas", self.lam.values
+        for i, conv in enumerate(self.downsample):
+            yield f"{prefix}.ds{i + 1}.conv.weight", conv.weight
+            yield f"{prefix}.ds{i + 1}.conv.bias", conv.bias
+        yield f"{prefix}.lambdas", self.lambdas
         yield from self.m2.named(f"{prefix}.m2")
 
 
 def init_nrm(rng, stage_channels, bottleneck_channels, lambda_init=0.5,
              n_state=8, expand=2, conv_width=3) -> NRMParams:
-    downsample = [init_downsample_block(rng.derive(f"nrm.ds{i}"), c, bottleneck_channels)
+    downsample = [init_conv(rng.derive(f"nrm.ds{i}"), c, bottleneck_channels, (1, 1, 1))
                   for i, c in enumerate(stage_channels)]
-    lam = init_lambda_state(len(stage_channels), lambda_init)
+    lambdas = Tensor(np.full(len(stage_channels), lambda_init), requires_grad=True)
     m2 = init_mamba_block(rng.derive("nrm.m2"), bottleneck_channels,
                           n_state=n_state, expand=expand, conv_width=conv_width)
-    return NRMParams(downsample=downsample, lam=lam, m2=m2)
+    return NRMParams(downsample=downsample, lambdas=lambdas, m2=m2)
 
 
 def nrm_forward(p: NRMParams, stage_features, m1: Tensor, capture=None) -> Tensor:
@@ -111,8 +76,9 @@ def nrm_forward(p: NRMParams, stage_features, m1: Tensor, capture=None) -> Tenso
     ``capture`` when a dict is supplied.
     """
     target = m1.shape[2:]
-    e_list = [downsample_stage(f, ds, target) for f, ds in zip(stage_features, p.downsample)]
-    e_hat = aggregate(e_list, p.lam)
+    e_list = [downsample_stage(f, conv, target)
+              for f, conv in zip(stage_features, p.downsample)]
+    e_hat = aggregate(e_list, p.lambdas)
     m2 = mamba_block(e_hat, p.m2)
     m_hat = m1 - m2
     if capture is not None:

@@ -29,6 +29,8 @@ cannot resolve ratios of gradients at its own rounding level.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .analysis import kmeans_silhouette, pearson
@@ -233,9 +235,9 @@ def nrm_off_gap(cfg: ModelConfig, inputs):
     zeroed, so the module subtracts exactly nothing.
     """
     diff_model = Network(cfg)
-    base_model = Network(ModelConfig.from_dict({**cfg.to_dict(), "nrm_enabled": False}))
+    base_model = Network(replace(cfg, nrm_enabled=False))
     copy_shared_weights(diff_model, base_model)
-    diff_model.nrm.lam.values.data[...] = 0.0
+    diff_model.nrm.lambdas.data[...] = 0.0
     for name, t in diff_model.nrm.m2.named("m2"):
         if name.endswith(("_b", "bias", "beta")):
             t.data[...] = 0.0

@@ -15,13 +15,15 @@ Layout (all integers little-endian):
             payload: raw little-endian buffer
 
 Checkpoints use two sections (model tensors, then config/optimizer/RNG
-blocks encoded as records); latent dumps use the same scheme.  Readers
-consume exact byte counts, so corruption surfaces as one of the three
-distinct errors below.
+blocks encoded as records); latent dumps use the same scheme, and JSON
+blocks travel as u8 records (``json_record``).  Readers consume exact
+byte counts and reject bytes after the last section, so corruption
+surfaces as one of the errors below.
 """
 
 from __future__ import annotations
 
+import json
 import struct
 
 import numpy as np
@@ -91,6 +93,16 @@ def _read_record(fh):
     return name, arr
 
 
+def json_record(obj) -> np.ndarray:
+    """A JSON-serializable object as a u8 record (sorted keys, UTF-8)."""
+    return np.frombuffer(json.dumps(obj, sort_keys=True).encode("utf-8"),
+                         dtype=np.uint8).copy()
+
+
+def json_from_record(arr):
+    return json.loads(bytes(arr).decode("utf-8"))
+
+
 def write_container(path, magic: bytes, version: int, sections):
     """Write sections (each an ordered name -> ndarray mapping).
 
@@ -124,4 +136,7 @@ def read_container(path, magic: bytes, versions=(1,), n_sections=2):
                 name, arr = _read_record(fh)
                 table[name] = arr
             sections.append(table)
+        rest = fh.read()
+        if rest:
+            raise ContainerError(f"{len(rest)} trailing bytes after the last section")
         return version, sections

@@ -73,21 +73,21 @@ def selective_scan_t(x: Tensor, dt: Tensor, b_sel: Tensor, c_sel: Tensor, a: Ten
         dh = gs * cs                                       # g_t c_t, then the adjoint
         for t in range(length - 2, -1, -1):
             dh[t] += e[t + 1] * dh[t + 1]
-        if c_sel.requires_grad or c_sel._parents:
+        if c_sel.requires_grad:
             c_sel._accumulate((gs * hs).sum(axis=2).transpose(1, 0, 2))
         dt_phi = ds * phi                                  # Bbar / b
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             x._accumulate((dh * dt_phi * bs).sum(axis=3).transpose(1, 0, 2))
-        if b_sel.requires_grad or b_sel._parents:
+        if b_sel.requires_grad:
             b_sel._accumulate((dh * dt_phi * xs).sum(axis=2).transpose(1, 0, 2))
         d_inc = dh * bs * xs                               # adjoint of dt * phi
         # phi'(u) = (e - phi) / u, and 1/2 on the series branch
         du = d_inc * ds * np.where(small, 0.5, (e - phi) / safe_u)
         du[1:] += dh[1:] * e[1:] * hs[:-1]                 # through exp(u_t) h_{t-1}
-        if dt.requires_grad or dt._parents:
+        if dt.requires_grad:
             ddt = (d_inc * phi + du * a.data).sum(axis=3)
             dt._accumulate(ddt.transpose(1, 0, 2))
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             a._accumulate((du * ds).sum(axis=(0, 1)))
 
     return T.make_op(y, (x, dt, b_sel, c_sel, a), "selective_scan", backward)
@@ -137,8 +137,6 @@ class MambaBlockParams:
     out_w: Tensor
     out_b: Tensor
     n_state: int
-    expand: int
-    conv_width: int
     dt_rank: int
 
     def named(self, prefix: str):
@@ -171,8 +169,7 @@ def init_mamba_block(rng, channels, n_state=8, expand=2, conv_width=3) -> MambaB
                             in_x_w=in_x_w, in_x_b=in_x_b, in_z_w=in_z_w, in_z_b=in_z_b,
                             conv_w=conv_w, conv_b=conv_b, x_proj_w=x_proj_w, dt_w=dt_w,
                             dt_bias=dt_bias, a_log=a_log, out_w=out_w, out_b=out_b,
-                            n_state=n_state, expand=expand, conv_width=conv_width,
-                            dt_rank=dt_rank)
+                            n_state=n_state, dt_rank=dt_rank)
 
 
 def _token_layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

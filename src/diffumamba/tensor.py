@@ -10,10 +10,15 @@ Scalars default to float32.  A float64 mode (``set_default_dtype``)
 exists for tight finite-difference testing.  Any op that produces a
 NaN/Inf from finite inputs raises ``NumericError`` immediately instead
 of letting the poison propagate.
+
+The default dtype, ``no_grad`` and the gradient-fault hook are context
+variables: each thread (and each ``contextvars`` context) sees only its
+own settings, and a new thread starts from the defaults.
 """
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 
 import numpy as np
@@ -31,47 +36,38 @@ class GradError(RuntimeError):
     """Misuse of the autodiff tape (non-scalar root, double backward, ...)."""
 
 
-_DEFAULT_DTYPE = np.float32
-_GRAD_ENABLED = True
+_DEFAULT_DTYPE = contextvars.ContextVar("default_dtype", default=np.float32)
+_GRAD_ENABLED = contextvars.ContextVar("grad_enabled", default=True)
 # Testing hook: when not None, matmul input adjoints are scaled by this
 # factor, which makes every downstream gradient check fail on purpose.
-_GRAD_FAULT = None
+_GRAD_FAULT = contextvars.ContextVar("grad_fault", default=None)
 
 
 def set_default_dtype(dtype):
     """Select the scalar type for newly created tensors ('f32'/'f64')."""
-    global _DEFAULT_DTYPE
     if dtype in ("f32", "float32", np.float32):
-        _DEFAULT_DTYPE = np.float32
+        _DEFAULT_DTYPE.set(np.float32)
     elif dtype in ("f64", "float64", np.float64):
-        _DEFAULT_DTYPE = np.float64
+        _DEFAULT_DTYPE.set(np.float64)
     else:
         raise ValueError(f"unsupported default dtype: {dtype!r}")
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
 
 
 class no_grad:
     """Context manager that disables tape recording inside its block."""
 
     def __enter__(self):
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        self._token = _GRAD_ENABLED.set(False)
         return self
 
     def __exit__(self, *exc):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
+        _GRAD_ENABLED.reset(self._token)
         return False
 
 
 def set_gradient_fault(scale):
     """Testing hook: corrupt matmul adjoints by ``scale`` (None to clear)."""
-    global _GRAD_FAULT
-    _GRAD_FAULT = scale
+    _GRAD_FAULT.set(scale)
 
 
 def _check_finite(arr, op):
@@ -109,7 +105,7 @@ class Tensor:
     def __init__(self, data, requires_grad=False, dtype=None):
         if isinstance(data, Tensor):
             data = data.data
-        arr = np.asarray(data, dtype=dtype or _DEFAULT_DTYPE)
+        arr = np.asarray(data, dtype=dtype or _DEFAULT_DTYPE.get())
         # ascontiguousarray would promote 0-d to (1,); keep rank
         self.data = arr if arr.flags["C_CONTIGUOUS"] else np.ascontiguousarray(arr)
         self.grad = None
@@ -140,12 +136,6 @@ class Tensor:
 
     def item(self):
         return self.data.item()
-
-    def numpy(self):
-        return self.data
-
-    def detach(self):
-        return Tensor(self.data.copy(), requires_grad=False, dtype=self.data.dtype)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self._op}, grad={self.requires_grad})"
@@ -241,12 +231,6 @@ class Tensor:
     def matmul(self, other):
         return matmul(self, _wrap(other))
 
-    def exp(self):
-        return exp(self)
-
-    def log(self):
-        return log(self)
-
     def sqrt(self):
         return sqrt(self)
 
@@ -289,7 +273,7 @@ def make_op(data, parents, op, backward):
     out.grad = None
     out._op = op
     out._backward_ran = False
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _GRAD_ENABLED.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward
@@ -318,9 +302,9 @@ def add(a, b):
     out_data = a.data + b.data
 
     def backward(g):
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.shape))
 
     return make_op(out_data, (a, b), "add", backward)
@@ -332,9 +316,9 @@ def sub(a, b):
     out_data = a.data - b.data
 
     def backward(g):
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             b._accumulate(_unbroadcast(-g, b.shape))
 
     return make_op(out_data, (a, b), "sub", backward)
@@ -346,9 +330,9 @@ def mul(a, b):
     out_data = a.data * b.data
 
     def backward(g):
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             a._accumulate(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             b._accumulate(_unbroadcast(g * a.data, b.shape))
 
     return make_op(out_data, (a, b), "mul", backward)
@@ -360,9 +344,9 @@ def div(a, b):
     out_data = a.data / b.data
 
     def backward(g):
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             a._accumulate(_unbroadcast(g / b.data, a.shape))
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return make_op(out_data, (a, b), "div", backward)
@@ -450,9 +434,9 @@ def where(mask, a, b):
     out_data = np.where(mask, a.data, b.data)
 
     def backward(g):
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             a._accumulate(_unbroadcast(np.where(mask, g, 0.0), a.shape))
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             b._accumulate(_unbroadcast(np.where(mask, 0.0, g), b.shape))
 
     return make_op(out_data, (a, b), "where", backward)
@@ -564,7 +548,7 @@ def concat(tensors, axis=0):
 
     def backward(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad or t._parents:
+            if t.requires_grad:
                 idx = (slice(None),) * axis + (slice(lo, hi),)
                 t._accumulate(g[idx])
 
@@ -580,12 +564,13 @@ def matmul(a, b):
     out_data = np.matmul(a.data, b.data)
 
     def backward(g):
-        if _GRAD_FAULT is not None:
-            g = g * _GRAD_FAULT
-        if a.requires_grad or a._parents:
+        fault = _GRAD_FAULT.get()
+        if fault is not None:
+            g = g * fault
+        if a.requires_grad:
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
             a._accumulate(_unbroadcast(ga, a.shape))
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
             b._accumulate(_unbroadcast(gb, b.shape))
 
@@ -612,17 +597,12 @@ def log_softmax(a, axis):
 
 
 def zeros(shape, requires_grad=False, dtype=None):
-    return Tensor(np.zeros(shape, dtype=dtype or _DEFAULT_DTYPE),
+    return Tensor(np.zeros(shape, dtype=dtype or _DEFAULT_DTYPE.get()),
                   requires_grad=requires_grad)
 
 
 def ones(shape, requires_grad=False, dtype=None):
-    return Tensor(np.ones(shape, dtype=dtype or _DEFAULT_DTYPE),
-                  requires_grad=requires_grad)
-
-
-def full(shape, value, requires_grad=False, dtype=None):
-    return Tensor(np.full(shape, value, dtype=dtype or _DEFAULT_DTYPE),
+    return Tensor(np.ones(shape, dtype=dtype or _DEFAULT_DTYPE.get()),
                   requires_grad=requires_grad)
 
 
@@ -660,11 +640,11 @@ class Rng:
 
     def normal(self, shape=(), std=1.0, mean=0.0, dtype=None):
         arr = self._gen.normal(mean, std, size=shape)
-        return np.asarray(arr, dtype=dtype or _DEFAULT_DTYPE)
+        return np.asarray(arr, dtype=dtype or _DEFAULT_DTYPE.get())
 
     def uniform(self, low, high, shape=(), dtype=None):
         arr = self._gen.uniform(low, high, size=shape)
-        return np.asarray(arr, dtype=dtype or _DEFAULT_DTYPE)
+        return np.asarray(arr, dtype=dtype or _DEFAULT_DTYPE.get())
 
     def integers(self, low, high, shape=()):
         return self._gen.integers(low, high, size=shape)

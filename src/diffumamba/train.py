@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -135,6 +135,7 @@ def train_run(model: Network, samples, tcfg: TrainConfig, out_dir,
     best = (float("inf"), -1)
     final_path = os.path.join(out_dir, "final.ckpt")
     best_path = os.path.join(out_dir, "best.ckpt")
+    lambda_rows = []                 # this run's lambda values after each step
     steps = 0
     t_start = time.time()
     for epoch in range(tcfg.epochs):
@@ -161,7 +162,7 @@ def train_run(model: Network, samples, tcfg: TrainConfig, out_dir,
                 raise
             opt.step(lr, tcfg.grad_clip)
             if model.nrm is not None:
-                model.nrm.lam.log_step()
+                lambda_rows.append([float(v) for v in model.nrm.lambdas.data])
             steps += 1
             ep_total += total
             ep_dice += float(loss.dice_part.item())
@@ -182,7 +183,7 @@ def train_run(model: Network, samples, tcfg: TrainConfig, out_dir,
     save_checkpoint(model, final_path, optimizer_state=opt.buffers, rng=rng, step=steps,
                     extra={"epochs": tcfg.epochs, "build_id": build_id(),
                            "seed": tcfg.seed, "wall_seconds": time.time() - t_start})
-    trace = model.nrm.lam.trace() if model.nrm is not None else None
+    trace = np.asarray(lambda_rows, dtype=np.float64) if model.nrm is not None else None
     meta = {"seed": tcfg.seed, "build_id": build_id()}
     write_csv(os.path.join(out_dir, "train_log.csv"),
               ["epoch", "lr", "loss", "dice_loss", "ce_loss"],
@@ -218,9 +219,8 @@ def paired_comparison(train_samples, test_samples, model_cfg: ModelConfig,
     rows = []
     for variant, nrm_enabled in (("diff-umamba", True), ("umamba-bot", False)):
         for seed in seeds:
-            mcfg = ModelConfig.from_dict({**model_cfg.to_dict(),
-                                          "nrm_enabled": nrm_enabled, "seed": seed})
-            run_t = TrainConfig(**{**tcfg.to_dict(), "seed": seed})
+            mcfg = replace(model_cfg, nrm_enabled=nrm_enabled, seed=seed)
+            run_t = replace(tcfg, seed=seed)
             run_dir = os.path.join(out_dir, f"{variant}-seed{seed}")
             model = Network(mcfg)
             t0 = time.time()

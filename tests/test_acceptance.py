@@ -5,6 +5,7 @@ Criteria 7, 9 and 10 share one overfit training run (session fixture).
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from diffumamba.network import ModelConfig, Network, desk_config, paper_scale_co
 from diffumamba.nnops import (adaptive_avg_pool3d, conv3d, conv_transpose3d,
                               dice_ce_loss, init_conv, init_conv_transpose,
                               instance_norm, leaky_relu, silu, softmax)
-from diffumamba.nrm import downsample_stage, init_downsample_block, init_nrm, nrm_forward
+from diffumamba.nrm import downsample_stage, init_nrm, nrm_forward
 from diffumamba.oracles import (dsc_iou_identity_gap, finite_difference_check,
                                 hd95_brute_gap, nrm_off_gap, pearson_hand_gap,
                                 scan_kernel_gap, worked_case_gap)
@@ -136,17 +137,17 @@ def test_criterion_1_gradient_suite():
                 run(mode, rel_tol, lambda: mamba_block(xm, mp),
                     [xm, mp.a_log, mp.dt_bias, mp.in_x_w], seed)
                 # downsample block
-                ds = init_downsample_block(r.derive("ds"), 2, 3)
+                ds = init_conv(r.derive("ds"), 2, 3, (1, 1, 1))
                 xd = Tensor(r.normal((1, 2, 4, 4, 4)), requires_grad=True)
                 run(mode, rel_tol, lambda: downsample_stage(xd, ds, (2, 2, 2)),
-                    [xd, ds.conv.weight], seed)
+                    [xd, ds.weight], seed)
                 # noise reduction module
                 nrm = init_nrm(r.derive("nrm"), (2, 3), 3, n_state=2)
                 feats = [Tensor(r.normal((1, 2, 4, 4, 4)), requires_grad=True),
                          Tensor(r.normal((1, 3, 2, 2, 2)), requires_grad=True)]
                 m1 = Tensor(r.normal((1, 3, 2, 2, 2)), requires_grad=True)
                 run(mode, rel_tol, lambda: nrm_forward(nrm, feats, m1),
-                    [feats[0], m1, nrm.lam.values, nrm.m2.a_log], seed)
+                    [feats[0], m1, nrm.lambdas, nrm.m2.a_log], seed)
 
             # full model on a 16^3 input
             seed = seeds[0]
@@ -212,7 +213,7 @@ def test_criterion_5_parameter_accounting():
     t0 = time.monotonic()
     cfg = paper_scale_config()
     diff_model = Network(cfg)
-    base_model = Network(ModelConfig.from_dict({**cfg.to_dict(), "nrm_enabled": False}))
+    base_model = Network(replace(cfg, nrm_enabled=False))
     total = diff_model.param_count()
     nrm = diff_model.nrm_param_count()
     base = base_model.param_count()

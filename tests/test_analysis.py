@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from diffumamba.analysis import (LambdaReport, analyze_model, capture_latents,
+from diffumamba.analysis import (analyze_model, capture_latents,
                                  channel_token_matrix, kmeans, kmeans_silhouette,
                                  lambda_report, load_latent_dump, mean_pearson,
                                  pearson, save_latent_dump, silhouette_samples)

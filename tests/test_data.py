@@ -9,8 +9,7 @@ from diffumamba.data import (DataError, NOISE_FAMILIES, NOISE_LEVELS, NoiseSpec,
                              VolumeFormatError, VolumeSample, gen_phantom,
                              gen_phantoms, inject_noise, load_dataset,
                              load_sample, read_manifest, read_volume,
-                             save_dataset, save_sample, write_manifest,
-                             write_volume)
+                             save_dataset, save_sample, write_volume)
 from diffumamba.tensor import Tensor
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from diffumamba.data import gen_phantoms
 from diffumamba.metrics import (MetricsReport, PerturbCell, SampleMetrics, dsc_iou,
-                                evaluate_masks, evaluate_model, hd95,
+                                evaluate_model, hd95,
                                 perturbation_grid, surface_voxels,
                                 write_perturb_csv)
 from diffumamba.network import ModelConfig, Network

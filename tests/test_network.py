@@ -5,8 +5,8 @@ import numpy.testing as npt
 import pytest
 
 from diffumamba import tensor as T
-from diffumamba.oracles import finite_difference_check
-from diffumamba.network import (CHECKPOINT_MAGIC, ModelConfig, Network, copy_shared_weights,
+from diffumamba.oracles import finite_difference_check, nrm_off_gap
+from diffumamba.network import (CHECKPOINT_MAGIC, ModelConfig, Network,
                                 desk_config, init_residual_block,
                                 load_checkpoint, paper_scale_config,
                                 residual_block, save_checkpoint)
@@ -20,13 +20,6 @@ def tiny_config(**over):
     base = dict(channels=(3, 5), strides=(1, 2), n_stages=2, seed=1)
     base.update(over)
     return ModelConfig(**base)
-
-
-def zero_nrm(model):
-    model.nrm.lam.values.data[...] = 0.0
-    for name, t in model.nrm.m2.named("m2"):
-        if name.endswith(("_b", "bias", "beta")):
-            t.data[...] = 0.0
 
 
 class TestResidualBlock:
@@ -106,18 +99,8 @@ class TestForward:
         assert np.abs(clean - bumped).max() > 1e-6
 
     def test_nrm_off_equivalence(self, rng):
-        diff_model = Network(tiny_config(seed=5))
-        base_model = Network(tiny_config(seed=5, nrm_enabled=False))
-        copy_shared_weights(diff_model, base_model)
-        zero_nrm(diff_model)
-        worst = 0.0
-        for i in range(10):
-            x = Tensor(rng.derive(f"eq{i}").normal((1, 1, 8, 8, 8)))
-            with T.no_grad():
-                d = diff_model.forward(x).data
-                b = base_model.forward(x).data
-            worst = max(worst, float(np.abs(d - b).max()))
-        assert worst < 1e-6
+        inputs = [Tensor(rng.derive(f"eq{i}").normal((1, 1, 8, 8, 8))) for i in range(10)]
+        assert nrm_off_gap(tiny_config(seed=5), inputs) < 1e-6
 
     def test_full_model_gradients_fd(self, f64_mode):
         cfg = ModelConfig(channels=(2, 3), strides=(1, 2), n_stages=2,
@@ -221,6 +204,14 @@ class TestCheckpoint:
         blob[4:8] = (99).to_bytes(4, "little")
         path.write_bytes(bytes(blob))
         with pytest.raises(UnknownVersionError, match="version"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_detected(self, tmp_path):
+        m = Network(tiny_config())
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(m, path)
+        path.write_bytes(path.read_bytes() + b"garbage")
+        with pytest.raises(ContainerError, match="7 trailing bytes"):
             load_checkpoint(path)
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path):

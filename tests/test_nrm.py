@@ -4,44 +4,47 @@ import pytest
 
 from diffumamba import tensor as T
 from diffumamba.oracles import finite_difference_check
-from diffumamba.nrm import (aggregate, downsample_stage, init_downsample_block,
-                            init_lambda_state, init_nrm, nrm_forward,
-                            nrm_param_count)
+from diffumamba.nnops import init_conv
+from diffumamba.nrm import aggregate, downsample_stage, init_nrm, nrm_forward, nrm_param_count
 from diffumamba.ssm import mamba_param_count
 from diffumamba.tensor import Rng, ShapeError, Tensor
+
+
+def _lambdas(n, value=0.5):
+    return Tensor(np.full(n, value), requires_grad=True)
 
 
 class TestDownsampleStage:
     def test_output_matches_bottleneck_shape(self, rng):
         # stage feature (16, 16, 16, 16) squeezed to a (32, 2, 2, 2) bottleneck
-        ds = init_downsample_block(rng, 16, 32)
+        ds = init_conv(rng, 16, 32, (1, 1, 1))
         f = Tensor(rng.normal((1, 16, 16, 16, 16)))
         e = downsample_stage(f, ds, (2, 2, 2))
         assert e.shape == (1, 32, 2, 2, 2)
 
     def test_identity_conv_constant_input(self, rng):
-        ds = init_downsample_block(rng, 3, 3)
+        ds = init_conv(rng, 3, 3, (1, 1, 1))
         w = np.zeros((3, 3, 1, 1, 1), dtype=np.float32)
         for i in range(3):
             w[i, i, 0, 0, 0] = 1.0
-        ds.conv.weight.data = w
-        ds.conv.bias.data = np.zeros(3, dtype=np.float32)
+        ds.weight.data = w
+        ds.bias.data = np.zeros(3, dtype=np.float32)
         f = Tensor(np.full((1, 3, 4, 4, 4), 2.5, dtype=np.float32))
         e = downsample_stage(f, ds, (2, 2, 2))
         npt.assert_allclose(e.data, 2.5, rtol=1e-6)
 
     def test_negative_constant_clamps_to_zero(self, rng):
-        ds = init_downsample_block(rng, 2, 2)
+        ds = init_conv(rng, 2, 2, (1, 1, 1))
         w = np.zeros((2, 2, 1, 1, 1), dtype=np.float32)
         w[0, 0] = w[1, 1] = 1.0
-        ds.conv.weight.data = w
-        ds.conv.bias.data = np.zeros(2, dtype=np.float32)
+        ds.weight.data = w
+        ds.bias.data = np.zeros(2, dtype=np.float32)
         f = Tensor(np.full((1, 2, 4, 4, 4), -1.0, dtype=np.float32))
         e = downsample_stage(f, ds, (2, 2, 2))
         npt.assert_array_equal(e.data, np.zeros((1, 2, 2, 2, 2)))
 
     def test_stage_smaller_than_target_rejected(self, rng):
-        ds = init_downsample_block(rng, 2, 2)
+        ds = init_conv(rng, 2, 2, (1, 1, 1))
         with pytest.raises(ShapeError, match="target"):
             downsample_stage(Tensor(rng.normal((1, 2, 2, 2, 2))), ds, (4, 4, 4))
 
@@ -51,45 +54,45 @@ class TestAggregate:
         return [Tensor(rng.normal(shape)) for _ in range(n)]
 
     def test_zero_weights(self, rng):
-        lam = init_lambda_state(3, lambda_init=0.0)
+        lam = _lambdas(3, 0.0)
         out = aggregate(self._e(rng), lam)
         npt.assert_array_equal(out.data, np.zeros(out.shape))
 
     def test_selector_weights(self, rng):
         e = self._e(rng)
-        lam = init_lambda_state(3, lambda_init=0.0)
-        lam.values.data[0] = 1.0
+        lam = _lambdas(3, 0.0)
+        lam.data[0] = 1.0
         npt.assert_allclose(aggregate(e, lam).data, e[0].data, rtol=1e-6)
 
     def test_half_weights_of_ones(self):
-        lam = init_lambda_state(5, lambda_init=0.5)
+        lam = _lambdas(5, 0.5)
         e = [T.ones((1, 2, 2, 2, 2)) for _ in range(5)]
         npt.assert_allclose(aggregate(e, lam).data, 2.5, rtol=1e-6)
 
     def test_shape_mismatch_rejected(self, rng):
         e = [Tensor(rng.normal((1, 2, 2, 2, 2))), Tensor(rng.normal((1, 2, 1, 2, 2)))]
         with pytest.raises(ShapeError, match="stage feature"):
-            aggregate(e, init_lambda_state(2))
+            aggregate(e, _lambdas(2))
 
     def test_count_mismatch_rejected(self, rng):
         with pytest.raises(ShapeError, match="lambdas"):
-            aggregate(self._e(rng, n=2), init_lambda_state(3))
+            aggregate(self._e(rng, n=2), _lambdas(3))
 
     def test_bilinearity_swap_stages_and_weights(self, rng):
         # swapping two same-shaped stages and their weights leaves the sum unchanged
         e = self._e(rng)
-        lam = init_lambda_state(3)
-        lam.values.data[:] = [0.3, 1.2, -0.7]
+        lam = _lambdas(3)
+        lam.data[:] = [0.3, 1.2, -0.7]
         base = aggregate(e, lam).data.copy()
-        lam.values.data[:] = [1.2, 0.3, -0.7]
+        lam.data[:] = [1.2, 0.3, -0.7]
         swapped = aggregate([e[1], e[0], e[2]], lam).data
         npt.assert_allclose(swapped, base, rtol=1e-6)
 
     def test_gradient_reaches_weights_and_features(self, rng):
         e = [Tensor(rng.normal((1, 2, 2, 2, 2)), requires_grad=True) for _ in range(3)]
-        lam = init_lambda_state(3)
+        lam = _lambdas(3)
         aggregate(e, lam).sum().backward()
-        assert lam.values.grad is not None and np.all(lam.values.grad != 0)
+        assert lam.grad is not None and np.all(lam.grad != 0)
         assert all(t.grad is not None for t in e)
 
 
@@ -104,7 +107,7 @@ class TestNrmForward:
 
     def test_zero_lambda_zero_bias_passthrough(self, rng):
         p = _tiny_nrm(rng)
-        p.lam.values.data[...] = 0.0
+        p.lambdas.data[...] = 0.0
         for name, t in p.m2.named("m2"):
             if name.endswith(("_b", "bias", "beta")):
                 t.data[...] = 0.0
@@ -152,8 +155,8 @@ class TestNrmForward:
         m1 = Tensor(rng.normal((1, 3, 2, 2, 2)), requires_grad=True)
         out = nrm_forward(p, feats, m1)
         (out * out).sum().backward()
-        assert p.lam.values.grad is not None
-        assert np.all(np.abs(p.lam.values.grad) > 0)
+        assert p.lambdas.grad is not None
+        assert np.all(np.abs(p.lambdas.grad) > 0)
 
     def test_gradients_fd(self, f64_mode):
         r = Rng(3, "nrm-fd")
@@ -161,7 +164,7 @@ class TestNrmForward:
         feats = [Tensor(r.normal((1, 2, 4, 4, 4)), requires_grad=True),
                  Tensor(r.normal((1, 3, 2, 2, 2)), requires_grad=True)]
         m1 = Tensor(r.normal((1, 3, 2, 2, 2)), requires_grad=True)
-        wiggle = [feats[0], m1, p.lam.values, p.downsample[0].conv.weight, p.m2.a_log]
+        wiggle = [feats[0], m1, p.lambdas, p.downsample[0].weight, p.m2.a_log]
         rel, _ = finite_difference_check(lambda: nrm_forward(p, feats, m1),
                                          wiggle, rel_tol=1e-6, seed=7)
         assert rel < 1e-6
@@ -180,12 +183,3 @@ class TestParamCount:
         expect += len(stages)
         expect += mamba_param_count(p.m2)
         assert nrm_param_count(p) == expect
-
-    def test_lambda_history_logging(self, rng):
-        p = _tiny_nrm(rng)
-        p.lam.log_step()
-        p.lam.values.data[0] = 9.0
-        p.lam.log_step()
-        trace = p.lam.trace()
-        assert trace.shape == (2, 2)
-        assert trace[1, 0] == 9.0

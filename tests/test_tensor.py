@@ -1,3 +1,6 @@
+import contextlib
+import threading
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -266,6 +269,56 @@ class TestProperties:
         with T.no_grad():
             y = x * 2.0
         assert y._parents == () and not y.requires_grad
+
+
+class TestThreadIsolation:
+    """Tape switches set in one thread leave every other thread alone."""
+
+    def _in_worker(self, setup):
+        # run ``setup`` in a worker thread and hold it there until released
+        ready, release = threading.Event(), threading.Event()
+
+        def work():
+            with setup():
+                ready.set()
+                release.wait(timeout=60)
+
+        worker = threading.Thread(target=work)
+        worker.start()
+        assert ready.wait(timeout=60)
+        return release, worker
+
+    def test_no_grad_in_other_thread_keeps_this_tape(self):
+        release, worker = self._in_worker(T.no_grad)
+        try:
+            x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+            y = (x * x).sum()
+            assert y.requires_grad
+            y.backward()
+        finally:
+            release.set()
+            worker.join(timeout=60)
+        assert not worker.is_alive()
+        npt.assert_array_equal(x.grad, [2.0, 4.0, 6.0])
+
+    def test_dtype_and_fault_in_other_thread_stay_there(self):
+        @contextlib.contextmanager
+        def f64_and_fault():
+            T.set_default_dtype("f64")
+            T.set_gradient_fault(2.0)
+            assert Tensor([1.0]).dtype == np.float64
+            yield
+
+        release, worker = self._in_worker(f64_and_fault)
+        try:
+            a = Tensor([[1.0, 2.0]], requires_grad=True)
+            assert a.dtype == np.float32
+            (a @ Tensor([[3.0], [4.0]])).sum().backward()
+        finally:
+            release.set()
+            worker.join(timeout=60)
+        assert not worker.is_alive()
+        npt.assert_array_equal(a.grad, [[3.0, 4.0]])
 
 
 class TestRng:

@@ -76,6 +76,16 @@ class TestTrainRun:
         npt.assert_allclose(read_lambda_trace_csv(tmp_path / "lambda_trace.csv"),
                             res.lambda_trace, rtol=0, atol=1e-8)
 
+    def test_each_run_traces_only_its_own_steps(self, tmp_path):
+        # two runs on one model: neither trace nor CSV carries the other run's steps
+        model = Network(tiny_model_cfg())
+        for sub in ("first", "second"):
+            res = train_run(model, tiny_samples(), TrainConfig(epochs=1, seed=1),
+                            tmp_path / sub, quiet=True)
+            assert res.lambda_trace.shape == (res.steps, 2)
+            npt.assert_allclose(read_lambda_trace_csv(tmp_path / sub / "lambda_trace.csv"),
+                                res.lambda_trace, rtol=0, atol=1e-8)
+
     def test_same_seed_identical_loss_curves(self, tmp_path):
         def run(sub):
             model = Network(tiny_model_cfg())
