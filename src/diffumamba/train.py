@@ -116,7 +116,7 @@ class TrainResult:
     epoch_log: list
     lambda_trace: np.ndarray | None
     final_path: str
-    best_path: str
+    best_path: str | None        # None when no epoch ran
     best_epoch_loss: float
     steps: int
 
@@ -183,7 +183,10 @@ def train_run(model: Network, samples, tcfg: TrainConfig, out_dir,
     save_checkpoint(model, final_path, optimizer_state=opt.buffers, rng=rng, step=steps,
                     extra={"epochs": tcfg.epochs, "build_id": build_id(),
                            "seed": tcfg.seed, "wall_seconds": time.time() - t_start})
-    trace = np.asarray(lambda_rows, dtype=np.float64) if model.nrm is not None else None
+    trace = None
+    if model.nrm is not None:
+        n_lambdas = len(model.nrm.lambdas.data)
+        trace = np.asarray(lambda_rows, dtype=np.float64).reshape(steps, n_lambdas)
     meta = {"seed": tcfg.seed, "build_id": build_id()}
     write_csv(os.path.join(out_dir, "train_log.csv"),
               ["epoch", "lr", "loss", "dice_loss", "ce_loss"],
@@ -192,7 +195,7 @@ def train_run(model: Network, samples, tcfg: TrainConfig, out_dir,
     if trace is not None and len(trace):
         lambda_report(trace).write_csv(os.path.join(out_dir, "lambda_trace.csv"), meta=meta)
     return TrainResult(epoch_log=epoch_log, lambda_trace=trace, final_path=final_path,
-                       best_path=best_path, best_epoch_loss=best[0], steps=steps)
+                       best_path=best_path if best[1] >= 0 else None, best_epoch_loss=best[0], steps=steps)
 
 
 def run_experiment(cfg: ExperimentConfig, samples, quiet=False) -> TrainResult:

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from diffumamba import ssm
 from diffumamba import tensor as T
 from diffumamba.oracles import finite_difference_check, nrm_off_gap
 from diffumamba.network import (CHECKPOINT_MAGIC, ModelConfig, Network,
@@ -118,12 +119,12 @@ class TestForward:
 
 class TestTapeSize:
     """Tape nodes in one training step's loss graph (nodes with a
-    backward closure): conv3d, each rectifier and the selective scan
-    are one node apiece."""
+    backward closure): conv3d, each rectifier, each NRM downsampling
+    stage and the selective scan are one node apiece."""
 
     @pytest.mark.parametrize("cfg,side,nodes", [
-        (desk_config(), 32, 400),
-        (ModelConfig(n_stages=3, channels=(8, 16, 32), strides=(1, 2, 1)), 16, 282),
+        (desk_config(), 32, 390),
+        (ModelConfig(n_stages=3, channels=(8, 16, 32), strides=(1, 2, 1)), 16, 276),
     ], ids=["desk", "longseq"])
     def test_training_step_tape_nodes(self, rng, cfg, side, nodes):
         m = Network(cfg)
@@ -131,6 +132,37 @@ class TestTapeSize:
         labels = (rng.random((2, side, side, side)) > 0.8).astype(np.int64)
         loss = dice_ce_loss(m.forward(x), labels).total
         assert sum(n._backward_fn is not None for n in T._toposort(loss)) == nodes
+
+
+class TestLambdaScale:
+    """M2 opens with a per-token LayerNorm, so e_hat = sum_i lambda_i e_i
+    reaches the logits only up to a common factor: just the ratios
+    between the lambdas matter, up to the LayerNorm's eps."""
+
+    def _logits(self, model, x, lambdas):
+        model.nrm.lambdas.data[...] = lambdas
+        with T.no_grad():
+            return model.forward(x).data.copy()
+
+    @pytest.mark.parametrize("scale", [2.0, 10.0])
+    def test_common_scale_leaves_logits(self, f64_mode, monkeypatch, scale):
+        m = Network(tiny_config())
+        x = Tensor(Rng(5, "lam").normal((2, 1, 8, 8, 8)))
+        lam = m.nrm.lambdas.data.copy()
+        base = self._logits(m, x, lam)
+        npt.assert_allclose(self._logits(m, x, lam * scale), base, rtol=0, atol=1e-4)
+        # without the eps floor the invariance is exact up to rounding
+        monkeypatch.setattr(ssm._token_layer_norm, "__defaults__", (0.0,))
+        base = self._logits(m, x, lam)
+        npt.assert_allclose(self._logits(m, x, lam * scale), base, rtol=0, atol=1e-10)
+
+    def test_sign_flip_changes_logits(self, f64_mode):
+        m = Network(tiny_config())
+        x = Tensor(Rng(5, "lam").normal((2, 1, 8, 8, 8)))
+        lam = m.nrm.lambdas.data.copy()
+        base = self._logits(m, x, lam)
+        lam[-1] = -lam[-1]
+        assert np.abs(self._logits(m, x, lam) - base).max() > 1e-2
 
 
 class TestParamAccounting:

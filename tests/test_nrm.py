@@ -1,17 +1,41 @@
+import importlib.util
+import pathlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from diffumamba import tensor as T
 from diffumamba.oracles import finite_difference_check
-from diffumamba.nnops import init_conv
+from diffumamba.nnops import adaptive_avg_pool3d, conv3d, init_conv, relu
 from diffumamba.nrm import aggregate, downsample_stage, init_nrm, nrm_forward, nrm_param_count
 from diffumamba.ssm import mamba_param_count
-from diffumamba.tensor import Rng, ShapeError, Tensor
+from diffumamba.tensor import NumericError, Rng, ShapeError, Tensor
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def _lambdas(n, value=0.5):
     return Tensor(np.full(n, value), requires_grad=True)
+
+
+def downsample_reference(f_i, conv, target):
+    """The unfused composition downsample_stage replaces: three tape nodes."""
+    return adaptive_avg_pool3d(relu(conv3d(f_i, conv)), target)
+
+
+def _value_and_grads(fn, x, conv, target):
+    """Output and the x/W/b gradients of sum(fn(...) * a fixed projection)."""
+    for t in (x, conv.weight, conv.bias):
+        t.zero_grad()
+    out = fn(x, conv, target)
+    proj = Tensor(Rng(9, "proj").normal(out.shape, dtype=out.dtype))
+    (out * proj).sum().backward()
+    return [out.data, x.grad, conv.weight.grad, conv.bias.grad]
+
+
+def _max_rel(a, b):
+    return np.abs(a - b).max() / max(np.abs(b).max(), 1e-30)
 
 
 class TestDownsampleStage:
@@ -47,6 +71,104 @@ class TestDownsampleStage:
         ds = init_conv(rng, 2, 2, (1, 1, 1))
         with pytest.raises(ShapeError, match="target"):
             downsample_stage(Tensor(rng.normal((1, 2, 2, 2, 2))), ds, (4, 4, 4))
+
+
+class TestFusedDownsample:
+    """downsample_stage against the three-node composition it fuses."""
+
+    @pytest.mark.parametrize("dtype,tol", [("f64", 1e-12), ("f32", 1e-5)])
+    @pytest.mark.parametrize("shape,c_out,target", [
+        # the desk model's five stages (pool factors 16, 8, 4, 2, 1) onto its 2^3 bottleneck
+        ((2, 8, 32, 32, 32), 128, (2, 2, 2)),
+        ((2, 16, 16, 16, 16), 128, (2, 2, 2)),
+        ((2, 32, 8, 8, 8), 128, (2, 2, 2)),
+        ((2, 64, 4, 4, 4), 128, (2, 2, 2)),
+        ((2, 128, 2, 2, 2), 128, (2, 2, 2)),
+        # non-cubic stages and targets; pool factors (2, 2, 2) and (3, 1, 4)
+        ((1, 3, 6, 4, 2), 5, (3, 2, 1)),
+        ((2, 3, 6, 4, 8), 5, (2, 4, 2)),
+        # 1152 cells of 8 voxels: two full 4096-voxel chunks and a partial one
+        ((3, 4, 16, 16, 12), 6, (8, 8, 6)),
+    ], ids=["desk1", "desk2", "desk3", "desk4", "desk5", "noncubic", "factor314", "chunks"])
+    def test_matches_reference(self, shape, c_out, target, dtype, tol):
+        T.set_default_dtype(dtype)
+        r = Rng(4, "fused")
+        conv = init_conv(r.derive("c"), shape[1], c_out, (1, 1, 1))
+        x = Tensor(r.normal(shape), requires_grad=True)
+        fused = _value_and_grads(downsample_stage, x, conv, target)
+        ref = _value_and_grads(downsample_reference, x, conv, target)
+        assert fused[0].shape == (shape[0], c_out) + target
+        for got, want in zip(fused, ref):
+            assert got.dtype == want.dtype
+            assert _max_rel(got, want) < tol
+
+    def test_input_without_grad(self, f64_mode):
+        r = Rng(5, "fused")
+        conv = init_conv(r.derive("c"), 4, 3, (1, 1, 1))
+        x = Tensor(r.normal((2, 4, 4, 4, 4)))
+        fused = _value_and_grads(downsample_stage, x, conv, (2, 2, 2))
+        ref = _value_and_grads(downsample_reference, x, conv, (2, 2, 2))
+        assert fused[1] is None and ref[1] is None
+        for i in (0, 2, 3):
+            assert _max_rel(fused[i], ref[i]) < 1e-12
+
+    def test_relu_slope_at_zero_matches_reference(self, f64_mode):
+        # zero weights and bias make every pre-activation exactly 0
+        r = Rng(7, "fused")
+        conv = init_conv(r.derive("c"), 3, 2, (1, 1, 1))
+        conv.weight.data[...] = 0.0
+        conv.bias.data[...] = 0.0
+        x = Tensor(r.normal((1, 3, 4, 4, 2)), requires_grad=True)
+        fused = _value_and_grads(downsample_stage, x, conv, (2, 2, 1))
+        ref = _value_and_grads(downsample_reference, x, conv, (2, 2, 1))
+        assert np.all(ref[3] != 0)
+        for got, want in zip(fused, ref):
+            npt.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_gradients_fd(self, f64_mode):
+        r = Rng(6, "fused-fd")
+        conv = init_conv(r.derive("c"), 3, 4, (1, 1, 1))
+        x = Tensor(r.normal((2, 3, 4, 6, 2)), requires_grad=True)
+        rel, _ = finite_difference_check(lambda: downsample_stage(x, conv, (2, 3, 1)),
+                                         [x, conv.weight, conv.bias], rel_tol=1e-6,
+                                         n_coords=8, seed=2)
+        assert rel < 1e-6
+
+    def test_no_grad_records_no_tape(self, rng):
+        conv = init_conv(rng, 2, 3, (1, 1, 1))
+        x = Tensor(rng.normal((1, 2, 4, 4, 4)), requires_grad=True)
+        with T.no_grad():
+            e = downsample_stage(x, conv, (2, 2, 2))
+        assert not e.requires_grad
+        assert e._parents == () and e._backward_fn is None
+
+    def test_target_must_divide_stage(self, rng):
+        conv = init_conv(rng, 2, 2, (1, 1, 1))
+        with pytest.raises(ShapeError, match="target"):
+            downsample_stage(Tensor(rng.normal((1, 2, 5, 4, 4))), conv, (2, 2, 2))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_negative_overflow_raises_like_reference(self, rng):
+        # an f32 pre-activation of -1e40 overflows to -inf; ReLU would zero it,
+        # but the unfused conv3d node raised before the ReLU, and so does the op
+        conv = init_conv(rng, 2, 2, (1, 1, 1))
+        conv.weight.data[...] = -1e20
+        conv.bias.data[...] = 0.0
+        x = Tensor(np.full((1, 2, 2, 2, 2), 1e20, dtype=np.float32))
+        with pytest.raises(NumericError, match="conv3d"):
+            downsample_reference(x, conv, (1, 1, 1))
+        with pytest.raises(NumericError, match="downsample_stage"):
+            downsample_stage(x, conv, (1, 1, 1))
+
+
+def test_tracer_bindings_resolve():
+    """perfbench's tracer wraps layers by (owner, attribute): each must exist."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for owner, attr, _, _ in tracer.BINDINGS:
+        assert callable(getattr(owner, attr)), (owner, attr)
 
 
 class TestAggregate:

@@ -86,6 +86,16 @@ class TestTrainRun:
             npt.assert_allclose(read_lambda_trace_csv(tmp_path / sub / "lambda_trace.csv"),
                                 res.lambda_trace, rtol=0, atol=1e-8)
 
+    def test_zero_epochs_empty_trace_and_no_best(self, tmp_path):
+        model = Network(tiny_model_cfg())
+        res = train_run(model, tiny_samples(), TrainConfig(epochs=0, seed=1),
+                        tmp_path, quiet=True)
+        assert res.steps == 0
+        assert res.lambda_trace.shape == (0, 2)
+        assert res.best_path is None
+        assert not os.path.exists(tmp_path / "best.ckpt")
+        assert os.path.exists(res.final_path)
+
     def test_same_seed_identical_loss_curves(self, tmp_path):
         def run(sub):
             model = Network(tiny_model_cfg())
