@@ -4,8 +4,9 @@ subtract their estimate from the bottleneck.
 Every encoder stage output F_i is squeezed through a dedicated
 downsampling block (1x1x1 conv -> ReLU -> adaptive average pool, one
 tape node) so all e_i share the bottleneck shape.  A learnable scalar
-per stage weights the sum e_hat = sum_i lambda_i e_i, a second mamba block turns e_hat
-into the noise estimate m2, and the denoised bottleneck is m1 - m2.
+per stage weights the sum e_hat = sum_i lambda_i e_i, a second mamba
+block turns e_hat into the noise estimate m2, and the denoised
+bottleneck is m1 - m2.
 """
 
 from __future__ import annotations
@@ -45,13 +46,15 @@ def downsample_stage(f_i: Tensor, conv: ConvParams, target) -> Tensor:
     fd, fh, fw = spatial[0] // td, spatial[1] // th, spatial[2] // tw
     n = fd * fh * fw
     cells = b * td * th * tw
+    n_cols = cells * n
     step = max(1, DOWNSAMPLE_CHUNK // n) * n         # columns per chunk, whole cells
     # (C_in, cells * n): the columns of one cell are adjacent
     cell_order = (1, 0, 2, 4, 6, 3, 5, 7)
     x_cols = f_i.data.reshape(b, c_in, td, fd, th, fh, tw, fw).transpose(cell_order)
-    x_cols = x_cols.reshape(c_in, cells * n)
-    w_mat = conv.weight.data.reshape(c_out, c_in)
-    b_col = 0.0 if conv.bias is None else conv.bias.data[:, None]
+    x_cols = x_cols.reshape(c_in, n_cols)
+    weight, bias = conv.weight, conv.bias
+    w_mat = weight.data.reshape(c_out, c_in)
+    b_col = 0.0 if bias is None else bias.data[:, None]
 
     def pre_activation(s):
         y = np.matmul(w_mat, x_cols[:, s:s + step])
@@ -59,20 +62,18 @@ def downsample_stage(f_i: Tensor, conv: ConvParams, target) -> Tensor:
         return y.reshape(c_out, -1, n)
 
     pooled = []
-    for s in range(0, cells * n, step):
+    for s in range(0, n_cols, step):
         y = pre_activation(s)
         _check_finite(y, "downsample_stage")
         pooled.append(np.maximum(y, 0, out=y).mean(axis=2))
     out = np.concatenate(pooled, axis=1).reshape(c_out, b, td, th, tw).transpose(1, 0, 2, 3, 4)
-
-    weight, bias = conv.weight, conv.bias
 
     def backward(g):
         g_cells = g.transpose(1, 0, 2, 3, 4).reshape(c_out, cells, 1) / n
         dw = np.zeros(w_mat.shape, dtype=g.dtype)
         db = np.zeros(c_out, dtype=g.dtype)
         dx = np.empty_like(x_cols) if f_i.requires_grad else None
-        for s in range(0, cells * n, step):
+        for s in range(0, n_cols, step):
             y = pre_activation(s)
             # the ReLU slope is 1 at 0, as in nnops.leaky_relu
             gy = np.multiply(y >= 0, g_cells[:, s // n:s // n + y.shape[1]], out=y)

@@ -195,7 +195,8 @@ def train_run(model: Network, samples, tcfg: TrainConfig, out_dir,
     if trace is not None and len(trace):
         lambda_report(trace).write_csv(os.path.join(out_dir, "lambda_trace.csv"), meta=meta)
     return TrainResult(epoch_log=epoch_log, lambda_trace=trace, final_path=final_path,
-                       best_path=best_path if best[1] >= 0 else None, best_epoch_loss=best[0], steps=steps)
+                       best_path=best_path if best[1] >= 0 else None,
+                       best_epoch_loss=best[0], steps=steps)
 
 
 def run_experiment(cfg: ExperimentConfig, samples, quiet=False) -> TrainResult:
