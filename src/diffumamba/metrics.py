@@ -143,11 +143,20 @@ def evaluate_masks(pred_labels, gt_labels, n_classes, spacing, sample_id) -> Sam
     return SampleMetrics(sample_id=sample_id, per_class=per_class)
 
 
-def predict_labels(model, sample, hook=None) -> np.ndarray:
+def predict_labels(model, sample) -> np.ndarray:
     """Argmax class map for one sample, without building a tape."""
     with no_grad():
-        x = Tensor(sample.image[None].astype(model_dtype(model)))
-        logits = model.forward(x, noise_hook=hook)
+        logits = model.forward(model_input(model, sample))
+    return label_map(logits)
+
+
+def model_input(model, sample) -> Tensor:
+    """The (1, C, D, H, W) input tensor of one sample, in the model's dtype."""
+    return Tensor(sample.image[None].astype(model_dtype(model)))
+
+
+def label_map(logits) -> np.ndarray:
+    """Argmax class map of the first volume in a batch of logits."""
     return np.argmax(logits.data[0], axis=0).astype(np.uint8)
 
 
@@ -180,14 +189,29 @@ def perturbation_grid(model, samples, families, levels, seed=0):
     """DSC per (family, level) with noise at the first residual block.
 
     Level 1 re-uses the clean forward pass, so that column is bit-equal
-    to the clean evaluation.  Each cell gets a deterministic seed
-    derived from (seed, family, level, sample index).
+    to the clean evaluation.  The noise-free stem runs once per sample;
+    each noisy cell runs only the rest of the network on its perturbed
+    copy.  Each cell gets a deterministic seed derived from (seed,
+    family, level, sample index).
     """
     n_classes = model.cfg.n_classes
+    noisy = [(family, level) for family in families for level in levels if level != 1]
     clean_scores = []
-    for s in samples:
-        pred = predict_labels(model, s)
-        clean_scores.append(evaluate_masks(pred, s.label, n_classes, s.spacing, s.id).mean_dsc())
+    scores = {cell: [] for cell in noisy}
+    mags = {cell: [] for cell in noisy}
+
+    def score(pred, s):
+        return evaluate_masks(pred, s.label, n_classes, s.spacing, s.id).mean_dsc()
+
+    for idx, s in enumerate(samples):
+        clean_scores.append(score(predict_labels(model, s), s))
+        with no_grad():
+            stem = model.forward_stem(model_input(model, s))
+            for family, level in noisy:
+                cell_seed = seed * 1_000_003 + hash_u32(f"{family}/{level}/{idx}")
+                h = noise_hook(NoiseSpec(family=family, level=level, seed=cell_seed))(stem)
+                mags[family, level].append(float(np.abs(h.data - stem.data).mean()))
+                scores[family, level].append(score(label_map(model.forward_rest(h)), s))
     clean_mean = float(np.mean(clean_scores))
 
     cells = []
@@ -196,23 +220,9 @@ def perturbation_grid(model, samples, families, levels, seed=0):
             param = NoiseSpec(family=family, level=level).param
             if level == 1:
                 cells.append(PerturbCell(family, level, param, clean_mean, 0.0))
-                continue
-            scores = []
-            mags = []
-            for idx, s in enumerate(samples):
-                cell_seed = (seed * 1_000_003 + hash_u32(f"{family}/{level}/{idx}"))
-                spec = NoiseSpec(family=family, level=level, seed=cell_seed)
-                recorder = {}
-                def hook(t, _spec=spec, _rec=recorder):
-                    out = noise_hook(_spec)(t)
-                    _rec["mag"] = float(np.abs(out.data - t.data).mean())
-                    return out
-                pred = predict_labels(model, s, hook=hook)
-                scores.append(evaluate_masks(pred, s.label, n_classes,
-                                             s.spacing, s.id).mean_dsc())
-                mags.append(recorder["mag"])
-            cells.append(PerturbCell(family, level, param,
-                                     float(np.mean(scores)), float(np.mean(mags))))
+            else:
+                cells.append(PerturbCell(family, level, param, float(np.mean(scores[family, level])),
+                                         float(np.mean(mags[family, level]))))
     return cells
 
 

@@ -208,6 +208,14 @@ class Network:
         the very first residual block (the inference-time perturbation
         point).  ``capture`` (a dict) receives bottleneck intermediates.
         """
+        h = self.forward_stem(x)
+        if noise_hook is not None:
+            h = noise_hook(h)
+        return self.forward_rest(h, capture)
+
+    def forward_stem(self, x: Tensor) -> Tensor:
+        """The input checks and the first residual block: everything ahead
+        of the noise hook."""
         if x.ndim != 5:
             raise ShapeError(f"expected (B,C,D,H,W) input, got {x.shape}")
         if x.shape[1] != self.cfg.in_channels:
@@ -218,13 +226,14 @@ class Network:
             if s % ts != 0:
                 raise ShapeError(f"spatial dim {s} (axis {ax}) not divisible by "
                                  f"total stride {ts}")
+        return residual_block(x, self.encoder[0].b1)
 
+    def forward_rest(self, h: Tensor, capture=None) -> Tensor:
+        """Logits from the (possibly perturbed) output of ``forward_stem``."""
         feats = []
-        h = x
         for i, st in enumerate(self.encoder):
-            h = residual_block(h, st.b1)
-            if i == 0 and noise_hook is not None:
-                h = noise_hook(h)
+            if i > 0:
+                h = residual_block(h, st.b1)
             h = residual_block(h, st.b2)
             feats.append(h)
 

@@ -2,14 +2,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from diffumamba.data import gen_phantoms
+from diffumamba.data import NoiseSpec, gen_phantoms, noise_hook
 from diffumamba.metrics import (MetricsReport, PerturbCell, SampleMetrics, dsc_iou,
-                                evaluate_model, hd95,
-                                perturbation_grid, surface_voxels,
+                                evaluate_masks, evaluate_model, hash_u32, hd95, label_map,
+                                model_input, perturbation_grid, surface_voxels,
                                 write_perturb_csv)
 from diffumamba.network import ModelConfig, Network
 from diffumamba.oracles import brute_hd95
-from diffumamba.tensor import Rng, ShapeError
+from diffumamba.tensor import Rng, ShapeError, no_grad
 
 
 class TestDscIou:
@@ -161,6 +161,27 @@ class TestEvaluateAndPerturb:
         clean = [c for c in cells if c.level == 1]
         assert clean[0].mean_dsc == clean[1].mean_dsc    # same clean pass reused
         assert all(c.mean_perturbation == 0.0 for c in clean)
+
+    def test_noisy_cells_match_hooked_forward(self):
+        # the grid runs one clean stem per sample; a full forward with the
+        # hook at the first block gives the same cells bit for bit
+        model, samples = _tiny_model_and_samples()
+        cells = perturbation_grid(model, samples, ["gaussian", "speckle"], [1, 4], seed=5)
+        for c in (c for c in cells if c.level != 1):
+            scores, mags = [], []
+            for idx, s in enumerate(samples):
+                spec = NoiseSpec(c.family, c.level,
+                                 seed=5 * 1_000_003 + hash_u32(f"{c.family}/{c.level}/{idx}"))
+
+                def hook(t):
+                    out = noise_hook(spec)(t)
+                    mags.append(float(np.abs(out.data - t.data).mean()))
+                    return out
+                with no_grad():
+                    pred = label_map(model.forward(model_input(model, s), noise_hook=hook))
+                scores.append(evaluate_masks(pred, s.label, 2, s.spacing, s.id).mean_dsc())
+            assert (c.mean_dsc, c.mean_perturbation) == (np.mean(scores), np.mean(mags))
+            assert c.mean_perturbation > 0.0
 
     def test_grid_deterministic(self):
         model, samples = _tiny_model_and_samples()

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from diffumamba import nnops
 from diffumamba import tensor as T
 from diffumamba.oracles import finite_difference_check
 from diffumamba.nnops import (ConvParams, ConvTransposeParams, adaptive_avg_pool3d,
@@ -15,7 +17,7 @@ from diffumamba.tensor import NumericError, Rng, ShapeError, Tensor, make_op
 
 def im2col_conv3d(x, p):
     """The im2col + single-GEMM conv3d with its col2im input adjoint,
-    kept as the reference for the per-tap ``conv3d``."""
+    kept as the reference for the blocked ``conv3d``."""
     c_out, c_in, kd, kh, kw = p.weight.shape
     b, spatial = x.shape[0], x.shape[2:]
     out_spatial = conv_output_shape(spatial, (kd, kh, kw), p.stride, p.padding)
@@ -131,8 +133,8 @@ class TestConv3d:
 
 
 class TestConv3dAgainstIm2col:
-    """The per-tap conv3d against the im2col oracle, on every shape class
-    the network uses."""
+    """The blocked conv3d against the im2col oracle, on every shape class
+    the network uses and on shapes that span several gather chunks."""
 
     # (B, C_in, spatial, C_out, k, stride, padding)
     CASES = [
@@ -146,6 +148,11 @@ class TestConv3dAgainstIm2col:
         (2, 4, (2, 2, 2), 4, 3, 2, 1),      # 2^3 bottleneck, strided
         (2, 3, (5, 6, 7), 4, 3, 2, 1),      # odd non-cubic extent
         (2, 3, (5, 6, 7), 4, 1, 2, 0),
+        # 4-plane chunks over 11 output planes: 4 + 4 + 3
+        (2, 4, (11, 24, 24), 3, 3, 1, 1),
+        (2, 4, (22, 48, 48), 3, 3, 2, 1),   # strided, the same 11 output planes
+        (2, 1, (20, 32, 32), 8, 3, 1, 1),   # C_in = 1 stem, 9-plane chunks: 9 + 9 + 2
+        (2, 16, (10, 14, 14), 4, 3, 1, 0),  # C_in = 16 without padding: 2 chunks
     ]
 
     @staticmethod
@@ -175,6 +182,37 @@ class TestConv3dAgainstIm2col:
             assert a.shape == e.shape and a.dtype == e.dtype, name
             err = np.abs(a - e).max() / np.abs(e).max()
             assert err < tol, f"{name}: relative error {err:.2e}"
+
+    def test_cases_span_several_chunks(self):
+        # the last four cases each run several chunks, the first three
+        # of them ending on a partial one
+        for i, (_, c_in, spatial, _, k, stride, padding) in enumerate(self.CASES[-4:]):
+            do, ho, wo = conv_output_shape(spatial, (k,) * 3, (stride,) * 3, (padding,) * 3)
+            planes = [d1 - d0 for _, d0, d1 in nnops._plane_chunks(1, do, k ** 3 * c_in * ho * wo)]
+            assert len(planes) > 1 and (i == 3 or planes[-1] < planes[0])
+
+    def test_gradients_f64_multi_chunk(self, f64_mode):
+        r = Rng(6, "conv64chunks")
+        x = Tensor(r.normal((1, 2, 6, 40, 40)), requires_grad=True)
+        p = init_conv(r, 2, 2, (3, 3, 3))      # 3-plane chunks, both passes
+        rel, _ = finite_difference_check(lambda: conv3d(x, p),
+                                         [x, p.weight, p.bias], rel_tol=1e-6, seed=7)
+        assert rel < 1e-6
+
+    def test_no_gather_buffer_on_tape(self, f64_mode):
+        # the tape keeps the padded input and the output, not the gather
+        r = Rng(8, "conv-tape")
+        x = Tensor(r.normal((1, 4, 16, 16, 16)), requires_grad=True)
+        p = init_conv(r, 4, 4, (3, 3, 3))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = conv3d(x, p)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        padded = 4 * 18 ** 3 * 8                        # the gather is 9 planes, 2 MB
+        assert kept < padded + out.data.nbytes + 2 ** 16
 
     def test_input_without_grad_gets_none(self, rng):
         x = Tensor(rng.normal((2, 2, 4, 4, 4)))
