@@ -19,7 +19,7 @@ from .nrm import NRMParams, init_nrm, nrm_forward, nrm_param_count
 from .recordio import (ContainerError, json_from_record, json_record, read_container,
                        write_container)
 from .ssm import init_mamba_block, mamba_block
-from .tensor import Rng, ShapeError, Tensor, concat
+from .tensor import Rng, ShapeError, Tensor, ZeroRng, concat
 
 CHECKPOINT_MAGIC = b"DUMC"
 CHECKPOINT_VERSION = 1
@@ -294,13 +294,15 @@ def load_checkpoint(path):
     aux carries step, optimizer momentum buffers, RNG state and any
     extra metadata saved alongside the weights.  Every stored tensor
     must match the rebuilt model's name table and shapes exactly.
+    The model is built without drawing an initialisation: the load
+    replaces every tensor.
     """
     _, (tensors, meta) = read_container(path, CHECKPOINT_MAGIC,
                                         versions=(CHECKPOINT_VERSION,))
     if "config.json" not in meta:
         raise CheckpointError("checkpoint is missing its config block")
     cfg = ModelConfig.from_dict(json_from_record(meta["config.json"]))
-    model = Network(cfg)
+    model = Network(cfg, ZeroRng())
     params = model.named_parameters()
     if set(params.keys()) != set(tensors.keys()):
         missing = sorted(set(params) - set(tensors))

@@ -5,9 +5,11 @@ depth planes, the windows of all kernel taps are copied into one
 buffer of about CONV_CHUNK elements and multiplied by the weight
 matrix in one BLAS matmul.  The buffer lives only inside the forward
 or the backward call; backward gathers again rather than caching it,
-which keeps the live graph small.  The segmentation loss is the
-unweighted sum of soft Dice (per class over the whole batch, averaged
-over foreground classes) and mean voxel cross-entropy.
+which keeps the live graph small.  Instance norm is one tape node with
+a hand-written adjoint, and the rectifiers are max(x, alpha * x)
+without a select.  The segmentation loss is the unweighted sum of soft
+Dice (per class over the whole batch, averaged over foreground
+classes) and mean voxel cross-entropy.
 """
 
 from __future__ import annotations
@@ -56,6 +58,13 @@ def _plane_chunks(b, do, plane):
     for bi in range(b):
         for d0 in range(0, do, per):
             yield bi, d0, min(d0 + per, do)
+
+
+def _pad(a, widths):
+    """Zero-pad the spatial axes of ``a`` by ``widths``; no copy when all are 0."""
+    if not any(widths):
+        return a
+    return np.pad(a, ((0, 0), (0, 0)) + tuple((q, q) for q in widths))
 
 
 def _gathered(xp, kernel, stride, out_spatial):
@@ -118,7 +127,7 @@ def conv3d(x: Tensor, p: ConvParams) -> Tensor:
     out_spatial = conv_output_shape(spatial, kernel, p.stride, p.padding)
     do, ho, wo = out_spatial
     pd, ph, pw = p.padding
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)))
+    xp = _pad(x.data, p.padding)
     w_mat = p.weight.data.transpose(0, 2, 3, 4, 1).reshape(c_out, -1)
     weight, bias = p.weight, p.bias
     out = _correlate(xp, w_mat, kernel, p.stride, out_spatial,
@@ -140,8 +149,7 @@ def conv3d(x: Tensor, p: ConvParams) -> Tensor:
         if not x.requires_grad:
             return
         if flip:
-            gp = np.pad(g, ((0, 0), (0, 0)) + tuple((k - 1 - q,) * 2
-                                                    for k, q in zip(kernel, p.padding)))
+            gp = _pad(g, tuple(k - 1 - q for k, q in zip(kernel, p.padding)))
             w_flip = w_mat.reshape(c_out, kd, kh, kw, c_in)[:, ::-1, ::-1, ::-1]
             w_flip = w_flip.transpose(4, 1, 2, 3, 0).reshape(c_in, -1)
             x._accumulate(_correlate(gp, w_flip, kernel, (1, 1, 1), spatial))
@@ -208,29 +216,68 @@ def conv_transpose3d(x: Tensor, p: ConvTransposeParams) -> Tensor:
 
 
 def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = EPS_NORM) -> Tensor:
-    """Normalize each (batch, channel) slice to ~zero mean / unit variance.
+    """gamma * (x - mean) / sqrt(var + eps) + beta per (batch, channel)
+    slice, with the biased variance, as one tape node.
+
+    The forward runs the arithmetic of the autodiff composition op for
+    op (pairwise ``np.sum`` means, x̂ = (x - mean) / sqrt(var + eps)),
+    so its values are bit-equal to it.  The tape keeps only x̂ and
+    rstd = 1/sqrt(var + eps).  Backward: dβ = Σ g, dγ = Σ g·x̂ and
+    dx = rstd·(gγ - mean(gγ) - x̂·mean(gγ·x̂)), with the sums over each
+    slice.
 
     A spatial size of 1 is not an error: variance collapses to zero and
     the eps floor turns the slice into zeros before the affine map.
     """
     if x.ndim != 5:
         raise ShapeError(f"instance_norm expects (B,C,D,H,W), got {x.shape}")
-    axes = (2, 3, 4)
-    mean = x.mean(axis=axes, keepdims=True)
-    centered = x - mean
-    var = (centered * centered).mean(axis=axes, keepdims=True)
-    xhat = centered / (var + eps).sqrt()
-    c = x.shape[1]
-    return xhat * gamma.reshape((1, c, 1, 1, 1)) + beta.reshape((1, c, 1, 1, 1))
+    b, c = x.shape[:2]
+    n = x.size // (b * c)
+    flat = x.data.reshape(b, c, n)
+    xhat = flat - flat.sum(axis=2, keepdims=True) * (1.0 / n)
+    var = np.square(xhat).sum(axis=2, keepdims=True) * (1.0 / n)
+    std = np.sqrt(var + eps)
+    xhat /= std
+    rstd = 1.0 / std
+    out = xhat * gamma.data[:, None]
+    out += beta.data[:, None]
+
+    def backward(g):
+        g = g.reshape(b, c, n)
+        g_sum = g.sum(axis=2)
+        gx = g * xhat
+        gx_sum = gx.sum(axis=2)
+        if beta.requires_grad:
+            beta._accumulate(g_sum.sum(axis=0))
+        if gamma.requires_grad:
+            gamma._accumulate(gx_sum.sum(axis=0))
+        if x.requires_grad:
+            # rstd·γ·(g - mean(g) - x̂·mean(g·x̂)), built in the g·x̂ buffer
+            dx = np.multiply(xhat, gx_sum[:, :, None] * (1.0 / n), out=gx)
+            np.subtract(g, dx, out=dx)
+            dx -= g_sum[:, :, None] * (1.0 / n)
+            dx *= rstd * gamma.data[:, None]
+            x._accumulate(dx.reshape(x.shape))
+
+    return make_op(out.reshape(x.shape), (x, gamma, beta), "instance_norm", backward)
 
 
 def leaky_relu(x: Tensor, alpha: float = LEAKY_SLOPE) -> Tensor:
-    """x where x >= 0, else alpha * x; the slope at 0 is 1."""
-    mask = x.data >= 0
-    out = np.where(mask, x.data, x.data * alpha)
+    """x where x >= 0, else alpha * x; the slope at 0 is 1.
+
+    For 0 <= alpha <= 1 that is max(x, alpha * x), without a select;
+    other slopes raise.  Backward rebuilds the slope max(x >= 0, alpha)
+    from the input.
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"leaky_relu needs 0 <= alpha <= 1, got {alpha}")
+    out = np.maximum(x.data, x.data * alpha)
 
     def backward(g):
-        x._accumulate(np.where(mask, g, g * alpha))
+        slope = (x.data >= 0).astype(g.dtype)
+        np.maximum(slope, alpha, out=slope)
+        slope *= g
+        x._accumulate(slope)
 
     return make_op(out, (x,), "leaky_relu", backward)
 

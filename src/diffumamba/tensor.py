@@ -144,9 +144,13 @@ class Tensor:
     # tape plumbing
 
     def _accumulate(self, g):
+        # the first gradient is a fresh copy: g may be a read-only
+        # broadcast view or a buffer that another node still owns
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=self.data.dtype,
+                                 order="C")
+        else:
+            self.grad += g
 
     def zero_grad(self):
         self.grad = None
@@ -680,3 +684,18 @@ class Rng:
         self._gen.bit_generator.state = st
         self.name = payload.get("name", self.name)
         self.seed = payload.get("seed", self.seed)
+
+
+class ZeroRng:
+    """Draw-free ``Rng`` stand-in for building a model whose weights are
+    about to be overwritten (a checkpoint load): ``normal`` and
+    ``uniform`` return zeros of the requested shape and dtype."""
+
+    def derive(self, tag) -> "ZeroRng":
+        return self
+
+    def normal(self, shape=(), std=1.0, mean=0.0, dtype=None):
+        return np.zeros(shape, dtype=dtype or _DEFAULT_DTYPE.get())
+
+    def uniform(self, low, high, shape=(), dtype=None):
+        return np.zeros(shape, dtype=dtype or _DEFAULT_DTYPE.get())

@@ -54,6 +54,18 @@ def im2col_conv3d(x, p):
     return make_op(out, parents, "im2col_conv3d", backward)
 
 
+def instance_norm_reference(x, gamma, beta, eps=nnops.EPS_NORM):
+    """The 13-node autodiff composition of instance norm, kept as the
+    reference for the one-node ``instance_norm``."""
+    axes = (2, 3, 4)
+    mean = x.mean(axis=axes, keepdims=True)
+    centered = x - mean
+    var = (centered * centered).mean(axis=axes, keepdims=True)
+    xhat = centered / (var + eps).sqrt()
+    c = x.shape[1]
+    return xhat * gamma.reshape((1, c, 1, 1, 1)) + beta.reshape((1, c, 1, 1, 1))
+
+
 def _conv(weight, bias=None, stride=(1, 1, 1), padding=(0, 0, 0)):
     return ConvParams(weight=Tensor(weight, requires_grad=True),
                       bias=None if bias is None else Tensor(bias, requires_grad=True),
@@ -213,6 +225,17 @@ class TestConv3dAgainstIm2col:
             tracemalloc.stop()
         padded = 4 * 18 ** 3 * 8                        # the gather is 9 planes, 2 MB
         assert kept < padded + out.data.nbytes + 2 ** 16
+        # without padding the tape keeps x.data itself, not a copy of it
+        for stride in (1, 2):
+            p = init_conv(r, 4, 4, (1, 1, 1), stride=(stride,) * 3, padding=(0, 0, 0))
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = conv3d(x, p)
+                kept = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert kept < out.data.nbytes + x.data.nbytes // 2, stride
 
     def test_input_without_grad_gets_none(self, rng):
         x = Tensor(rng.normal((2, 2, 4, 4, 4)))
@@ -297,6 +320,43 @@ class TestInstanceNorm:
         out = instance_norm(x, g, b)
         npt.assert_allclose(out.data, 0.0, atol=1e-6)
 
+    def test_one_tape_node(self, rng):
+        g, b = self._affine(3)
+        x = Tensor(rng.normal((2, 3, 4, 4, 4)), requires_grad=True)
+        y = instance_norm(x, g, b)
+        assert y._parents == (x, g, b)
+        assert sum(n._backward_fn is not None for n in T._toposort(y)) == 1
+
+    # every desk block map (B = 2; 8 channels at 32^3 down to 128 at 2^3),
+    # a non-cubic map and the 1-voxel slice
+    SHAPES = [(2, 8, 32, 32, 32), (2, 16, 16, 16, 16), (2, 32, 8, 8, 8),
+              (2, 64, 4, 4, 4), (2, 128, 2, 2, 2), (2, 3, 5, 6, 7), (2, 4, 1, 1, 1)]
+
+    @staticmethod
+    def _run(norm, x, gamma, beta, g):
+        xt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, gamma, beta))
+        y = norm(xt, gt, bt)
+        (y * Tensor(g)).sum().backward()
+        return y.data, xt.grad, gt.grad, bt.grad
+
+    @pytest.mark.parametrize("dtype,tol", [("f64", 1e-12), ("f32", 1e-5)])
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_matches_composition(self, shape, dtype, tol):
+        T.set_default_dtype(dtype)
+        r = Rng(sum(shape), "in-oracle")
+        x = r.normal(shape) * 3 + 1
+        gamma, beta = r.normal(shape[1:2]), r.normal(shape[1:2])
+        g = r.normal(shape)
+        got = self._run(instance_norm, x, gamma, beta, g)
+        want = self._run(instance_norm_reference, x, gamma, beta, g)
+        # the forward is the composition's arithmetic, op for op: its
+        # pairwise sums included (an einsum variance fails here)
+        npt.assert_array_equal(got[0], want[0])
+        for name, a, e in zip(("x", "gamma", "beta"), got[1:], want[1:]):
+            assert a.shape == e.shape and a.dtype == e.dtype, name
+            err = np.abs(a - e).max()
+            assert err <= tol * np.abs(e).max(), f"{name}: error {err:.2e}"
+
     def test_gradients(self, f64_mode):
         r = Rng(5, "in")
         x = Tensor(r.normal((1, 2, 3, 3, 3)), requires_grad=True)
@@ -311,6 +371,33 @@ class TestActivations:
     def test_leaky_relu_formula(self):
         out = leaky_relu(Tensor([-1.0, 0.0, 2.0]), alpha=0.01)
         npt.assert_allclose(out.data, [-0.01, 0.0, 2.0], rtol=1e-6)
+
+    @staticmethod
+    def _where_formula(x, g, alpha):
+        return np.where(x >= 0, x, x * alpha), np.where(x >= 0, g, g * alpha)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("alpha", [0.0, 0.01, 0.3])
+    def test_leaky_relu_bit_equals_where(self, dtype, alpha):
+        # max(x, alpha x) and the slope max(x >= 0, alpha) against the
+        # select, on +-0.0, negative and positive inputs
+        r = Rng(14, "lrelu-where")
+        x = np.concatenate([[0.0, -0.0, -1e-30, 1e-30, -3.5, 2.0],
+                            r.normal((64,), dtype=np.float64)]).astype(dtype)
+        g = np.concatenate([[1.5, -2.0, -0.0, 0.0, 0.7, -0.3],
+                            r.normal((64,), dtype=np.float64)]).astype(dtype)
+        xt = Tensor(x, requires_grad=True, dtype=dtype)
+        y = leaky_relu(xt, alpha)
+        (y * Tensor(g, dtype=dtype)).sum().backward()
+        want_y, want_g = self._where_formula(x, g, alpha)
+        assert y.data.dtype == want_y.dtype and xt.grad.dtype == want_g.dtype
+        assert y.data.tobytes() == want_y.tobytes()
+        assert xt.grad.tobytes() == want_g.tobytes()
+
+    @pytest.mark.parametrize("alpha", [-0.01, 1.5, float("nan")])
+    def test_leaky_relu_slope_outside_unit_interval_raises(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            leaky_relu(Tensor([1.0, -1.0]), alpha)
 
     def test_silu_zero(self):
         assert silu(Tensor([0.0])).data[0] == 0.0

@@ -133,6 +133,20 @@ class TestBackward:
         (x.sum() + (x * 3.0).sum()).backward()
         npt.assert_allclose(x.grad, np.full(3, 4.0), rtol=1e-6)
 
+    @pytest.mark.parametrize("g", [np.broadcast_to(np.arange(3.0), (2, 3)),
+                                   np.arange(6.0).reshape(2, 3)], ids=["view", "buffer"])
+    def test_first_gradient_is_a_fresh_copy(self, g):
+        # g may be a read-only broadcast view or a buffer that another
+        # node still owns: the grad gets its own, and later ones add to it
+        x = Tensor(np.zeros((2, 3)), requires_grad=True)
+        before = g.copy()
+        x._accumulate(g)
+        assert x.grad.flags["WRITEABLE"] and x.grad.flags["C_CONTIGUOUS"]
+        assert not np.shares_memory(x.grad, g) and x.grad.dtype == np.float32
+        x._accumulate(g)
+        npt.assert_array_equal(x.grad, 2 * before)
+        npt.assert_array_equal(g, before)
+
     def test_only_leaves_keep_grads(self, rng):
         x = Tensor(rng.normal((3,)), requires_grad=True)
         w = Tensor(rng.normal((3,)), requires_grad=True)
