@@ -152,7 +152,7 @@ def conv3d(x: Tensor, p: ConvParams) -> Tensor:
             gp = _pad(g, tuple(k - 1 - q for k, q in zip(kernel, p.padding)))
             w_flip = w_mat.reshape(c_out, kd, kh, kw, c_in)[:, ::-1, ::-1, ::-1]
             w_flip = w_flip.transpose(4, 1, 2, 3, 0).reshape(c_in, -1)
-            x._accumulate(_correlate(gp, w_flip, kernel, (1, 1, 1), spatial))
+            x._accumulate(_correlate(gp, w_flip, kernel, (1, 1, 1), spatial), owned=True)
             return
         sd, sh, sw = p.stride
         dxp = np.zeros_like(xp)
@@ -162,7 +162,8 @@ def conv3d(x: Tensor, p: ConvParams) -> Tensor:
             for i, j, k in np.ndindex(kernel):
                 dxp[bi, :, d0 * sd + i:d1 * sd + i:sd, j:j + ho * sh:sh,
                     k:k + wo * sw:sw] += dcols[i, j, k]
-        x._accumulate(dxp[:, :, pd:pd + spatial[0], ph:ph + spatial[1], pw:pw + spatial[2]])
+        x._accumulate(dxp[:, :, pd:pd + spatial[0], ph:ph + spatial[1], pw:pw + spatial[2]],
+                      owned=True)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return make_op(out, parents, "conv3d", backward)
@@ -209,7 +210,7 @@ def conv_transpose3d(x: Tensor, p: ConvTransposeParams) -> Tensor:
             bias._accumulate(g.sum(axis=(0, 2, 3, 4)))
         if x.requires_grad:
             dx = (g_mat @ w_mat.T).reshape(b, d, h, w, c_in).transpose(0, 4, 1, 2, 3)
-            x._accumulate(np.ascontiguousarray(dx))
+            x._accumulate(np.ascontiguousarray(dx), owned=True)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return make_op(out, parents, "conv_transpose3d", backward)
@@ -257,7 +258,7 @@ def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = EPS_NORM)
             np.subtract(g, dx, out=dx)
             dx -= g_sum[:, :, None] * (1.0 / n)
             dx *= rstd * gamma.data[:, None]
-            x._accumulate(dx.reshape(x.shape))
+            x._accumulate(dx.reshape(x.shape), owned=True)
 
     return make_op(out.reshape(x.shape), (x, gamma, beta), "instance_norm", backward)
 
@@ -277,7 +278,7 @@ def leaky_relu(x: Tensor, alpha: float = LEAKY_SLOPE) -> Tensor:
         slope = (x.data >= 0).astype(g.dtype)
         np.maximum(slope, alpha, out=slope)
         slope *= g
-        x._accumulate(slope)
+        x._accumulate(slope, owned=True)
 
     return make_op(out, (x,), "leaky_relu", backward)
 

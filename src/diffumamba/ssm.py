@@ -13,8 +13,13 @@ phi(u) ~= 1 + u/2 for |u| < 1e-4, which also covers the a = 0 limit
 
 The mamba block runs the input-dependent (selective) recurrence as one
 fused tape op, ``selective_scan_t``, with a hand-written reverse-scan
-adjoint.  Its independent check, the LTI global-convolution kernel with
-its own ``expm1``-based discretization, lives in ``oracles``.
+adjoint.  It works in a state-major (L, B, N, C) layout, so its
+full-size elementwise passes run along the channel axis and its
+contractions over N and C are matmuls, and its tape keeps only
+u = dt * a, the states and the series-branch mask.  Its independent
+check, the LTI global-convolution kernel with its own ``expm1``-based
+discretization, lives in ``oracles``.  The causal depthwise conv ahead
+of the scan is one tape node as well.
 """
 
 from __future__ import annotations
@@ -34,6 +39,24 @@ PHI_SERIES_CUTOFF = 1e-4
 # selective scan as one fused tape op
 
 
+def _phi(e, u, small):
+    """phi(u) = (e^u - 1)/u from e = exp(u), with 1 + u/2 where ``small``
+    (|u| below the cutoff, u = 0 included; None when there is none)."""
+    # exp(u) - 1 rather than expm1 keeps f64 results equal to the taped oracle
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi = np.subtract(e, 1.0)
+        phi /= u
+    if small is not None:
+        phi[small] = u[small] * 0.5 + 1.0
+    return phi
+
+
+def _blc(arr):
+    """``arr`` with its first two axes swapped, (B, L, ...) <-> (L, B, ...),
+    C-ordered: a copy unless that layout is already contiguous."""
+    return np.ascontiguousarray(arr.swapaxes(0, 1))
+
+
 def selective_scan_t(x: Tensor, dt: Tensor, b_sel: Tensor, c_sel: Tensor, a: Tensor) -> Tensor:
     """Batched selective recurrence as a single tape node.
 
@@ -41,11 +64,15 @@ def selective_scan_t(x: Tensor, dt: Tensor, b_sel: Tensor, c_sel: Tensor, a: Ten
     Returns y (B, L, C) with h_t = exp(u_t) h_{t-1} + dt_t phi(u_t) b_t x_t,
     u_t = dt_t a, y_t = h_t . c_t and h_0 = 0.
 
-    The discretization runs vectorized over a token-major (L, B, C, N)
-    layout; only the two-op recurrence loops over tokens.  The per-token
-    states are kept for the backward pass, which runs the adjoint
-    recurrence dh_t = g_t c_t + exp(u_{t+1}) dh_{t+1} in reverse and then
-    forms all five input gradients at once.
+    Everything runs in a state-major (L, B, N, C) layout: each input is
+    copied once into token-major order, so every full-size elementwise
+    pass has the channel axis innermost, and the contractions over N and
+    C (y and the x, b, c gradients) are matmuls.  Only the two-op
+    recurrence loops over tokens.  The tape keeps u, the states h and
+    the series-branch mask of the full-size arrays; backward recomputes
+    exp(u) and phi, runs the adjoint recurrence
+    dh_t = g_t c_t + exp(u_{t+1}) dh_{t+1} in reverse and then forms all
+    five input gradients at once.
     """
     bsz, length, ch = x.shape
     n = a.shape[1]
@@ -53,58 +80,108 @@ def selective_scan_t(x: Tensor, dt: Tensor, b_sel: Tensor, c_sel: Tensor, a: Ten
             c_sel.shape != (bsz, length, n) or a.shape != (ch, n):
         raise ShapeError(f"selective scan shapes x{x.shape} dt{dt.shape} b{b_sel.shape} "
                          f"c{c_sel.shape} a{a.shape} do not form (B, L, C)/(B, L, N)/(C, N)")
-    xs = x.data.transpose(1, 0, 2)[..., None]              # (L, B, C, 1)
-    ds = dt.data.transpose(1, 0, 2)[..., None]             # (L, B, C, 1)
-    bs = b_sel.data.transpose(1, 0, 2)[:, :, None, :]      # (L, B, 1, N)
-    cs = c_sel.data.transpose(1, 0, 2)[:, :, None, :]      # (L, B, 1, N)
-    u = ds * a.data                                        # (L, B, C, N)
-    e = np.exp(u)
+    xs = _blc(x.data)                                      # (L, B, C)
+    ds = _blc(dt.data)                                     # (L, B, C)
+    bs = _blc(b_sel.data)                                  # (L, B, N)
+    cs = _blc(c_sel.data)                                  # (L, B, N)
+    a_t = np.ascontiguousarray(a.data.T)                   # (N, C)
+    u = ds[:, :, None, :] * a_t                            # (L, B, N, C)
     small = np.abs(u) < PHI_SERIES_CUTOFF
-    safe_u = np.where(small, 1.0, u)
-    # exp(u) - 1 rather than expm1 keeps f64 results equal to the taped oracle
-    phi = np.where(small, u * 0.5 + 1.0, (e - 1.0) / safe_u)
-    hs = ds * phi * bs * xs
+    small = small if small.any() else None                 # kept only if some |u| is small
+    e = np.exp(u)
+    hs = _phi(e, u, small)                                 # dt phi b x, built in place
+    hs *= (ds * xs)[:, :, None, :]
+    hs *= bs[..., None]
+    h_t, e_t = list(hs), list(e)
     for t in range(1, length):
-        hs[t] += e[t] * hs[t - 1]
-    y = (hs * cs).sum(axis=3).transpose(1, 0, 2)
+        np.multiply(e_t[t], h_t[t - 1], out=e_t[t])
+        np.add(h_t[t], e_t[t], out=h_t[t])
+    y = np.matmul(cs[:, :, None, :], hs)[:, :, 0].swapaxes(0, 1)
 
     def backward(g):
-        gs = g.transpose(1, 0, 2)[..., None]                # (L, B, C, 1)
-        dh = gs * cs                                       # g_t c_t, then the adjoint
+        # the closure holds u, hs and the mask; the rest is laid out again
+        xs, ds, bs, cs, gs = (_blc(v) for v in (x.data, dt.data, b_sel.data, c_sel.data, g))
+        e = np.exp(u)
+        dh = cs[..., None] * gs[:, :, None, :]             # g_t c_t, then the adjoint
+        step = np.empty_like(dh[0])
+        dh_t, e_t = list(dh), list(e)
         for t in range(length - 2, -1, -1):
-            dh[t] += e[t + 1] * dh[t + 1]
+            np.multiply(e_t[t + 1], dh_t[t + 1], out=step)
+            np.add(dh_t[t], step, out=dh_t[t])
         if c_sel.requires_grad:
-            c_sel._accumulate((gs * hs).sum(axis=2).transpose(1, 0, 2))
-        dt_phi = ds * phi                                  # Bbar / b
-        if x.requires_grad:
-            x._accumulate((dh * dt_phi * bs).sum(axis=3).transpose(1, 0, 2))
+            c_sel._accumulate(_blc(np.matmul(hs, gs[..., None])[..., 0]), owned=True)
+        phi = _phi(e, u, small)
+        # du = dh (b dt x phi'(u) + exp(u_t) h_{t-1}), with
+        # phi'(u) = (e - phi)/u, and 1/2 on the series branch
+        with np.errstate(divide="ignore", invalid="ignore"):
+            du = np.subtract(e, phi)
+            du /= u
+        if small is not None:
+            du[small] = 0.5
+        dsx = ds * xs
+        du *= dsx[:, :, None, :]
+        du *= bs[..., None]
+        np.multiply(e[1:], hs[:-1], out=e[1:])
+        np.add(du[1:], e[1:], out=du[1:])
+        du *= dh
+        p = np.multiply(phi, dh, out=phi)                  # dh phi
         if b_sel.requires_grad:
-            b_sel._accumulate((dh * dt_phi * xs).sum(axis=2).transpose(1, 0, 2))
-        d_inc = dh * bs * xs                               # adjoint of dt * phi
-        # phi'(u) = (e - phi) / u, and 1/2 on the series branch
-        du = d_inc * ds * np.where(small, 0.5, (e - phi) / safe_u)
-        du[1:] += dh[1:] * e[1:] * hs[:-1]                 # through exp(u_t) h_{t-1}
+            db = np.matmul(p, dsx[..., None])[..., 0]
+            b_sel._accumulate(_blc(db), owned=True)
+        s = np.matmul(bs[:, :, None, :], p)[:, :, 0]       # sum_n dh phi b
+        if x.requires_grad:
+            x._accumulate(_blc(ds * s), owned=True)
         if dt.requires_grad:
-            ddt = (d_inc * phi + du * a.data).sum(axis=3)
-            dt._accumulate(ddt.transpose(1, 0, 2))
+            ddt = np.einsum("lbnc,nc->lbc", du, a_t)
+            ddt += xs * s
+            dt._accumulate(_blc(ddt), owned=True)
         if a.requires_grad:
-            a._accumulate((du * ds).sum(axis=(0, 1)))
+            a._accumulate(np.ascontiguousarray(np.einsum("lbnc,lbc->nc", du, ds).T), owned=True)
 
     return T.make_op(y, (x, dt, b_sel, c_sel, a), "selective_scan", backward)
 
 
 def causal_depthwise_conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Per-channel causal conv over the token axis; x (B, L, C), weight (C, w)."""
+    """Per-channel causal conv over the token axis as one tape node.
+
+    x (B, L, C), weight (C, w), bias (C,):
+    y[b, t, c] = sum_k weight[c, k] x[b, t - (w - 1) + k, c] + bias[c],
+    with x = 0 before the first token.  Tap k reads x shifted by
+    s = w - 1 - k tokens.  Backward: dx is the reverse correlation
+    (g shifted back by s against the same taps), dw[c, k] is the sum
+    over (b, t) of g times the shifted x, and db is the sum of g.
+    """
+    bsz, length, ch = x.shape
     width = weight.shape[1]
-    length = x.shape[1]
-    xp = T.pad(x, ((0, 0), (width - 1, 0), (0, 0)))
-    acc = None
-    for k in range(width):
-        seg = xp.narrow(1, k, length)
-        w_k = weight.narrow(1, k, 1).reshape((weight.shape[0],))
-        term = seg * w_k
-        acc = term if acc is None else acc + term
-    return acc + bias
+    if weight.shape != (ch, width) or bias.shape != (ch,):
+        raise ShapeError(f"causal conv shapes x{x.shape} weight{weight.shape} "
+                         f"bias{bias.shape} do not form (B, L, C)/(C, w)/(C,)")
+    xd, w = x.data, weight.data
+    # (tap, shift) of every tap that reaches back less than L tokens
+    taps = [(k, width - 1 - k) for k in range(width - 1) if width - 1 - k < length]
+    y = xd * w[:, -1]
+    for k, s in taps:
+        seg = y[:, s:]
+        seg += xd[:, :length - s] * w[:, k]
+    y += bias.data
+
+    def backward(g):
+        if x.requires_grad:
+            dx = g * w[:, -1]
+            for k, s in taps:
+                seg = dx[:, :length - s]
+                seg += g[:, s:] * w[:, k]
+            x._accumulate(dx, owned=True)
+        if weight.requires_grad:
+            dw = np.zeros(weight.shape, dtype=weight.dtype)
+            dw[:, -1] = np.einsum("btc,btc->c", g, xd)
+            for k, s in taps:
+                dw[:, k] = np.einsum("btc,btc->c", g[:, s:], xd[:, :length - s])
+            weight._accumulate(dw, owned=True)
+        if bias.requires_grad:
+            bias._accumulate(g.sum(axis=(0, 1)))
+
+    return T.make_op(y, (x, weight, bias), "causal_conv1d", backward)
 
 
 # ----------------------------------------------------------------------

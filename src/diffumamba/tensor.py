@@ -143,14 +143,25 @@ class Tensor:
     # ------------------------------------------------------------------
     # tape plumbing
 
-    def _accumulate(self, g):
-        # the first gradient is a fresh copy: g may be a read-only
-        # broadcast view or a buffer that another node still owns
-        if self.grad is None:
+    def _accumulate(self, g, owned=False):
+        """Add the adjoint ``g`` into ``grad``.
+
+        The first gradient is a fresh copy: ``g`` may be a read-only
+        broadcast view or a buffer that another node still owns.  A
+        hand-written backward that hands over a buffer it alone holds
+        passes ``owned=True``; when that buffer is a writeable,
+        C-contiguous array of the data's shape and dtype it becomes
+        ``grad`` without a copy.
+        """
+        if self.grad is not None:
+            self.grad += g
+        elif owned and isinstance(g, np.ndarray) and g.shape == self.data.shape \
+                and g.dtype == self.data.dtype and g.flags["C_CONTIGUOUS"] \
+                and g.flags["WRITEABLE"]:
+            self.grad = g
+        else:
             self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=self.data.dtype,
                                  order="C")
-        else:
-            self.grad += g
 
     def zero_grad(self):
         self.grad = None
@@ -412,15 +423,18 @@ def sigmoid(a):
 
 
 def softplus(a):
-    out_data = np.logaddexp(np.zeros((), dtype=a.dtype), a.data)
-    sig = None
+    """log(1 + e^x) as max(x, 0) + log1p(z) with z = e^-|x|, the formula
+    of ``np.logaddexp(0, x)`` with one vectorized ``exp``.  Backward forms
+    the sigmoid 1/(1 + z) or z/(1 + z) from the kept z."""
+    z = np.exp(-np.abs(a.data))
+    out_data = np.maximum(a.data, 0)
+    out_data += np.log1p(z)
 
     def backward(g):
-        nonlocal sig
-        if sig is None:
-            z = np.exp(-np.abs(a.data))
-            sig = np.where(a.data >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-        a._accumulate(g * sig)
+        sig = np.where(a.data >= 0, 1.0, z)
+        sig /= 1.0 + z
+        sig *= g
+        a._accumulate(sig, owned=True)
 
     return make_op(out_data, (a,), "softplus", backward)
 

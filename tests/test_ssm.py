@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -31,6 +33,21 @@ def taped_selective_scan(x, dt, b_sel, c_sel, a):
         h = T.exp(u) * h + (d_t * phi) * b_t * x_t
         ys.append((h * c_t).sum(axis=2).reshape((bsz, 1, ch)))
     return T.concat(ys, axis=1)
+
+
+def taped_causal_conv1d(x, weight, bias):
+    """Reference oracle for ``causal_depthwise_conv1d``: zero-pad the
+    token axis, then one taped multiply-add per kernel tap."""
+    width = weight.shape[1]
+    length = x.shape[1]
+    xp = T.pad(x, ((0, 0), (width - 1, 0), (0, 0)))
+    acc = None
+    for k in range(width):
+        seg = xp.narrow(1, k, length)
+        w_k = weight.narrow(1, k, 1).reshape((weight.shape[0],))
+        term = seg * w_k
+        acc = term if acc is None else acc + term
+    return acc + bias
 
 
 def scan64(x, dt, b_sel, c_sel, a):
@@ -269,6 +286,61 @@ class TestSelectiveScanFused:
             assert t.grad.shape == t_ref.grad.shape
             assert rel(t.grad, t_ref.grad) < tol, name
 
+    @staticmethod
+    def _rel(got, want):
+        return np.abs(got - want).max() / np.abs(want).max()
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)],
+                             ids=["f64", "f32"])
+    def test_series_branch_edges(self, dtype, tol):
+        # state 0 has a = 0, so u = 0 exactly; in channel 0, state 1 has
+        # a = -1 and dt a hair below or above the cutoff on alternate tokens,
+        # so |u| straddles the branch switch
+        bsz, L, C, N = 2, 12, 3, 4
+        arrays = [v.data.astype(np.float64) for v in self._inputs((bsz, L, C, N), dtype, 11)]
+        arrays[4][:, 0] = 0.0
+        arrays[4][0, 1] = -1.0
+        arrays[1][:, 0::2, 0] = PHI_SERIES_CUTOFF * 0.999
+        arrays[1][:, 1::2, 0] = PHI_SERIES_CUTOFF * 1.001
+        fused_in = [Tensor(v, requires_grad=True, dtype=dtype) for v in arrays]
+        taped_in = [Tensor(v, requires_grad=True, dtype=dtype) for v in arrays]
+        u = fused_in[1].data[..., None] * fused_in[4].data
+        assert np.all(u[..., 0] == 0)
+        assert np.all(np.abs(u[:, 0::2, 0, 1]) < PHI_SERIES_CUTOFF)
+        assert np.all(np.abs(u[:, 1::2, 0, 1]) >= PHI_SERIES_CUTOFF)
+
+        y = selective_scan_t(*fused_in)
+        y_ref = taped_selective_scan(*taped_in)
+        proj = Rng(8, "proj").normal(y.shape, dtype=dtype)
+        (y * Tensor(proj, dtype=dtype)).sum().backward()
+        (y_ref * Tensor(proj, dtype=dtype)).sum().backward()
+        assert self._rel(y.data, y_ref.data) < tol
+        for name, t, t_ref in zip("x dt b c a".split(), fused_in, taped_in):
+            assert self._rel(t.grad, t_ref.grad) < tol, name
+
+    def test_one_tape_node(self):
+        inputs = self._inputs((2, 9, 3, 4), np.float32, seed=3)
+        y = selective_scan_t(*inputs)
+        assert _tape_nodes(y) == 1 and y._parents == tuple(inputs)
+
+    def test_tape_keeps_u_and_states_only(self):
+        # f32 at the long-sequence size: the node retains u, the states h
+        # and the series-branch mask, about 2.25 full-size arrays
+        bsz, L, C, N = 2, 512, 64, 8
+        inputs = self._inputs((bsz, L, C, N), np.float32, seed=5)
+        u = inputs[1].data[..., None] * inputs[4].data
+        assert (np.abs(u) < PHI_SERIES_CUTOFF).any()   # the mask is kept too
+        full = bsz * L * C * N * np.dtype(np.float32).itemsize
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            y = selective_scan_t(*inputs)
+            retained = tracemalloc.get_traced_memory()[0] - before - y.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert y.requires_grad
+        assert retained <= 2.5 * full, retained / full
+
     def test_no_grad_records_no_tape(self):
         inputs = self._inputs((2, 9, 3, 4), np.float32, seed=3)
         with T.no_grad():
@@ -293,6 +365,31 @@ class TestCausalConv1d:
                     expect[:, t, :] += x[:, src, :] * w[:, k]
         expect += b
         npt.assert_allclose(out.data, expect, rtol=1e-12)
+
+    @pytest.mark.parametrize("width, length", [(1, 5), (2, 5), (3, 7), (4, 6), (3, 2),
+                                               (4, 1), (4, 3)])
+    def test_matches_taped_oracle(self, width, length):
+        r = Rng(10 * width + length, "conv1d")
+        arrays = [r.normal((2, length, 3), dtype=np.float64),
+                  r.normal((3, width), dtype=np.float64), r.normal((3,), dtype=np.float64)]
+        fused_in = [Tensor(v, requires_grad=True, dtype=np.float64) for v in arrays]
+        taped_in = [Tensor(v, requires_grad=True, dtype=np.float64) for v in arrays]
+        y = causal_depthwise_conv1d(*fused_in)
+        y_ref = taped_causal_conv1d(*taped_in)
+        npt.assert_allclose(y.data, y_ref.data, rtol=0, atol=1e-12 * np.abs(y_ref.data).max())
+        proj = Tensor(r.normal(y.shape, dtype=np.float64), dtype=np.float64)
+        (y * proj).sum().backward()
+        (y_ref * proj).sum().backward()
+        for name, t, t_ref in zip(("x", "w", "b"), fused_in, taped_in):
+            scale = np.abs(t_ref.grad).max()
+            npt.assert_allclose(t.grad, t_ref.grad, rtol=0, atol=1e-12 * scale, err_msg=name)
+
+    def test_one_tape_node(self, rng):
+        x = Tensor(rng.normal((2, 6, 3)), requires_grad=True)
+        w = Tensor(rng.normal((3, 3)), requires_grad=True)
+        b = Tensor(rng.normal((3,)), requires_grad=True)
+        y = causal_depthwise_conv1d(x, w, b)
+        assert _tape_nodes(y) == 1 and y._parents == (x, w, b)
 
     def test_causality(self, rng):
         x = rng.normal((1, 5, 2))

@@ -134,7 +134,9 @@ class TestBackward:
         npt.assert_allclose(x.grad, np.full(3, 4.0), rtol=1e-6)
 
     @pytest.mark.parametrize("g", [np.broadcast_to(np.arange(3.0), (2, 3)),
-                                   np.arange(6.0).reshape(2, 3)], ids=["view", "buffer"])
+                                   np.arange(6.0).reshape(2, 3),
+                                   np.arange(6.0, dtype=np.float32).reshape(2, 3)],
+                             ids=["view", "buffer", "f32-buffer"])
     def test_first_gradient_is_a_fresh_copy(self, g):
         # g may be a read-only broadcast view or a buffer that another
         # node still owns: the grad gets its own, and later ones add to it
@@ -147,6 +149,67 @@ class TestBackward:
         npt.assert_array_equal(x.grad, 2 * before)
         npt.assert_array_equal(g, before)
 
+    def test_owned_buffer_becomes_the_grad(self):
+        # a backward that alone holds a fresh buffer hands it over uncopied;
+        # a later gradient adds into it
+        x = Tensor(np.zeros((2, 3)), requires_grad=True)
+        g = np.arange(6.0, dtype=np.float32).reshape(2, 3)
+        x._accumulate(g, owned=True)
+        assert x.grad is g
+        x._accumulate(np.ones((2, 3), dtype=np.float32), owned=True)
+        npt.assert_array_equal(x.grad, np.arange(6.0).reshape(2, 3) + 1)
+
+    @pytest.mark.parametrize("g", [np.arange(6.0).reshape(2, 3),
+                                   np.arange(6.0, dtype=np.float32).reshape(3, 2).T,
+                                   np.broadcast_to(np.arange(3.0, dtype=np.float32), (2, 3)),
+                                   np.arange(3.0, dtype=np.float32)],
+                             ids=["f64", "transposed", "read-only", "broadcast"])
+    def test_owned_buffer_of_another_layout_is_copied(self, g):
+        # wrong dtype, non-C order, read-only or a broadcast shape: the
+        # first gradient is still one fresh C-ordered copy
+        x = Tensor(np.zeros((2, 3)), requires_grad=True)
+        x._accumulate(g, owned=True)
+        assert not np.shares_memory(x.grad, g)
+        assert x.grad.flags["C_CONTIGUOUS"] and x.grad.dtype == np.float32
+        npt.assert_array_equal(x.grad, np.broadcast_to(g, (2, 3)))
+
+    def test_shared_operands_of_add_and_mul(self, rng):
+        # add and mul pass one g to both parents: when both are the same
+        # tensor, its first gradient must not alias the second
+        data = rng.normal((3, 4))
+        x = Tensor(data, requires_grad=True)
+        ((x + x) * 3.0 + x * x).sum().backward()
+        npt.assert_allclose(x.grad, 6.0 + 2.0 * data, rtol=1e-6)
+        y = Tensor(data, requires_grad=True)
+        z = y * y
+        (z * z).sum().backward()
+        npt.assert_allclose(y.grad, 4.0 * data ** 3, rtol=1e-5)
+        # two leaves of one add get one g: each keeps its own grad
+        a, b = Tensor(data, requires_grad=True), Tensor(data, requires_grad=True)
+        ((a + b) * 2.0).sum().backward()
+        npt.assert_array_equal(a.grad, np.full((3, 4), 2.0))
+        npt.assert_array_equal(b.grad, np.full((3, 4), 2.0))
+        assert not np.shares_memory(a.grad, b.grad)
+
+    def test_handed_over_grads_are_not_shared(self, rng):
+        # a graph through every op that hands over its buffers: no two
+        # tensors on the tape end with grads in the same memory
+        from diffumamba import nnops, ssm
+        p = ssm.init_mamba_block(rng, channels=4, n_state=3)
+        conv = nnops.init_conv(rng, 1, 4, (3, 3, 3))
+        gamma = Tensor(np.ones(4), requires_grad=True)
+        beta = Tensor(np.zeros(4), requires_grad=True)
+        x = Tensor(rng.normal((2, 1, 4, 4, 4)), requires_grad=True)
+        h = nnops.leaky_relu(nnops.instance_norm(nnops.conv3d(x, conv), gamma, beta))
+        out = ssm.mamba_block(h, p) + h
+        loss = (out * out).sum()
+        nodes = T._toposort(loss)
+        loss.backward()
+        grads = [n.grad for n in nodes if n.grad is not None]
+        assert len(grads) > 10
+        for i, gi in enumerate(grads):
+            assert all(not np.shares_memory(gi, gj) for gj in grads[i + 1:])
+
     def test_only_leaves_keep_grads(self, rng):
         x = Tensor(rng.normal((3,)), requires_grad=True)
         w = Tensor(rng.normal((3,)), requires_grad=True)
@@ -156,6 +219,31 @@ class TestBackward:
         npt.assert_allclose(x.grad, w.data * np.exp(x.data * w.data), rtol=1e-6)
         npt.assert_allclose(w.grad, x.data * np.exp(x.data * w.data), rtol=1e-6)
         assert hidden.grad is None and loss.grad is None
+
+
+class TestSoftplus:
+    @pytest.mark.parametrize("dtype, ulps", [(np.float32, 4), (np.float64, 4)],
+                             ids=["f32", "f64"])
+    def test_matches_logaddexp(self, dtype, ulps):
+        x = np.concatenate([np.linspace(-40.0, 40.0, 20001), [0.0, -0.0, 100.0, -100.0]])
+        if dtype == np.float64:
+            x = np.concatenate([x, [1e4, -1e4, 1e300, -1e300]])
+        x = x.astype(dtype)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = T.softplus(Tensor(x, dtype=dtype)).data
+        want = np.logaddexp(np.zeros((), dtype=dtype), x)
+        assert got.dtype == dtype
+        tol = ulps * np.finfo(dtype).eps * np.maximum(np.abs(want), np.finfo(dtype).tiny)
+        assert np.all(np.abs(got - want) <= tol)
+
+    def test_gradient_is_the_sigmoid(self, f64_mode):
+        x = np.array([-1e4, -100.0, -30.0, -1.0, 0.0, 1.0, 30.0, 100.0, 1e4])
+        t = Tensor(x, requires_grad=True)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            T.softplus(t).sum().backward()
+        want = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        npt.assert_allclose(t.grad, want, rtol=1e-15, atol=0)
 
 
 class TestShapeOps:
