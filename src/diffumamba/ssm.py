@@ -151,7 +151,7 @@ def causal_depthwise_conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     (g shifted back by s against the same taps), dw[c, k] is the sum
     over (b, t) of g times the shifted x, and db is the sum of g.
     """
-    bsz, length, ch = x.shape
+    length, ch = x.shape[1:]
     width = weight.shape[1]
     if weight.shape != (ch, width) or bias.shape != (ch,):
         raise ShapeError(f"causal conv shapes x{x.shape} weight{weight.shape} "
