@@ -188,11 +188,12 @@ class PerturbCell:
 def perturbation_grid(model, samples, families, levels, seed=0):
     """DSC per (family, level) with noise at the first residual block.
 
-    Level 1 re-uses the clean forward pass, so that column is bit-equal
-    to the clean evaluation.  The noise-free stem runs once per sample;
-    each noisy cell runs only the rest of the network on its perturbed
-    copy.  Each cell gets a deterministic seed derived from (seed,
-    family, level, sample index).
+    The noise-free stem runs once per sample.  The clean prediction is
+    the rest of the network on that stem, the same arithmetic as
+    ``Network.forward``, so level 1 is bit-equal to the clean
+    evaluation; each noisy cell runs only the rest of the network on its
+    perturbed copy of the stem.  Each cell gets a deterministic seed
+    derived from (seed, family, level, sample index).
     """
     n_classes = model.cfg.n_classes
     noisy = [(family, level) for family in families for level in levels if level != 1]
@@ -204,9 +205,9 @@ def perturbation_grid(model, samples, families, levels, seed=0):
         return evaluate_masks(pred, s.label, n_classes, s.spacing, s.id).mean_dsc()
 
     for idx, s in enumerate(samples):
-        clean_scores.append(score(predict_labels(model, s), s))
         with no_grad():
             stem = model.forward_stem(model_input(model, s))
+            clean_scores.append(score(label_map(model.forward_rest(stem)), s))
             for family, level in noisy:
                 cell_seed = seed * 1_000_003 + hash_u32(f"{family}/{level}/{idx}")
                 h = noise_hook(NoiseSpec(family=family, level=level, seed=cell_seed))(stem)

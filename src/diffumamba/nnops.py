@@ -1,11 +1,13 @@
 """Neural network layers and losses on top of the tensor engine.
 
-3D convolution is a blocked im2col: for each chunk of whole output
-depth planes, the windows of all kernel taps are copied into one
-buffer of about CONV_CHUNK elements and multiplied by the weight
-matrix in one BLAS matmul.  The buffer lives only inside the forward
-or the backward call; backward gathers again rather than caching it,
-which keeps the live graph small.  Instance norm is one tape node with
+3D convolution runs on one flat zero-padded layout: each phase of the
+stride of each sample's padded input is a (C, grid + tail) buffer, so
+the input of every kernel tap for a run of output anchors is a
+contiguous slice.  For each chunk of about CONV_CHUNK gathered
+elements, one strided copy per phase fills the im2col buffer and one
+BLAS matmul writes the output over whole grid planes.  The buffer
+lives only inside the forward or the backward call; backward gathers
+again rather than caching it, which keeps the live graph small.  Instance norm is one tape node with
 a hand-written adjoint, and the rectifiers are max(x, alpha * x)
 without a select.  The segmentation loss is the unweighted sum of soft
 Dice (per class over the whole batch, averaged over foreground
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, exp, log_softmax, make_op, mul, sigmoid
+from .tensor import ShapeError, Tensor, exp, log_softmax, make_op
 
 EPS_NORM = 1e-5       # instance norm variance floor
 EPS_DICE = 1e-5       # soft Dice smooth term
@@ -50,72 +52,176 @@ def conv_output_shape(spatial, kernel, stride, padding):
     return tuple(out)
 
 
-def _plane_chunks(b, do, plane):
-    """(bi, d0, d1) for every chunk of whole output depth planes of every
-    sample: as many planes as keep ``plane`` elements per plane within
-    about CONV_CHUNK, at least one."""
-    per = max(1, CONV_CHUNK // plane)
-    for bi in range(b):
-        for d0 in range(0, do, per):
-            yield bi, d0, min(d0 + per, do)
+def _phases(kernel, stride):
+    """[(phase, taps)] for every phase of the strided grid that a kernel
+    tap reads.  Tap (i, j, k) reads phase (i mod s, j mod s, k mod s) at
+    grid offset (i div s, j div s, k div s); ``taps`` is the (nd, nh, nw)
+    extent of those offsets.  At stride 1 there is one phase holding
+    every tap."""
+    return [(ph, tuple(len(range(a, k, s)) for a, k, s in zip(ph, kernel, stride)))
+            for ph in np.ndindex(*(min(k, s) for k, s in zip(kernel, stride)))]
 
 
-def _pad(a, widths):
-    """Zero-pad the spatial axes of ``a`` by ``widths``; no copy when all are 0."""
-    if not any(widths):
-        return a
-    return np.pad(a, ((0, 0), (0, 0)) + tuple((q, q) for q in widths))
+def _span(n, pad, s, a, reach):
+    """[lo, end) of the grid indices of phase ``a`` of an axis of ``n``
+    voxels that hold input, clipped to ``reach``: grid index t holds
+    input index s*t + a - pad."""
+    lo = max(0, -((a - pad) // s))
+    return lo, max(lo, min(reach, (n - 1 + pad - a) // s + 1))
 
 
-def _gathered(xp, kernel, stride, out_spatial):
-    """(bi, d0, d1, cols) for every chunk of ``_plane_chunks``.
+def _grid(spatial, kernel, stride, padding, out_spatial):
+    """(D, H, W) extents of the flat grid that every phase is laid out in.
 
-    cols is (kd*kh*kw*C_in, n): the window of the padded ``xp`` that each
-    tap meets, for the n output voxels of depth planes [d0, d1) of sample
-    bi.  Rows run tap-major, then input channel.  One buffer serves every
-    chunk and is freed when the generator ends.
+    D is the Do + (kd-1) div s planes that the taps read.  Along H and W
+    a phase holds zeros at [0, lo), input at [lo, end) and zeros up to
+    the pitch, and the taps of the real anchors read [0, reach).  A read
+    past the pitch lands in the next row's leading zeros, so the pitch
+    needs only max(Wo, end, reach - lo): rows share their padding.
     """
-    b, c_in = xp.shape[:2]
-    do, ho, wo = out_spatial
-    rows = c_in * int(np.prod(kernel))
-    sd, sh, sw = stride
-    # (B, kd, kh, kw, C_in, Do, Ho, Wo): every tap's window, as a view
-    windows = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=(2, 3, 4))
-    windows = windows[:, :, ::sd, ::sh, ::sw].transpose(0, 5, 6, 7, 1, 2, 3, 4)
-    plane = rows * ho * wo
-    buf = np.empty(min(do, max(1, CONV_CHUNK // plane)) * plane, dtype=xp.dtype)
-    for bi, d0, d1 in _plane_chunks(b, do, plane):
-        cols = buf[:(d1 - d0) * plane]
-        np.copyto(cols.reshape(kernel + (c_in, d1 - d0, ho, wo)), windows[bi, ..., d0:d1, :, :])
-        yield bi, d0, d1, cols.reshape(rows, -1)
+    dims = [out_spatial[0] + (kernel[0] - 1) // stride[0]]
+    for n, k, s, q, o in list(zip(spatial, kernel, stride, padding, out_spatial))[1:]:
+        need = o
+        for a in range(min(k, s)):
+            reach = o + len(range(a, k, s)) - 1
+            lo, end = _span(n, q, s, a, reach)
+            need = max(need, end, reach - lo)
+        dims.append(need)
+    return tuple(dims)
 
 
-def _correlate(xp, w_mat, kernel, stride, out_spatial, bias=None):
-    """(B, C_out) + out_spatial cross-correlation of the padded ``xp`` with
-    the (C_out, kd*kh*kw*C_in) tap-major ``w_mat``: one GEMM per chunk,
-    written straight into the output."""
-    b, c_out = xp.shape[0], w_mat.shape[0]
-    hw = out_spatial[1] * out_spatial[2]
-    out = np.empty((b, c_out) + tuple(out_spatial), dtype=np.result_type(xp, w_mat))
-    flat = out.reshape(b, c_out, -1)
-    for bi, d0, d1, cols in _gathered(xp, kernel, stride, out_spatial):
-        chunk = flat[bi, :, d0 * hw:d1 * hw]
-        np.matmul(w_mat, cols, out=chunk)
-        if bias is not None:
-            chunk += bias[:, None]
-    return out
+def _phase_slices(spatial, padding, stride, phase, grid):
+    """(grid index, input index) of the input voxels that ``phase``
+    holds within ``grid``."""
+    dst, src = [], []
+    for n, q, s, a, r in zip(spatial, padding, stride, phase, grid):
+        lo, hi = _span(n, q, s, a, r)
+        start = s * lo + a - q
+        dst.append(slice(lo, hi))
+        src.append(slice(start, start + s * (hi - lo), s))
+    return (Ellipsis, *dst), (Ellipsis, *src)
+
+
+def _chunks(b, anchors, rows):
+    """(bi, q0, q1) for every chunk of the first ``anchors`` grid anchors
+    of every sample: as many anchors as keep ``rows`` gathered elements
+    per anchor within about CONV_CHUNK, at least one."""
+    per = max(1, CONV_CHUNK // rows)
+    for bi in range(b):
+        for q0 in range(0, anchors, per):
+            yield bi, q0, min(q0 + per, anchors)
+
+
+def _gathered(src, kernel, stride, grid, anchors):
+    """(bi, q0, cols) for every chunk of ``_chunks`` over ``anchors``.
+
+    ``src`` is a C-contiguous (B, P, C, L): per sample and phase, C flat
+    grids of ``grid``'s (H, W) geometry.  cols is (C*kd*kh*kw, n), its rows in
+    the weight's (channel, tap) order: the row of channel c and tap
+    (i, j, k) holds src[bi, p, c, q0 + m + (i div s)*H*W + (j div s)*W
+    + (k div s)] for the n anchors q0 + m of the chunk, p being phase
+    (i mod s, j mod s, k mod s).  Each phase's rows are one ``copyto``
+    from a strided view whose inner rows are the whole chunk.  One
+    buffer serves every chunk.
+    """
+    b, _, c, length = src.shape
+    es = src.itemsize
+    steps = (grid[1] * grid[2] * es, grid[2] * es, es)
+    phases = _phases(kernel, stride)
+    views = [np.ndarray((b, c) + taps + (anchors,), src.dtype, src, p * length * c * es,
+                        (src.strides[0], src.strides[2]) + steps + (es,))
+             for p, (_, taps) in enumerate(phases)]
+    rows = c * int(np.prod(kernel))
+    buf = np.empty(rows * min(anchors, max(1, CONV_CHUNK // rows)), dtype=src.dtype)
+    for bi, q0, q1 in _chunks(b, anchors, rows):
+        cols = buf[:rows * (q1 - q0)].reshape((c,) + kernel + (-1,))
+        for ((a, bb, cc), _), v in zip(phases, views):
+            np.copyto(cols[:, a::stride[0], bb::stride[1], cc::stride[2]], v[bi, ..., q0:q1])
+        yield bi, q0, cols.reshape(rows, -1)
+
+
+def _correlate(src, w_mat, kernel, stride, grid, out, bias=None):
+    """Fill ``out`` (B, C_out, Do, Ho, Wo) with the correlation of ``src``
+    and the (C_out, C*taps) ``w_mat``.  The GEMM of each chunk writes a
+    sample's output extended over whole grid planes; one (bias-fused)
+    copy per sample keeps the Ho x Wo corner of each plane."""
+    c_out = w_mat.shape[0]
+    _, hr, wr = grid
+    do, ho, wo = out.shape[2:]
+    ext = np.empty((c_out, do * hr * wr), dtype=out.dtype)
+    corner = ext.reshape(c_out, do, hr, wr)[:, :, :ho, :wo]
+    for bi, q0, cols in _gathered(src, kernel, stride, grid, ext.shape[1]):
+        np.matmul(w_mat, cols, out=ext[:, q0:q0 + cols.shape[1]])
+        if q0 + cols.shape[1] < ext.shape[1]:
+            continue
+        if bias is None:
+            np.copyto(out[bi], corner)
+        else:
+            np.add(corner, bias[:, None, None, None], out=out[bi])
+
+
+def _pointwise(x, p, out_spatial):
+    """A 1x1x1 conv without padding: the (strided) input times the
+    weight matrix, with no gather.  The tape keeps ``x.data``."""
+    b, c_in = x.shape[:2]
+    c_out = p.weight.shape[0]
+    sd, sh, sw = p.stride
+    w = p.weight.data.reshape(c_out, c_in)
+    weight, bias = p.weight, p.bias
+
+    def cols():
+        return x.data[:, :, ::sd, ::sh, ::sw].reshape(b, c_in, -1)
+
+    out = np.matmul(w, cols())
+    if bias is not None:
+        out += bias.data[:, None]
+
+    def backward(g):
+        g_flat = g.reshape(b, c_out, -1)
+        if weight.requires_grad:
+            xs = cols()
+            # dWᵀ = x @ gᵀ: BLAS runs this shape about twice as fast as g @ xᵀ
+            dw_t = sum(xs[bi] @ g_flat[bi].T for bi in range(b))
+            weight._accumulate(dw_t.T.reshape(weight.shape))
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(g_flat.sum(axis=(0, 2)))
+        if x.requires_grad:
+            dxs = np.matmul(w.T, g_flat)
+            if p.stride == (1, 1, 1):
+                x._accumulate(dxs.reshape(x.shape), owned=True)
+                return
+            dx = np.zeros_like(x.data)
+            dx[:, :, ::sd, ::sh, ::sw] = dxs.reshape((b, c_in) + tuple(out_spatial))
+            x._accumulate(dx, owned=True)
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return make_op(out.reshape((b, c_out) + tuple(out_spatial)), parents, "conv3d", backward)
 
 
 def conv3d(x: Tensor, p: ConvParams) -> Tensor:
-    """3D cross-correlation with zero padding, as a blocked im2col.
+    """3D cross-correlation with zero padding, on one flat padded layout.
 
-    Each chunk of whole output depth planes gathers all kd*kh*kw tap
-    windows into one buffer and runs one GEMM.  Backward gathers the
-    input again for the weight gradient.  At stride 1 the input gradient
-    is itself a stride-1 correlation: the output gradient, padded by
-    k - 1 - p, against the flipped kernel with C_in and C_out swapped,
-    so it runs through the same kernel.  Strided convs scatter each
-    chunk's Wᵀ @ g into the padded input gradient instead.
+    The zero-padded input is split into the phases of the stride (s^3 of
+    them, one at stride 1), and each phase of each sample is flattened to
+    (C, D'*H'*W' + tail) over one grid (``_grid``): D' = Do + (kd-1) div s
+    planes, and rows and planes that share their border zeros, so W' is
+    W + p rather than W + 2p at stride 1.  The input of tap (i, j, k)
+    for output anchor q = d*H'W' + h*W' + w is then element
+    q + (i div s)*H'W' + (j div s)*W' + (k div s) of phase
+    (i mod s, j mod s, k mod s): the gather of a chunk of anchors is one
+    ``copyto`` per phase whose inner rows are the whole chunk, and one
+    GEMM writes the output extended over whole grid planes.  One
+    bias-fused copy keeps its Do x Ho x Wo voxels.  The tape keeps only
+    the flat buffer.
+
+    Backward places the output gradient once in the same grid, zero on
+    the border columns, and gathers the input again for the weight
+    gradient.  At stride 1 (with padding < kernel) the input gradient is
+    the same correlation, run on that gradient buffer behind a front
+    margin, against the flipped kernel with C_in and C_out swapped.
+    Otherwise the GEMM's transpose adds each tap's rows back into the
+    flat buffer's gradient as contiguous slices.  A 1x1x1 conv without
+    padding skips the gather and multiplies the input directly.
     """
     if x.ndim != 5:
         raise ShapeError(f"conv3d expects (B,C,D,H,W), got {x.shape}")
@@ -123,47 +229,69 @@ def conv3d(x: Tensor, p: ConvParams) -> Tensor:
     if x.shape[1] != c_in:
         raise ShapeError(f"conv3d channel mismatch: input has {x.shape[1]}, weight expects {c_in}")
     b, spatial = x.shape[0], x.shape[2:]
-    kernel = (kd, kh, kw)
-    out_spatial = conv_output_shape(spatial, kernel, p.stride, p.padding)
+    kernel, stride, padding = (kd, kh, kw), tuple(p.stride), tuple(p.padding)
+    out_spatial = conv_output_shape(spatial, kernel, stride, padding)
+    if kernel == (1, 1, 1) and not any(padding):
+        return _pointwise(x, p, out_spatial)
     do, ho, wo = out_spatial
-    pd, ph, pw = p.padding
-    xp = _pad(x.data, p.padding)
-    w_mat = p.weight.data.transpose(0, 2, 3, 4, 1).reshape(c_out, -1)
+    phases = _phases(kernel, stride)
+    grid = _grid(spatial, kernel, stride, padding, out_spatial)
+    plane, pitch = grid[1] * grid[2], grid[2]
+    size = grid[0] * plane
+    # the farthest in-plane tap offset: the tail past the last grid plane
+    tail = (kh - 1) // stride[1] * pitch + (kw - 1) // stride[2]
+    slices = [_phase_slices(spatial, padding, stride, ph, grid) for ph, _ in phases]
+    xp = np.zeros((b, len(phases), c_in, size + tail), dtype=x.dtype)
+    for n, (dst, src) in enumerate(slices):
+        xp[:, n, :, :size].reshape((b, c_in) + grid)[dst] = x.data[src]
+    w_mat = p.weight.data.reshape(c_out, -1)
     weight, bias = p.weight, p.bias
-    out = _correlate(xp, w_mat, kernel, p.stride, out_spatial,
-                     None if bias is None else bias.data)
+    out = np.empty((b, c_out) + out_spatial, dtype=np.result_type(xp, w_mat))
+    _correlate(xp, w_mat, kernel, stride, grid, out, None if bias is None else bias.data)
     # the flipped-kernel adjoint needs a padding k - 1 - p >= 0
-    flip = p.stride == (1, 1, 1) and all(q < k for q, k in zip(p.padding, kernel))
+    flip = stride == (1, 1, 1) and all(q < k for q, k in zip(padding, kernel))
 
     def backward(g):
-        g_flat = g.reshape(b, c_out, -1)
-        hw = ho * wo
+        # g in the grid, after a front margin that aligns the flipped
+        # kernel's taps with dx: g[q] meets dx[q + margin - offset(tap)]
+        margin = sum((k - 1 - q) * m for k, q, m in zip(kernel, padding, (plane, pitch, 1))) \
+            if flip else 0
+        # the flipped taps of the last dx anchor reach (D + kd - 1) planes
+        length = max((spatial[0] + kd - 1) * plane + (kh - 1) * pitch + kw - 1,
+                     margin + do * plane) if flip else do * plane
+        gp = np.zeros((b, 1, c_out, length), dtype=g.dtype)
+        g_at = gp[:, 0, :, margin:margin + do * plane]       # g at the forward anchors
+        g_at.reshape(b, c_out, do, grid[1], pitch)[:, :, :, :ho, :wo] = g
         if weight.requires_grad:
             # dWᵀ = cols @ gᵀ: BLAS runs this shape about twice as fast as g @ colsᵀ
             dw_t = np.zeros(w_mat.shape[::-1], dtype=g.dtype)
-            for bi, d0, d1, cols in _gathered(xp, kernel, p.stride, out_spatial):
-                dw_t += cols @ g_flat[bi, :, d0 * hw:d1 * hw].T
-            weight._accumulate(dw_t.T.reshape(c_out, kd, kh, kw, c_in).transpose(0, 4, 1, 2, 3))
+            for bi, q0, cols in _gathered(xp, kernel, stride, grid, do * plane):
+                dw_t += cols @ g_at[bi, :, q0:q0 + cols.shape[1]].T
+            weight._accumulate(dw_t.T.reshape(weight.shape))
         if bias is not None and bias.requires_grad:
-            bias._accumulate(g_flat.sum(axis=(0, 2)))
+            bias._accumulate(g.sum(axis=(0, 2, 3, 4)))
         if not x.requires_grad:
             return
         if flip:
-            gp = _pad(g, tuple(k - 1 - q for k, q in zip(kernel, p.padding)))
-            w_flip = w_mat.reshape(c_out, kd, kh, kw, c_in)[:, ::-1, ::-1, ::-1]
-            w_flip = w_flip.transpose(4, 1, 2, 3, 0).reshape(c_in, -1)
-            x._accumulate(_correlate(gp, w_flip, kernel, (1, 1, 1), spatial), owned=True)
+            w_flip = weight.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4).reshape(c_in, -1)
+            dx = np.empty(x.shape, dtype=g.dtype)
+            _correlate(gp, w_flip, kernel, (1, 1, 1), grid, dx)
+            x._accumulate(dx, owned=True)
             return
-        sd, sh, sw = p.stride
         dxp = np.zeros_like(xp)
-        for bi, d0, d1 in _plane_chunks(b, do, w_mat.shape[1] * hw):
-            dcols = (w_mat.T @ g_flat[bi, :, d0 * hw:d1 * hw]).reshape(
-                kernel + (c_in, d1 - d0, ho, wo))
-            for i, j, k in np.ndindex(kernel):
-                dxp[bi, :, d0 * sd + i:d1 * sd + i:sd, j:j + ho * sh:sh,
-                    k:k + wo * sw:sw] += dcols[i, j, k]
-        x._accumulate(dxp[:, :, pd:pd + spatial[0], ph:ph + spatial[1], pw:pw + spatial[2]],
-                      owned=True)
+        rows = w_mat.shape[1]
+        for bi, q0, q1 in _chunks(b, do * plane, rows):
+            n = q1 - q0
+            dcols = (w_mat.T @ g_at[bi, :, q0:q0 + n]).reshape((c_in,) + kernel + (n,))
+            for ph, ((a, bb, c), taps) in enumerate(phases):
+                for i, j, k in np.ndindex(taps):
+                    off = q0 + i * plane + j * pitch + k
+                    dxp[bi, ph, :, off:off + n] += dcols[:, a + i * stride[0], bb + j * stride[1],
+                                                         c + k * stride[2]]
+        dx = np.zeros(x.shape, dtype=g.dtype)
+        for n, (dst, src) in enumerate(slices):
+            dx[src] = dxp[:, n, :, :size].reshape((b, c_in) + grid)[dst]
+        x._accumulate(dx, owned=True)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return make_op(out, parents, "conv3d", backward)
@@ -289,7 +417,25 @@ def relu(x: Tensor) -> Tensor:
 
 
 def silu(x: Tensor) -> Tensor:
-    return mul(x, sigmoid(x))
+    """x * sigmoid(x) as one tape node, with sigmoid(x) = 1 / (1 + e^-x)
+    from one ``exp`` (e^-x overflowing to inf gives sigmoid 0, not a
+    select).  The tape keeps sigmoid(x); backward is
+    g * sigmoid * (1 + x * (1 - sigmoid))."""
+    with np.errstate(over="ignore"):
+        sig = np.exp(-x.data)
+    sig += 1.0
+    np.reciprocal(sig, out=sig)
+    out = x.data * sig
+
+    def backward(g):
+        dx = np.subtract(1.0, sig)
+        dx *= x.data
+        dx += 1.0
+        dx *= sig
+        dx *= g
+        x._accumulate(dx, owned=True)
+
+    return make_op(out, (x,), "silu", backward)
 
 
 def softmax(x: Tensor, axis: int) -> Tensor:

@@ -37,7 +37,7 @@ from .analysis import kmeans_silhouette, pearson
 from .metrics import dsc_iou, hd95, surface_voxels
 from .network import ModelConfig, Network, copy_shared_weights
 from .nnops import conv3d, init_conv, instance_norm, leaky_relu
-from .ssm import PHI_SERIES_CUTOFF, init_mamba_block, mamba_block, selective_scan_t
+from .ssm import init_mamba_block, mamba_block, selective_scan_t
 from .tensor import Rng, ShapeError, Tensor, no_grad
 
 # ----------------------------------------------------------------------
@@ -129,10 +129,10 @@ def zoh_discretize(a, b, delta):
     """Zero-order-hold discretization of a diagonal system.
 
     Abar = exp(delta a), Bbar = delta b phi(delta a) with
-    phi(u) = expm1(u) / u, and 1 + u/2 below ``PHI_SERIES_CUTOFF``
-    (exact at a = 0).  ``expm1`` keeps this route independent of the
-    production scan, which forms exp(u) - 1.  Broadcasts over any common
-    shape of ``a``, ``b``, ``delta``; raises on nonpositive delta.
+    phi(u) = expm1(u) / u, and 1 at u = 0 (exact at a = 0).  This route
+    is independent of the production scan: a global convolution with
+    the kernel, not a recurrence.  Broadcasts over any common shape of
+    ``a``, ``b``, ``delta``; raises on nonpositive delta.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -140,8 +140,8 @@ def zoh_discretize(a, b, delta):
     if np.any(delta <= 0):
         raise ValueError("zoh_discretize: timescale delta must be positive")
     u = delta * a
-    small = np.abs(u) < PHI_SERIES_CUTOFF
-    phi = np.where(small, 1.0 + u / 2.0, np.expm1(u) / np.where(small, 1.0, u))
+    zero = u == 0
+    phi = np.where(zero, 1.0, np.expm1(u) / np.where(zero, 1.0, u))
     return np.exp(u), delta * b * phi
 
 

@@ -7,23 +7,26 @@ discretized with a zero-order hold at timescale delta:
     Bbar = (delta * A)^-1 (exp(delta * A) - I) * delta * B
 
 A is diagonal throughout, so both expressions are elementwise.  Bbar is
-computed via phi(u) = (e^u - 1)/u with a second-order series fallback
-phi(u) ~= 1 + u/2 for |u| < 1e-4, which also covers the a = 0 limit
-(Abar = 1, Bbar = delta * b) exactly.
+computed via phi(u) = (e^u - 1)/u, taken as expm1(u)/u (1 at u = 0,
+the a = 0 limit Abar = 1, Bbar = delta * b), with e^u = 1 + expm1(u)
+from the same pass.  The scan's adjoint needs phi'(u) = (e^u - phi)/u,
+which cancels for small |u|; below PHI_SERIES_CUTOFF it is a Taylor
+series instead.
 
 The mamba block runs the input-dependent (selective) recurrence as one
 fused tape op, ``selective_scan_t``, with a hand-written reverse-scan
 adjoint.  It works in a state-major (L, B, N, C) layout, so its
 full-size elementwise passes run along the channel axis and its
 contractions over N and C are matmuls, and its tape keeps only
-u = dt * a, the states and the series-branch mask.  Its independent
-check, the LTI global-convolution kernel with its own ``expm1``-based
-discretization, lives in ``oracles``.  The causal depthwise conv ahead
-of the scan is one tape node as well.
+u = dt * a and the states.  Its independent check, the LTI
+global-convolution kernel with its own discretization, lives in
+``oracles``.  The causal depthwise conv ahead of the scan is one tape
+node as well.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,23 +35,43 @@ from . import tensor as T
 from .nnops import init_linear, silu
 from .tensor import Tensor, ShapeError, exp, softplus
 
-PHI_SERIES_CUTOFF = 1e-4
+PHI_SERIES_CUTOFF = 2e-2   # |u| below which phi' is a Taylor series
 
 
 # ----------------------------------------------------------------------
 # selective scan as one fused tape op
 
 
-def _phi(e, u, small):
-    """phi(u) = (e^u - 1)/u from e = exp(u), with 1 + u/2 where ``small``
-    (|u| below the cutoff, u = 0 included; None when there is none)."""
-    # exp(u) - 1 rather than expm1 keeps f64 results equal to the taped oracle
+def _exp_phi(u):
+    """(e^u, phi(u)) from one ``expm1`` pass: phi = expm1(u)/u, accurate
+    to a few ulps at every u != 0, and 1 at u = 0."""
+    phi = np.expm1(u)
+    e = phi + 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        phi = np.subtract(e, 1.0)
         phi /= u
-    if small is not None:
-        phi[small] = u[small] * 0.5 + 1.0
-    return phi
+    zero = u == 0
+    if zero.any():
+        phi[zero] = 1.0
+    return e, phi
+
+
+def _dphi(e, phi, u):
+    """phi'(u) = (e - phi)/u, and its Taylor series
+    sum_m m u^(m-1)/(m+1)! through u^7 where |u| < PHI_SERIES_CUTOFF:
+    there the difference would cancel (in f32 it loses up to 2.5e-4
+    relative at |u| = 1e-3), while the series is exact to f64 precision."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.subtract(e, phi)
+        d /= u
+    small = np.flatnonzero(np.abs(u) < PHI_SERIES_CUTOFF)     # take and put beat a mask
+    if small.size:
+        us = u.reshape(-1).take(small)
+        series = np.zeros_like(us)
+        for m in range(8, 0, -1):
+            series *= us
+            series += m / math.factorial(m + 1)
+        d.reshape(-1).put(small, series)
+    return d
 
 
 def _blc(arr):
@@ -68,9 +91,9 @@ def selective_scan_t(x: Tensor, dt: Tensor, b_sel: Tensor, c_sel: Tensor, a: Ten
     copied once into token-major order, so every full-size elementwise
     pass has the channel axis innermost, and the contractions over N and
     C (y and the x, b, c gradients) are matmuls.  Only the two-op
-    recurrence loops over tokens.  The tape keeps u, the states h and
-    the series-branch mask of the full-size arrays; backward recomputes
-    exp(u) and phi, runs the adjoint recurrence
+    recurrence loops over tokens.  The tape keeps u and the states h of
+    the full-size arrays; backward recomputes exp(u) and phi from one
+    ``expm1`` pass, runs the adjoint recurrence
     dh_t = g_t c_t + exp(u_{t+1}) dh_{t+1} in reverse and then forms all
     five input gradients at once.
     """
@@ -86,10 +109,7 @@ def selective_scan_t(x: Tensor, dt: Tensor, b_sel: Tensor, c_sel: Tensor, a: Ten
     cs = _blc(c_sel.data)                                  # (L, B, N)
     a_t = np.ascontiguousarray(a.data.T)                   # (N, C)
     u = ds[:, :, None, :] * a_t                            # (L, B, N, C)
-    small = np.abs(u) < PHI_SERIES_CUTOFF
-    small = small if small.any() else None                 # kept only if some |u| is small
-    e = np.exp(u)
-    hs = _phi(e, u, small)                                 # dt phi b x, built in place
+    e, hs = _exp_phi(u)                                    # hs: dt phi b x, built in place
     hs *= (ds * xs)[:, :, None, :]
     hs *= bs[..., None]
     h_t, e_t = list(hs), list(e)
@@ -99,9 +119,9 @@ def selective_scan_t(x: Tensor, dt: Tensor, b_sel: Tensor, c_sel: Tensor, a: Ten
     y = np.matmul(cs[:, :, None, :], hs)[:, :, 0].swapaxes(0, 1)
 
     def backward(g):
-        # the closure holds u, hs and the mask; the rest is laid out again
+        # the closure holds u and hs; the rest is laid out again
         xs, ds, bs, cs, gs = (_blc(v) for v in (x.data, dt.data, b_sel.data, c_sel.data, g))
-        e = np.exp(u)
+        e, phi = _exp_phi(u)
         dh = cs[..., None] * gs[:, :, None, :]             # g_t c_t, then the adjoint
         step = np.empty_like(dh[0])
         dh_t, e_t = list(dh), list(e)
@@ -110,14 +130,8 @@ def selective_scan_t(x: Tensor, dt: Tensor, b_sel: Tensor, c_sel: Tensor, a: Ten
             np.add(dh_t[t], step, out=dh_t[t])
         if c_sel.requires_grad:
             c_sel._accumulate(_blc(np.matmul(hs, gs[..., None])[..., 0]), owned=True)
-        phi = _phi(e, u, small)
-        # du = dh (b dt x phi'(u) + exp(u_t) h_{t-1}), with
-        # phi'(u) = (e - phi)/u, and 1/2 on the series branch
-        with np.errstate(divide="ignore", invalid="ignore"):
-            du = np.subtract(e, phi)
-            du /= u
-        if small is not None:
-            du[small] = 0.5
+        # du = dh (b dt x phi'(u) + exp(u_t) h_{t-1})
+        du = _dphi(e, phi, u)
         dsx = ds * xs
         du *= dsx[:, :, None, :]
         du *= bs[..., None]

@@ -162,6 +162,22 @@ class TestEvaluateAndPerturb:
         assert clean[0].mean_dsc == clean[1].mean_dsc    # same clean pass reused
         assert all(c.mean_perturbation == 0.0 for c in clean)
 
+    def test_one_stem_per_sample(self, monkeypatch):
+        # the clean prediction reuses the stem the noisy cells start from,
+        # and its cell is bit-equal to the clean evaluation
+        model, samples = _tiny_model_and_samples()
+        calls = []
+        stem, forward = model.forward_stem, model.forward
+        monkeypatch.setattr(model, "forward_stem", lambda x: calls.append("stem") or stem(x))
+        monkeypatch.setattr(model, "forward", lambda *a, **k: calls.append("forward") or
+                            forward(*a, **k))
+        cells = perturbation_grid(model, samples, ["gaussian", "speckle"], [1, 3], seed=2)
+        assert calls == ["stem"] * len(samples)
+        monkeypatch.undo()
+        report = evaluate_model(model, samples)
+        clean = float(np.mean([sm.mean_dsc() for sm in report.samples]))
+        assert all(c.mean_dsc == clean for c in cells if c.level == 1)
+
     def test_noisy_cells_match_hooked_forward(self):
         # the grid runs one clean stem per sample; a full forward with the
         # hook at the first block gives the same cells bit for bit

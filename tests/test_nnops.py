@@ -160,11 +160,17 @@ class TestConv3dAgainstIm2col:
         (2, 4, (2, 2, 2), 4, 3, 2, 1),      # 2^3 bottleneck, strided
         (2, 3, (5, 6, 7), 4, 3, 2, 1),      # odd non-cubic extent
         (2, 3, (5, 6, 7), 4, 1, 2, 0),
-        # 4-plane chunks over 11 output planes: 4 + 4 + 3
-        (2, 4, (11, 24, 24), 3, 3, 1, 1),
+        (2, 3, (6, 1, 5), 4, 3, 1, 1),      # H = 1: rows of one voxel's padding
+        (2, 2, (5, 6, 1), 3, 3, 2, 1),      # W = 1, strided: a pitch of 1
+        (3, 3, (7, 5, 9), 4, 3, 2, 1),      # strided, odd extents, B = 3
+        (2, 3, (5, 6, 7), 4, 3, 1, 3),      # padding = k: the transposed input adjoint
+        (2, 2, (6, 6, 6), 3, 4, 2, 1),      # even kernel: phases of unequal tap counts
+        # several chunks of anchors per sample, the last one partial
+        (2, 4, (11, 24, 24), 3, 3, 1, 1),   # 2427 + 2427 + 2021 anchors
         (2, 4, (22, 48, 48), 3, 3, 2, 1),   # strided, the same 11 output planes
-        (2, 1, (20, 32, 32), 8, 3, 1, 1),   # C_in = 1 stem, 9-plane chunks: 9 + 9 + 2
-        (2, 16, (10, 14, 14), 4, 3, 1, 0),  # C_in = 16 without padding: 2 chunks
+        (2, 1, (20, 32, 32), 8, 3, 1, 1),   # C_in = 1 stem: 9709 + 9709 + 2362
+        (2, 16, (10, 14, 14), 4, 3, 1, 0),  # C_in = 16 without padding: 606 + 606 + 356
+        (1, 2, (9, 30, 30), 3, 3, 1, 1),    # 4854 + 3795: the last taps read the tail
     ]
 
     @staticmethod
@@ -195,13 +201,37 @@ class TestConv3dAgainstIm2col:
             err = np.abs(a - e).max() / np.abs(e).max()
             assert err < tol, f"{name}: relative error {err:.2e}"
 
+    @staticmethod
+    def _layout(case):
+        """(grid, anchors per sample, gathered rows) of a case's flat layout."""
+        _, c_in, spatial, _, k, stride, padding = case
+        geometry = ((k,) * 3, (stride,) * 3, (padding,) * 3)
+        out = conv_output_shape(spatial, *geometry)
+        grid = nnops._grid(spatial, *geometry, out)
+        return grid, out[0] * grid[1] * grid[2], c_in * k ** 3
+
     def test_cases_span_several_chunks(self):
-        # the last four cases each run several chunks, the first three
-        # of them ending on a partial one
-        for i, (_, c_in, spatial, _, k, stride, padding) in enumerate(self.CASES[-4:]):
-            do, ho, wo = conv_output_shape(spatial, (k,) * 3, (stride,) * 3, (padding,) * 3)
-            planes = [d1 - d0 for _, d0, d1 in nnops._plane_chunks(1, do, k ** 3 * c_in * ho * wo)]
-            assert len(planes) > 1 and (i == 3 or planes[-1] < planes[0])
+        # the last five cases each run several chunks of a sample's
+        # anchors, ending on a partial one
+        for case in self.CASES[-5:]:
+            _, anchors, rows = self._layout(case)
+            sizes = [q1 - q0 for _, q0, q1 in nnops._chunks(1, anchors, rows)]
+            assert len(sizes) > 1 and 0 < sizes[-1] < sizes[0], case
+            assert sum(sizes) == anchors
+
+    def test_last_taps_read_the_tail(self):
+        # with same padding the rows share their border zeros, so the
+        # farthest tap of the last real anchor reads past the last grid
+        # plane, into the tail, from the last of several chunks
+        case = self.CASES[-1]
+        (dr, hr, wr), anchors, rows = self._layout(case)
+        spatial, k = case[2], case[4]
+        last = (spatial[0] - 1) * hr * wr + (spatial[1] - 1) * wr + spatial[2] - 1
+        farthest = last + (k - 1) * (hr * wr + wr + 1)
+        tail = (k - 1) * wr + k - 1
+        assert dr * hr * wr <= farthest < dr * hr * wr + tail
+        chunks = list(nnops._chunks(1, anchors, rows))
+        assert len(chunks) > 1 and chunks[-1][1] <= last < chunks[-1][2]
 
     def test_gradients_f64_multi_chunk(self, f64_mode):
         r = Rng(6, "conv64chunks")
@@ -402,6 +432,35 @@ class TestActivations:
         x = rng.normal((10,), dtype=np.float64)
         out = silu(Tensor(x, dtype=np.float64))
         npt.assert_allclose(out.data, x / (1 + np.exp(-x)), rtol=1e-10)
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+    def test_silu_matches_composition(self, dtype, tol):
+        # the one-node silu against its oracle, x * sigmoid(x) on the tape,
+        # out to where e^-x overflows
+        v = Rng(14, "silu").normal((4, 50), dtype=np.float64) * 8
+        v[0, :4] = [-120.0, -800.0, 120.0, 0.0]
+        g = Rng(15, "silu-g").normal(v.shape, dtype=np.float64)
+        results = []
+        for act in (silu, lambda t: T.mul(t, T.sigmoid(t))):
+            x = Tensor(v, requires_grad=True, dtype=dtype)
+            with np.errstate(over="raise", invalid="raise"):
+                y = act(x)
+                (y * Tensor(g, dtype=dtype)).sum().backward()
+            results.append((y.data, x.grad))
+        for got, want in zip(*results):
+            assert got.dtype == dtype
+            npt.assert_allclose(got, want, rtol=tol, atol=tol * np.abs(want).max())
+
+    def test_silu_one_tape_node(self, rng):
+        x = Tensor(rng.normal((2, 3, 4)), requires_grad=True)
+        y = silu(x)
+        assert y._parents == (x,)
+        assert sum(n._backward_fn is not None for n in T._toposort(y)) == 1
+
+    def test_silu_gradients_f64(self, f64_mode):
+        x = Tensor(Rng(16, "silu64").normal((2, 3, 4, 5)) * 3, requires_grad=True)
+        rel, _ = finite_difference_check(lambda: silu(x), [x], rel_tol=1e-6, seed=11)
+        assert rel < 1e-6
 
     def test_softmax_symmetry(self):
         out = softmax(Tensor([0.0, 0.0]), axis=0)

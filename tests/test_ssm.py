@@ -1,9 +1,11 @@
+import math
 import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from diffumamba import ssm
 from diffumamba import tensor as T
 from diffumamba.nnops import silu
 from diffumamba.oracles import (finite_difference_check, kernel_apply, lti_scan,
@@ -12,6 +14,25 @@ from diffumamba.ssm import (PHI_SERIES_CUTOFF, causal_depthwise_conv1d,
                             init_mamba_block, mamba_block, mamba_param_count,
                             selective_scan_t, _token_layer_norm)
 from diffumamba.tensor import Rng, Tensor
+
+
+def taped_expm1(u):
+    """expm1 as a tape op: the oracle forms e^u and phi from it, as the
+    fused scan does."""
+    em1 = np.expm1(u.data)
+    return T.make_op(em1, (u,), "expm1", lambda g: u._accumulate(g * (em1 + 1.0)))
+
+
+def taped_phi(u, em1):
+    """phi(u) = expm1(u)/u on the tape, and its Taylor series through u^8
+    below the cutoff, so that autodiff gives phi' the same series branch
+    as the fused scan."""
+    small = np.abs(u.data) < PHI_SERIES_CUTOFF
+    # coefficients 1/(m+1)! in u's dtype: a bare float would take the default
+    series = Tensor(1.0 / math.factorial(9), dtype=u.dtype)
+    for m in range(7, -1, -1):
+        series = series * u + Tensor(1.0 / math.factorial(m + 1), dtype=u.dtype)
+    return T.where(small, series, em1 / T.where(small, 1.0, u))
 
 
 def taped_selective_scan(x, dt, b_sel, c_sel, a):
@@ -28,9 +49,8 @@ def taped_selective_scan(x, dt, b_sel, c_sel, a):
         b_t = b_sel.narrow(1, t, 1).reshape((bsz, 1, n))
         c_t = c_sel.narrow(1, t, 1).reshape((bsz, 1, n))
         u = d_t * a_r
-        small = np.abs(u.data) < PHI_SERIES_CUTOFF
-        phi = T.where(small, u * 0.5 + 1.0, (T.exp(u) - 1.0) / T.where(small, 1.0, u))
-        h = T.exp(u) * h + (d_t * phi) * b_t * x_t
+        em1 = taped_expm1(u)
+        h = (em1 + 1.0) * h + (d_t * taped_phi(u, em1)) * b_t * x_t
         ys.append((h * c_t).sum(axis=2).reshape((bsz, 1, ch)))
     return T.concat(ys, axis=1)
 
@@ -65,7 +85,7 @@ def hand_selective_scan(x, dt, b_sel, c_sel, a):
             h = np.zeros(a.shape[1])
             for t in range(L):
                 u = dt[bi, t, ch] * a[ch]
-                phi = np.where(np.abs(u) < 1e-4, 1 + u / 2, np.expm1(u) / u)
+                phi = np.where(u == 0, 1.0, np.expm1(u) / np.where(u == 0, 1.0, u))
                 h = np.exp(u) * h + dt[bi, t, ch] * phi * b_sel[bi, t] * x[bi, t, ch]
                 y[bi, t, ch] = h @ c_sel[bi, t]
     return y
@@ -114,7 +134,8 @@ class TestZohDiscretize:
             zoh_discretize(-1.0, 1.0, 0.0)
 
     def test_series_matches_exact_at_cutoff(self):
-        # continuity across the |u| = 1e-4 branch switch
+        # expm1(u)/u on both sides of |u| = 1e-4, where a 1 + u/2 branch
+        # used to switch in
         for u in (9.9e-5, 1.01e-4):
             abar, bbar = zoh_discretize(-1.0, 1.0, u)
             expect = u * (np.expm1(-u)) / (-u)
@@ -241,6 +262,33 @@ class TestSelectiveScanTape:
         rel, _ = finite_difference_check(lambda: selective_scan_t(x, dt, bs, cs, a),
                                          [x, dt, bs, cs, a], rel_tol=1e-6, seed=5)
         assert rel < 1e-6
+
+
+class TestPhi:
+    """phi(u) = expm1(u)/u and phi'(u) as the fused scan forms them."""
+
+    def test_f32_against_f64_expm1(self):
+        # a log grid of |u| over [1e-7, 1], both signs: f32 (e - phi)/u
+        # cancels just above the series cutoff unless the series covers it
+        mag = np.exp(np.linspace(np.log(1e-7), 0.0, 4001))
+        u64 = np.concatenate([-mag, mag])
+        phi_ref = np.expm1(u64) / u64
+        dphi_ref = (np.exp(u64) - phi_ref) / u64      # f64: within 3e-9 here
+        u = u64.astype(np.float32)
+        e, phi = ssm._exp_phi(u)
+        dphi = ssm._dphi(e, phi, u)
+        assert phi.dtype == dphi.dtype == np.float32
+        assert np.abs(phi / phi_ref - 1).max() < 1e-6
+        assert np.abs(dphi / dphi_ref - 1).max() < 1e-4
+        assert np.abs(e / np.exp(u64) - 1).max() < 1e-6
+
+    def test_zero_is_the_limit(self):
+        for dtype in (np.float32, np.float64):
+            u = np.array([0.0, -0.0], dtype=dtype)
+            e, phi = ssm._exp_phi(u)
+            npt.assert_array_equal(e, 1.0)
+            npt.assert_array_equal(phi, 1.0)
+            npt.assert_array_equal(ssm._dphi(e, phi, u), 0.5)
 
 
 class TestSelectiveScanFused:
