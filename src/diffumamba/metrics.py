@@ -192,8 +192,11 @@ def perturbation_grid(model, samples, families, levels, seed=0):
     the rest of the network on that stem, the same arithmetic as
     ``Network.forward``, so level 1 is bit-equal to the clean
     evaluation; each noisy cell runs only the rest of the network on its
-    perturbed copy of the stem.  Each cell gets a deterministic seed
-    derived from (seed, family, level, sample index).
+    perturbed copy of the stem.  A cell is scored by its mean
+    foreground DSC alone, the per-class ``dsc_iou`` values through
+    ``np.mean`` as in ``SampleMetrics.mean_dsc``: no HD95 is computed.
+    Each cell gets a deterministic seed derived from (seed, family,
+    level, sample index).
     """
     n_classes = model.cfg.n_classes
     noisy = [(family, level) for family in families for level in levels if level != 1]
@@ -202,7 +205,9 @@ def perturbation_grid(model, samples, families, levels, seed=0):
     mags = {cell: [] for cell in noisy}
 
     def score(pred, s):
-        return evaluate_masks(pred, s.label, n_classes, s.spacing, s.id).mean_dsc()
+        # SampleMetrics.mean_dsc's arithmetic, without the HD95 the grid never reads
+        return float(np.mean([dsc_iou(pred == cls, s.label == cls)[0]
+                              for cls in range(1, n_classes)]))
 
     for idx, s in enumerate(samples):
         with no_grad():

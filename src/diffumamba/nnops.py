@@ -5,13 +5,17 @@ stride of each sample's padded input is a (C, grid + tail) buffer, so
 the input of every kernel tap for a run of output anchors is a
 contiguous slice.  For each chunk of about CONV_CHUNK gathered
 elements, one strided copy per phase fills the im2col buffer and one
-BLAS matmul writes the output over whole grid planes.  The buffer
-lives only inside the forward or the backward call; backward gathers
-again rather than caching it, which keeps the live graph small.  Instance norm is one tape node with
-a hand-written adjoint, and the rectifiers are max(x, alpha * x)
-without a select.  The segmentation loss is the unweighted sum of soft
-Dice (per class over the whole batch, averaged over foreground
-classes) and mean voxel cross-entropy.
+BLAS matmul writes the output over whole grid planes.  A stride-1
+correlation with fewer output rows than input channels gathers
+nothing: it multiplies the stacked weight rows of each depth tap with
+contiguous slices of the buffer and adds the products back shifted.
+The buffers live only inside the forward or the backward call;
+backward gathers again rather than caching them, which keeps the live
+graph small.  Instance norm is one tape node with a hand-written
+adjoint, and the rectifiers are max(x, alpha * x) without a select.
+The segmentation loss is the unweighted sum of soft Dice (per class
+over the whole batch, averaged over foreground classes) and mean voxel
+cross-entropy.
 """
 
 from __future__ import annotations
@@ -104,8 +108,9 @@ def _phase_slices(spatial, padding, stride, phase, grid):
 
 def _chunks(b, anchors, rows):
     """(bi, q0, q1) for every chunk of the first ``anchors`` grid anchors
-    of every sample: as many anchors as keep ``rows`` gathered elements
-    per anchor within about CONV_CHUNK, at least one."""
+    of every sample: as many anchors as keep ``rows`` elements per
+    anchor (gathered, or of a stacked product) within about CONV_CHUNK,
+    at least one."""
     per = max(1, CONV_CHUNK // rows)
     for bi in range(b):
         for q0 in range(0, anchors, per):
@@ -142,22 +147,71 @@ def _gathered(src, kernel, stride, grid, anchors):
 
 def _correlate(src, w_mat, kernel, stride, grid, out, bias=None):
     """Fill ``out`` (B, C_out, Do, Ho, Wo) with the correlation of ``src``
-    and the (C_out, C*taps) ``w_mat``.  The GEMM of each chunk writes a
-    sample's output extended over whole grid planes; one (bias-fused)
+    and the (C_out, C*taps) ``w_mat``.  Each sample's output is built
+    extended over whole grid planes, a block of anchors at a time, by
+    ``_output_side`` for a stride-1 conv with fewer output rows than
+    input channels and by ``_input_side`` otherwise; one (bias-fused)
     copy per sample keeps the Ho x Wo corner of each plane."""
     c_out = w_mat.shape[0]
     _, hr, wr = grid
     do, ho, wo = out.shape[2:]
     ext = np.empty((c_out, do * hr * wr), dtype=out.dtype)
     corner = ext.reshape(c_out, do, hr, wr)[:, :, :ho, :wo]
-    for bi, q0, cols in _gathered(src, kernel, stride, grid, ext.shape[1]):
-        np.matmul(w_mat, cols, out=ext[:, q0:q0 + cols.shape[1]])
-        if q0 + cols.shape[1] < ext.shape[1]:
+    if stride == (1, 1, 1) and c_out < src.shape[2]:
+        blocks = _output_side(src, w_mat, kernel, grid, ext)
+    else:
+        blocks = _input_side(src, w_mat, kernel, stride, grid, ext)
+    for bi, q1 in blocks:
+        if q1 < ext.shape[1]:
             continue
         if bias is None:
             np.copyto(out[bi], corner)
         else:
             np.add(corner, bias[:, None, None, None], out=out[bi])
+
+
+def _input_side(src, w_mat, kernel, stride, grid, ext):
+    """For every chunk of ``_gathered``, one GEMM of ``w_mat`` and the
+    gathered columns into ``ext``; yields (bi, q1) once ext[:, :q1] of
+    sample bi is filled."""
+    for bi, q0, cols in _gathered(src, kernel, stride, grid, ext.shape[1]):
+        q1 = q0 + cols.shape[1]
+        np.matmul(w_mat, cols, out=ext[:, q0:q1])
+        yield bi, q1
+
+
+def _output_side(src, w_mat, kernel, grid, ext):
+    """The stride-1 correlation without a gather, as ``_input_side``
+    yields it.  For a block of n anchors from q0 and each depth tap i,
+    one GEMM multiplies the (kh*kw*C_out, C) weight of that tap's plane
+    with the contiguous slice src[bi, 0, :, q0 + i*H*W:][:n + halo], halo
+    being the farthest in-plane offset (kh-1)*W + kw-1; row block (j, k)
+    of the product, shifted by j*W + k, is then added into the block's
+    output.  Blocks hold about CONV_CHUNK elements of the product."""
+    c_out, c_in = w_mat.shape[0], src.shape[2]
+    kd, kh, kw = kernel
+    plane, pitch = grid[1] * grid[2], grid[2]
+    halo = (kh - 1) * pitch + kw - 1
+    offsets = [j * pitch + k for j in range(kh) for k in range(kw)]
+    rows = kh * kw * c_out
+    # (kd, kh*kw*C_out, C): per depth tap, the weight rows in (j, k, channel) order
+    w_taps = w_mat.reshape(c_out, c_in, kd, kh * kw).transpose(2, 3, 0, 1).reshape(kd, rows, c_in)
+    anchors = ext.shape[1]
+    buf = np.empty(rows * (min(anchors, max(1, CONV_CHUNK // rows)) + halo), dtype=ext.dtype)
+    for bi, q0, q1 in _chunks(src.shape[0], anchors, rows):
+        n = q1 - q0
+        prod = buf[:rows * (n + halo)].reshape(rows, n + halo)
+        taps = prod.reshape(kh * kw, c_out, n + halo)
+        acc = ext[:, q0:q1]
+        for i in range(kd):
+            start = q0 + i * plane
+            np.matmul(w_taps[i], src[bi, 0, :, start:start + n + halo], out=prod)
+            for t, off in enumerate(offsets):
+                if i or t:
+                    acc += taps[t, :, off:off + n]
+                else:
+                    np.copyto(acc, taps[0, :, :n])
+        yield bi, q1
 
 
 def _pointwise(x, p, out_spatial):
@@ -210,17 +264,21 @@ def conv3d(x: Tensor, p: ConvParams) -> Tensor:
     q + (i div s)*H'W' + (j div s)*W' + (k div s) of phase
     (i mod s, j mod s, k mod s): the gather of a chunk of anchors is one
     ``copyto`` per phase whose inner rows are the whole chunk, and one
-    GEMM writes the output extended over whole grid planes.  One
-    bias-fused copy keeps its Do x Ho x Wo voxels.  The tape keeps only
-    the flat buffer.
+    GEMM writes the output extended over whole grid planes.  At stride 1
+    with C_out < C_in (every decoder block) the output side is cheaper:
+    per block of anchors and depth tap, one GEMM of the (kh*kw*C_out,
+    C_in) stacked weight with a contiguous slice of the buffer, then
+    kh*kw shifted adds (``_output_side``).  One bias-fused copy keeps
+    the Do x Ho x Wo voxels.  The tape keeps only the flat buffer.
 
     Backward places the output gradient once in the same grid, zero on
     the border columns, and gathers the input again for the weight
     gradient.  At stride 1 (with padding < kernel) the input gradient is
     the same correlation, run on that gradient buffer behind a front
-    margin, against the flipped kernel with C_in and C_out swapped.
-    Otherwise the GEMM's transpose adds each tap's rows back into the
-    flat buffer's gradient as contiguous slices.  A 1x1x1 conv without
+    margin, against the flipped kernel with C_in and C_out swapped; it
+    runs output-side when the forward widens (C_in < C_out).  Otherwise
+    the GEMM's transpose adds each tap's rows back into the flat
+    buffer's gradient as contiguous slices.  A 1x1x1 conv without
     padding skips the gather and multiplies the input directly.
     """
     if x.ndim != 5:

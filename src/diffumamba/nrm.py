@@ -20,7 +20,7 @@ from .nnops import ConvParams, adaptive_avg_pool3d, conv3d, init_conv, relu  # n
 from .ssm import MambaBlockParams, init_mamba_block, mamba_block
 from .tensor import ShapeError, Tensor, _check_finite, make_op
 
-DOWNSAMPLE_CHUNK = 4096   # voxels per matmul in downsample_stage
+DOWNSAMPLE_CHUNK = 512    # voxels per block of downsample_stage: a 128-row f32 block is 256 KB
 
 
 def downsample_stage(f_i: Tensor, conv: ConvParams, target) -> Tensor:
@@ -29,10 +29,15 @@ def downsample_stage(f_i: Tensor, conv: ConvParams, target) -> Tensor:
     The pooling target is the bottleneck spatial shape, taken from m1
     at forward time so one parameter set serves any input size; it must
     divide the stage extent.  A cell is one pooling window of one
-    sample (n voxels).  Whole cells go through the conv, ReLU and mean
-    together, about ``DOWNSAMPLE_CHUNK`` voxels at a time, so the
-    C' x D x H x W activation never exists; backward recomputes each
-    chunk's pre-activation for the ReLU mask.
+    sample (n voxels).  The conv, ReLU and sum run over blocks of at
+    most ``DOWNSAMPLE_CHUNK`` voxels, in one reused (C', block)
+    pre-activation buffer: a block holds whole cells when n is at most
+    that, and consecutive parts of one cell otherwise.  Each block's
+    sums are added into its cells' sums, and the pool is sum / n, so the
+    C' x D x H x W activation never exists.  A block whose minimum is
+    not finite raises, so an overflow to -inf that the ReLU would hide
+    still does.  Backward recomputes each block's pre-activation for the
+    ReLU mask.
     """
     if f_i.ndim != 5 or conv.weight.shape[1:] != (f_i.shape[1], 1, 1, 1):
         raise ShapeError(f"downsample_stage needs (B,C,D,H,W) input and a 1x1x1 conv "
@@ -47,7 +52,6 @@ def downsample_stage(f_i: Tensor, conv: ConvParams, target) -> Tensor:
     n = fd * fh * fw
     cells = b * td * th * tw
     n_cols = cells * n
-    step = max(1, DOWNSAMPLE_CHUNK // n) * n         # columns per chunk, whole cells
     # (C_in, cells * n): the columns of one cell are adjacent
     cell_order = (1, 0, 2, 4, 6, 3, 5, 7)
     x_cols = f_i.data.reshape(b, c_in, td, fd, th, fh, tw, fw).transpose(cell_order)
@@ -55,33 +59,41 @@ def downsample_stage(f_i: Tensor, conv: ConvParams, target) -> Tensor:
     weight, bias = conv.weight, conv.bias
     w_mat = weight.data.reshape(c_out, c_in)
     b_col = 0.0 if bias is None else bias.data[:, None]
+    group = max(1, DOWNSAMPLE_CHUNK // n) * n        # columns of whole cells
+    # [s, e) per block; min(n, e - s) columns of each of its cells
+    blocks = [(s, min(s + DOWNSAMPLE_CHUNK, g + group, n_cols))
+              for g in range(0, n_cols, group)
+              for s in range(g, min(g + group, n_cols), DOWNSAMPLE_CHUNK)]
+    buf = np.empty(c_out * max(e - s for s, e in blocks), dtype=np.result_type(w_mat, x_cols))
 
-    def pre_activation(s):
-        y = np.matmul(w_mat, x_cols[:, s:s + step])
+    def pre_activation(s, e):
+        """The block's (C', cells, columns per cell) pre-activation, and
+        the index of its first cell."""
+        y = np.matmul(w_mat, x_cols[:, s:e], out=buf[:c_out * (e - s)].reshape(c_out, e - s))
         y += b_col
-        return y.reshape(c_out, -1, n)
+        return y.reshape(c_out, -1, min(n, e - s)), s // n
 
-    pooled = []
-    for s in range(0, n_cols, step):
-        y = pre_activation(s)
-        _check_finite(y, "downsample_stage")
-        pooled.append(np.maximum(y, 0, out=y).mean(axis=2))
-    out = np.concatenate(pooled, axis=1).reshape(c_out, b, td, th, tw).transpose(1, 0, 2, 3, 4)
+    sums = np.zeros((c_out, cells), dtype=buf.dtype)
+    for s, e in blocks:
+        y, c0 = pre_activation(s, e)
+        _check_finite(y.min(), "downsample_stage")        # NaN and -inf reach the min
+        sums[:, c0:c0 + y.shape[1]] += np.maximum(y, 0, out=y).sum(axis=2)
+    out = (sums / n).reshape(c_out, b, td, th, tw).transpose(1, 0, 2, 3, 4)
 
     def backward(g):
         g_cells = g.transpose(1, 0, 2, 3, 4).reshape(c_out, cells, 1) / n
         dw = np.zeros(w_mat.shape, dtype=g.dtype)
         db = np.zeros(c_out, dtype=g.dtype)
         dx = np.empty_like(x_cols) if f_i.requires_grad else None
-        for s in range(0, n_cols, step):
-            y = pre_activation(s)
+        for s, e in blocks:
+            y, c0 = pre_activation(s, e)
             # the ReLU slope is 1 at 0, as in nnops.leaky_relu
-            gy = np.multiply(y >= 0, g_cells[:, s // n:s // n + y.shape[1]], out=y)
+            gy = np.multiply(y >= 0, g_cells[:, c0:c0 + y.shape[1]], out=y)
             gy = gy.reshape(c_out, -1)
-            dw += gy @ x_cols[:, s:s + step].T
+            dw += gy @ x_cols[:, s:e].T
             db += gy.sum(axis=1)
             if dx is not None:
-                dx[:, s:s + step] = w_mat.T @ gy
+                np.matmul(w_mat.T, gy, out=dx[:, s:e])
         if weight.requires_grad:
             weight._accumulate(dw.reshape(weight.shape))
         if bias is not None and bias.requires_grad:

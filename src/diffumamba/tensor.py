@@ -195,32 +195,32 @@ class Tensor:
     # operator sugar
 
     def __add__(self, other):
-        return add(self, _wrap(other))
+        return add(self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return sub(self, _wrap(other))
+        return sub(self, other)
 
     def __rsub__(self, other):
-        return sub(_wrap(other), self)
+        return sub(other, self)
 
     def __mul__(self, other):
-        return mul(self, _wrap(other))
+        return mul(self, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return div(self, _wrap(other))
+        return div(self, other)
 
     def __rtruediv__(self, other):
-        return div(_wrap(other), self)
+        return div(other, self)
 
     def __neg__(self):
         return neg(self)
 
     def __matmul__(self, other):
-        return matmul(self, _wrap(other))
+        return matmul(self, other)
 
     def __pow__(self, p):
         return pow_scalar(self, p)
@@ -244,7 +244,7 @@ class Tensor:
         return narrow(self, axis, start, length)
 
     def matmul(self, other):
-        return matmul(self, _wrap(other))
+        return matmul(self, other)
 
     def sqrt(self):
         return sqrt(self)
@@ -252,6 +252,17 @@ class Tensor:
 
 def _wrap(x):
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _wrap_pair(a, b):
+    """Both operands of a binary op as tensors.  A bare Python number
+    takes the other operand's dtype, so a constant neither rounds to nor
+    promotes to the default dtype when the graph has another."""
+    if isinstance(a, Tensor) and isinstance(b, (int, float)):
+        b = Tensor(b, dtype=a.dtype)
+    elif isinstance(b, Tensor) and isinstance(a, (int, float)):
+        a = Tensor(a, dtype=b.dtype)
+    return _wrap(a), _wrap(b)
 
 
 def _toposort(root):
@@ -312,7 +323,7 @@ def _binary_shapes_ok(a, b):
 
 
 def add(a, b):
-    a, b = _wrap(a), _wrap(b)
+    a, b = _wrap_pair(a, b)
     _binary_shapes_ok(a, b)
     out_data = a.data + b.data
 
@@ -326,7 +337,7 @@ def add(a, b):
 
 
 def sub(a, b):
-    a, b = _wrap(a), _wrap(b)
+    a, b = _wrap_pair(a, b)
     _binary_shapes_ok(a, b)
     out_data = a.data - b.data
 
@@ -340,7 +351,7 @@ def sub(a, b):
 
 
 def mul(a, b):
-    a, b = _wrap(a), _wrap(b)
+    a, b = _wrap_pair(a, b)
     _binary_shapes_ok(a, b)
     out_data = a.data * b.data
 
@@ -354,7 +365,7 @@ def mul(a, b):
 
 
 def div(a, b):
-    a, b = _wrap(a), _wrap(b)
+    a, b = _wrap_pair(a, b)
     _binary_shapes_ok(a, b)
     out_data = a.data / b.data
 
@@ -447,7 +458,7 @@ def where(mask, a, b):
     caller before this op (see the ZOH fallback of the taped scan oracle
     in the ssm tests).
     """
-    a, b = _wrap(a), _wrap(b)
+    a, b = _wrap_pair(a, b)
     mask = np.asarray(mask, dtype=bool)
     out_data = np.where(mask, a.data, b.data)
 

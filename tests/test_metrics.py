@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from diffumamba import metrics
 from diffumamba.data import NoiseSpec, gen_phantoms, noise_hook
 from diffumamba.metrics import (MetricsReport, PerturbCell, SampleMetrics, dsc_iou,
                                 evaluate_masks, evaluate_model, hash_u32, hd95, label_map,
@@ -177,6 +178,18 @@ class TestEvaluateAndPerturb:
         report = evaluate_model(model, samples)
         clean = float(np.mean([sm.mean_dsc() for sm in report.samples]))
         assert all(c.mean_dsc == clean for c in cells if c.level == 1)
+
+    def test_grid_computes_no_hd95(self, monkeypatch):
+        # a cell reads only DSC, so the grid never calls hd95
+        model, samples = _tiny_model_and_samples()
+        want = perturbation_grid(model, samples, ["gaussian"], [1, 3], seed=6)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("perturbation_grid computed an HD95")
+        monkeypatch.setattr(metrics, "hd95", refuse)
+        with pytest.raises(AssertionError, match="HD95"):
+            evaluate_model(model, samples)
+        assert perturbation_grid(model, samples, ["gaussian"], [1, 3], seed=6) == want
 
     def test_noisy_cells_match_hooked_forward(self):
         # the grid runs one clean stem per sample; a full forward with the

@@ -165,6 +165,11 @@ class TestConv3dAgainstIm2col:
         (3, 3, (7, 5, 9), 4, 3, 2, 1),      # strided, odd extents, B = 3
         (2, 3, (5, 6, 7), 4, 3, 1, 3),      # padding = k: the transposed input adjoint
         (2, 2, (6, 6, 6), 3, 4, 2, 1),      # even kernel: phases of unequal tap counts
+        # stride 1 with fewer output rows than input channels: output-side
+        (2, 16, (12, 24, 24), 8, 3, 1, 1),  # 2C -> C: 3640 + 3640 + 220, the last reads the tail
+        (1, 8, (6, 7, 5), 3, 3, 1, 0),      # C_in > C_out without padding, B = 1
+        (3, 6, (5, 6, 7), 2, 3, 1, 1),      # B = 3
+        (2, 4, (8, 8, 8), 8, 3, 1, 1),      # widening: the flipped-kernel dx is output-side
         # several chunks of anchors per sample, the last one partial
         (2, 4, (11, 24, 24), 3, 3, 1, 1),   # 2427 + 2427 + 2021 anchors
         (2, 4, (22, 48, 48), 3, 3, 2, 1),   # strided, the same 11 output planes
@@ -232,6 +237,40 @@ class TestConv3dAgainstIm2col:
         assert dr * hr * wr <= farthest < dr * hr * wr + tail
         chunks = list(nnops._chunks(1, anchors, rows))
         assert len(chunks) > 1 and chunks[-1][1] <= last < chunks[-1][2]
+
+    def test_output_side_blocks(self):
+        # the 2C -> C case runs several blocks of stacked rows per sample,
+        # and the farthest tap of its last real anchor reads the tail
+        case = (2, 16, (12, 24, 24), 8, 3, 1, 1)
+        assert case in self.CASES
+        _, c_in, spatial, c_out, k, _, _ = case
+        assert c_out < c_in
+        (dr, hr, wr), anchors, _ = self._layout(case)
+        sizes = [q1 - q0 for _, q0, q1 in nnops._chunks(1, anchors, k * k * c_out)]
+        assert len(sizes) > 1 and 0 < sizes[-1] < sizes[0]
+        last = (spatial[0] - 1) * hr * wr + (spatial[1] - 1) * wr + spatial[2] - 1
+        assert last + (k - 1) * (hr * wr + wr + 1) >= dr * hr * wr
+        assert last >= anchors - sizes[-1]
+
+    def test_channel_reducing_forward_gathers_nothing(self, rng, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("channel-reducing conv gathered its input")
+        x = Tensor(rng.normal((2, 8, 6, 5, 7)))
+        p = init_conv(rng, 8, 4, (3, 3, 3))
+        want = im2col_conv3d(x, p).data
+        monkeypatch.setattr(nnops, "_gathered", refuse)
+        got = conv3d(x, p).data
+        assert np.abs(got - want).max() < 1e-5 * np.abs(want).max()
+        with pytest.raises(AssertionError, match="gathered"):
+            conv3d(x, init_conv(rng, 8, 8, (3, 3, 3)))     # no fewer outputs: input side
+
+    def test_gradients_f64_output_side_multi_block(self, f64_mode):
+        r = Rng(9, "conv64outside")
+        x = Tensor(r.normal((1, 4, 11, 40, 40)), requires_grad=True)
+        p = init_conv(r, 4, 2, (3, 3, 3))      # 18 stacked rows: 14563 + 3928 anchors
+        rel, _ = finite_difference_check(lambda: conv3d(x, p),
+                                         [x, p.weight, p.bias], rel_tol=1e-6, seed=8)
+        assert rel < 1e-6
 
     def test_gradients_f64_multi_chunk(self, f64_mode):
         r = Rng(6, "conv64chunks")

@@ -87,9 +87,12 @@ class TestFusedDownsample:
         # non-cubic stages and targets; pool factors (2, 2, 2) and (3, 1, 4)
         ((1, 3, 6, 4, 2), 5, (3, 2, 1)),
         ((2, 3, 6, 4, 8), 5, (2, 4, 2)),
-        # 1152 cells of 8 voxels: two full 4096-voxel chunks and a partial one
+        # 1152 cells of 8 voxels: 18 blocks of 64 whole cells
         ((3, 4, 16, 16, 12), 6, (8, 8, 6)),
-    ], ids=["desk1", "desk2", "desk3", "desk4", "desk5", "noncubic", "factor314", "chunks"])
+        # pool factors (9, 8, 8): 576-voxel cells, each a 512-voxel block and a 64-voxel one
+        ((2, 3, 18, 16, 16), 4, (2, 2, 2)),
+    ], ids=["desk1", "desk2", "desk3", "desk4", "desk5", "noncubic", "factor314", "chunks",
+            "split"])
     def test_matches_reference(self, shape, c_out, target, dtype, tol):
         T.set_default_dtype(dtype)
         r = Rng(4, "fused")

@@ -28,6 +28,31 @@ class TestElementwise:
         b = Tensor(rng.normal((4,)))
         npt.assert_array_equal((a + b).data, a.data + b.data)
 
+    def test_python_scalar_keeps_f64_graph_dtype(self, rng):
+        # the default dtype is f32; the constant must not round to it
+        t = Tensor(rng.normal((4, 5)), dtype=np.float64, requires_grad=True)
+        for got, want in [(t * (1 / 6), t.data * (1 / 6)), ((1 / 6) * t, (1 / 6) * t.data),
+                          (t + 0.1, t.data + 0.1), (0.1 - t, 0.1 - t.data),
+                          (t / 3.0, t.data / 3.0), (1.0 / (t * t + 1.0), 1.0 / (t.data * t.data + 1.0)),
+                          (T.mul(t, 1 / 6), t.data * (1 / 6))]:
+            assert got.dtype == np.float64
+            npt.assert_array_equal(got.data, want)
+        (t * (1 / 6)).sum().backward()
+        assert t.grad.dtype == np.float64
+        npt.assert_array_equal(t.grad, np.full(t.shape, np.float64(1 / 6)))
+
+    def test_python_scalar_leaves_f32_graph_values(self, rng):
+        x = rng.normal((4, 5)).astype(np.float32)
+        t = Tensor(x)
+        for got, want in [(t * (1 / 6), x * np.float32(1 / 6)), (t + 0.1, x + np.float32(0.1)),
+                          (2.0 - t, np.float32(2.0) - x), (t / 3.0, x / np.float32(3.0))]:
+            assert got.dtype == np.float32
+            npt.assert_array_equal(got.data, want)
+        # also while the default is f64: the constant no longer promotes the graph
+        T.set_default_dtype("f64")
+        assert (t * (1 / 6)).dtype == np.float32
+        npt.assert_array_equal((t * (1 / 6)).data, x * np.float32(1 / 6))
+
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4,\)"):
             Tensor(np.zeros((2, 3))) + Tensor(np.zeros(4))
