@@ -144,7 +144,7 @@ def gen_phantoms(n: int, seed: int, cfg: PhantomConfig | None = None):
 # noise injection
 
 NOISE_LEVELS = {
-    "gaussian": (0.0, 2.0, 5.0, 8.0, 10.0, 12.0),        # uniform bound +-b
+    "uniform": (0.0, 2.0, 5.0, 8.0, 10.0, 12.0),         # additive uniform(-b, b) bound
     "speckle": (0.0, 0.3, 0.5, 0.7, 0.9, 1.1),            # multiplicative scale
     "periodic": (0.0, 0.5, 1.0, 2.0, 3.5, 5.0),           # sine amplitude
     "salt_pepper": (0.0, 0.002, 0.005, 0.008, 0.01, 0.02),  # flip probability
@@ -178,7 +178,7 @@ def _inject_array(arr: np.ndarray, spec: NoiseSpec) -> np.ndarray:
     if p == 0.0:
         return arr
     rng = Rng(spec.seed, name=f"noise/{spec.family}/{spec.level}")
-    if spec.family == "gaussian":
+    if spec.family == "uniform":
         return arr + rng.uniform(-p, p, arr.shape, dtype=arr.dtype)
     if spec.family == "speckle":
         return arr * (1.0 + p * rng.normal(arr.shape, dtype=arr.dtype))

@@ -3,15 +3,17 @@
 3D convolution runs on one flat zero-padded layout: each phase of the
 stride of each sample's padded input is a (C, grid + tail) buffer, so
 the input of every kernel tap for a run of output anchors is a
-contiguous slice.  For each chunk of about CONV_CHUNK gathered
-elements, one strided copy per phase fills the im2col buffer and one
-BLAS matmul writes the output over whole grid planes.  A stride-1
-correlation with fewer output rows than input channels gathers
-nothing: it multiplies the stacked weight rows of each depth tap with
-contiguous slices of the buffer and adds the products back shifted.
-The buffers live only inside the forward or the backward call;
-backward gathers again rather than caching them, which keeps the live
-graph small.  Instance norm is one tape node with a hand-written
+contiguous slice.  A strided conv gathers every tap of a chunk of
+anchors (one strided copy per phase) for one BLAS matmul.  A stride-1
+conv gathers only the plane and row shifts of the kernel, multiplies
+them with the weight whose kw tap columns are stacked as output rows,
+and adds row block k back shifted by k anchors; its
+backward runs the same path on the output gradient for the input
+gradient and takes the weight gradient from that same gather.  Chunks
+hold about CONV_CHUNK elements, and the output is written over whole
+grid planes.  The buffers live only inside the forward or the backward
+call; backward gathers again rather than caching them, which keeps the
+live graph small.  Instance norm is one tape node with a hand-written
 adjoint, and the rectifiers are max(x, alpha * x) without a select.
 The segmentation loss is the unweighted sum of soft Dice (per class
 over the whole batch, averaged over foreground classes) and mean voxel
@@ -145,20 +147,49 @@ def _gathered(src, kernel, stride, grid, anchors):
         yield bi, q0, cols.reshape(rows, -1)
 
 
-def _correlate(src, w_mat, kernel, stride, grid, out, bias=None):
+def _partial(src, kernel, grid, anchors, c_out):
+    """(bi, q0, cols) for every chunk of ``_chunks`` over ``anchors`` of a
+    stride-1 layout, gathering only the kd*kh plane and row shifts.
+
+    ``src`` is a C-contiguous (B, 1, C, L) of flat grids of ``grid``'s
+    (H, W) geometry.  Chunks are sized by the larger of the C*kd*kh
+    gathered rows and the kw*c_out rows of a product with every tap
+    column stacked.  cols is (C*kd*kh, n + kw - 1), its rows in
+    (channel, i, j) order: the row of channel c and taps (i, j) holds
+    src[bi, 0, c, q0 + m + i*H*W + j*W] for m < n + kw - 1, so the input
+    of tap (i, j, k) for the n anchors of the chunk is cols[:, k:k + n].
+    The gather is one ``copyto`` from a strided view whose inner rows are
+    the whole chunk, and one buffer serves every chunk.
+    """
+    b, _, c, _ = src.shape
+    kd, kh, kw = kernel
+    es = src.itemsize
+    view = np.ndarray((b, c, kd, kh, anchors + kw - 1), src.dtype, src, 0,
+                      (src.strides[0], src.strides[2], grid[1] * grid[2] * es, grid[2] * es, es))
+    span = c * kd * kh
+    rows = max(span, kw * c_out)
+    buf = np.empty(span * (min(anchors, max(1, CONV_CHUNK // rows)) + kw - 1), dtype=src.dtype)
+    for bi, q0, q1 in _chunks(b, anchors, rows):
+        cols = buf[:span * (q1 - q0 + kw - 1)].reshape(c, kd, kh, -1)
+        np.copyto(cols, view[bi, ..., q0:q1 + kw - 1])
+        yield bi, q0, cols.reshape(span, -1)
+
+
+def _correlate(src, w_mat, kernel, stride, grid, out, bias=None, visit=None):
     """Fill ``out`` (B, C_out, Do, Ho, Wo) with the correlation of ``src``
     and the (C_out, C*taps) ``w_mat``.  Each sample's output is built
-    extended over whole grid planes, a block of anchors at a time, by
-    ``_output_side`` for a stride-1 conv with fewer output rows than
-    input channels and by ``_input_side`` otherwise; one (bias-fused)
-    copy per sample keeps the Ho x Wo corner of each plane."""
+    extended over whole grid planes, a chunk of anchors at a time, by
+    ``_shifted`` at stride 1 and by ``_input_side`` otherwise; one
+    (bias-fused) copy per sample keeps the Ho x Wo corner of each plane.
+    At stride 1, ``visit(bi, q0, cols)`` sees every chunk's partial
+    gather."""
     c_out = w_mat.shape[0]
     _, hr, wr = grid
     do, ho, wo = out.shape[2:]
     ext = np.empty((c_out, do * hr * wr), dtype=out.dtype)
     corner = ext.reshape(c_out, do, hr, wr)[:, :, :ho, :wo]
-    if stride == (1, 1, 1) and c_out < src.shape[2]:
-        blocks = _output_side(src, w_mat, kernel, grid, ext)
+    if stride == (1, 1, 1):
+        blocks = _shifted(src, w_mat, kernel, grid, ext, visit)
     else:
         blocks = _input_side(src, w_mat, kernel, stride, grid, ext)
     for bi, q1 in blocks:
@@ -180,38 +211,35 @@ def _input_side(src, w_mat, kernel, stride, grid, ext):
         yield bi, q1
 
 
-def _output_side(src, w_mat, kernel, grid, ext):
-    """The stride-1 correlation without a gather, as ``_input_side``
-    yields it.  For a block of n anchors from q0 and each depth tap i,
-    one GEMM multiplies the (kh*kw*C_out, C) weight of that tap's plane
-    with the contiguous slice src[bi, 0, :, q0 + i*H*W:][:n + halo], halo
-    being the farthest in-plane offset (kh-1)*W + kw-1; row block (j, k)
-    of the product, shifted by j*W + k, is then added into the block's
-    output.  Blocks hold about CONV_CHUNK elements of the product."""
-    c_out, c_in = w_mat.shape[0], src.shape[2]
-    kd, kh, kw = kernel
-    plane, pitch = grid[1] * grid[2], grid[2]
-    halo = (kh - 1) * pitch + kw - 1
-    offsets = [j * pitch + k for j in range(kh) for k in range(kw)]
-    rows = kh * kw * c_out
-    # (kd, kh*kw*C_out, C): per depth tap, the weight rows in (j, k, channel) order
-    w_taps = w_mat.reshape(c_out, c_in, kd, kh * kw).transpose(2, 3, 0, 1).reshape(kd, rows, c_in)
-    anchors = ext.shape[1]
-    buf = np.empty(rows * (min(anchors, max(1, CONV_CHUNK // rows)) + halo), dtype=ext.dtype)
-    for bi, q0, q1 in _chunks(src.shape[0], anchors, rows):
-        n = q1 - q0
-        prod = buf[:rows * (n + halo)].reshape(rows, n + halo)
-        taps = prod.reshape(kh * kw, c_out, n + halo)
-        acc = ext[:, q0:q1]
-        for i in range(kd):
-            start = q0 + i * plane
-            np.matmul(w_taps[i], src[bi, 0, :, start:start + n + halo], out=prod)
-            for t, off in enumerate(offsets):
-                if i or t:
-                    acc += taps[t, :, off:off + n]
-                else:
-                    np.copyto(acc, taps[0, :, :n])
-        yield bi, q1
+def _shifted(src, w_mat, kernel, grid, ext, visit):
+    """The stride-1 correlation from the partial gather, as
+    ``_input_side`` yields it.  For every chunk of ``_partial``, one GEMM
+    of the (kw*C_out, C*kd*kh) weight, tap column k's rows stacked as
+    row block k, gives the products of all kw taps over n + kw - 1
+    anchors; the chunk's output is row block 0 plus row block k shifted
+    by k anchors.  The product buffer is sized by the first, widest
+    chunk and serves every chunk."""
+    c_out = w_mat.shape[0]
+    kw = kernel[2]
+    span = w_mat.shape[1] // kw
+    w_rows = w_mat.reshape(c_out, span, kw).transpose(2, 0, 1).reshape(kw * c_out, span)
+    buf = None
+    for bi, q0, cols in _partial(src, kernel, grid, ext.shape[1], c_out):
+        n = cols.shape[1] - kw + 1
+        acc = ext[:, q0:q0 + n]
+        if kw == 1:
+            np.matmul(w_rows, cols, out=acc)
+        else:
+            if buf is None:
+                buf = np.empty(kw * c_out * cols.shape[1], dtype=ext.dtype)
+            prod = buf[:kw * c_out * cols.shape[1]].reshape(kw, c_out, -1)
+            np.matmul(w_rows, cols, out=prod.reshape(kw * c_out, -1))
+            np.add(prod[0, :, :n], prod[1, :, 1:n + 1], out=acc)
+            for k in range(2, kw):
+                acc += prod[k, :, k:k + n]
+        if visit is not None:
+            visit(bi, q0, cols)
+        yield bi, q0 + n
 
 
 def _pointwise(x, p, out_spatial):
@@ -252,6 +280,62 @@ def _pointwise(x, p, out_spatial):
     return make_op(out.reshape((b, c_out) + tuple(out_spatial)), parents, "conv3d", backward)
 
 
+def _weight_grad(xp, g_at, shape, stride, grid):
+    """dW from the flat input ``xp`` and the output gradient ``g_at`` at
+    the forward anchors.  dWᵀ = cols @ gᵀ (BLAS runs this shape about
+    twice as fast as g @ colsᵀ): at stride 1, the partial gather shifted
+    by k for each tap column k; otherwise the full gather."""
+    c_out, c_in, kd, kh, kw = shape
+    kernel, anchors = (kd, kh, kw), g_at.shape[2]
+    if stride != (1, 1, 1):
+        dw_t = np.zeros((c_in * kd * kh * kw, c_out), dtype=g_at.dtype)
+        for bi, q0, cols in _gathered(xp, kernel, stride, grid, anchors):
+            dw_t += cols @ g_at[bi, :, q0:q0 + cols.shape[1]].T
+        return dw_t.T.reshape(shape)
+    # dw_t[k] row (c, i, j) holds dW[:, c, i, j, k]
+    dw_t = np.zeros((kw, c_in * kd * kh, c_out), dtype=g_at.dtype)
+    for bi, q0, cols in _partial(xp, kernel, grid, anchors, c_out):
+        n = cols.shape[1] - kw + 1
+        g_n = g_at[bi, :, q0:q0 + n]
+        for k in range(kw):
+            dw_t[k] += cols[:, k:k + n] @ g_n.T
+    return dw_t.reshape(kw, c_in, kd, kh, c_out).transpose(4, 1, 2, 3, 0)
+
+
+def _flipped_input_grad(gp, xp, weight, padding, grid, x_shape):
+    """dx of a stride-1 conv with padding < kernel: the correlation of
+    the gradient buffer ``gp`` with the flipped kernel, C_in and C_out
+    swapped.  When the weight needs a gradient too, it is taken from the
+    same gather: for dx anchor q, cols[:, q - q0 + k'] holds gp at
+    q + offset(i', j', k') and xp holds x at q + s0, s0 = pd*H'W' + ph*W'
+    + pw, which meet in dW[o, :, kd-1-i', kh-1-j', kw-1-k'].  One GEMM
+    per chunk multiplies cols with the x slice stacked kw times, block k'
+    shifted by k' columns between zeros.  xp is zero at the junk dx
+    anchors (the shared padding) and gp at the junk forward anchors, so
+    this is the forward-side sum reordered."""
+    c_out, c_in, kd, kh, kw = weight.shape
+    w_flip = weight.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4).reshape(c_in, -1)
+    dx = np.empty(x_shape, dtype=gp.dtype)
+    if not weight.requires_grad:
+        _correlate(gp, w_flip, (kd, kh, kw), (1, 1, 1), grid, dx)
+        return dx
+    s0 = padding[0] * grid[1] * grid[2] + padding[1] * grid[2] + padding[2]
+    # row (o, i', j'), column (k', c) holds dW[o, c, kd-1-i', kh-1-j', kw-1-k']
+    dw_flip = np.zeros((c_out * kd * kh, kw * c_in), dtype=gp.dtype)
+
+    def visit(bi, q0, cols):
+        n = cols.shape[1] - kw + 1
+        xs = np.zeros((kw, c_in, cols.shape[1]), dtype=gp.dtype)
+        for k in range(kw):
+            xs[k, :, k:k + n] = xp[bi, 0, :, q0 + s0:q0 + s0 + n]
+        dw_flip[...] += cols @ xs.reshape(kw * c_in, -1).T
+
+    _correlate(gp, w_flip, (kd, kh, kw), (1, 1, 1), grid, dx, visit=visit)
+    weight._accumulate(dw_flip.reshape(c_out, kd, kh, kw, c_in)[:, ::-1, ::-1, ::-1]
+                       .transpose(0, 4, 1, 2, 3))
+    return dx
+
+
 def conv3d(x: Tensor, p: ConvParams) -> Tensor:
     """3D cross-correlation with zero padding, on one flat padded layout.
 
@@ -262,24 +346,26 @@ def conv3d(x: Tensor, p: ConvParams) -> Tensor:
     W + p rather than W + 2p at stride 1.  The input of tap (i, j, k)
     for output anchor q = d*H'W' + h*W' + w is then element
     q + (i div s)*H'W' + (j div s)*W' + (k div s) of phase
-    (i mod s, j mod s, k mod s): the gather of a chunk of anchors is one
-    ``copyto`` per phase whose inner rows are the whole chunk, and one
-    GEMM writes the output extended over whole grid planes.  At stride 1
-    with C_out < C_in (every decoder block) the output side is cheaper:
-    per block of anchors and depth tap, one GEMM of the (kh*kw*C_out,
-    C_in) stacked weight with a contiguous slice of the buffer, then
-    kh*kw shifted adds (``_output_side``).  One bias-fused copy keeps
-    the Do x Ho x Wo voxels.  The tape keeps only the flat buffer.
+    (i mod s, j mod s, k mod s), and the output is built extended over
+    whole grid planes.  A strided conv gathers every tap of a chunk of
+    anchors, one ``copyto`` per phase, for one GEMM (``_input_side``).
+    A stride-1 conv gathers only the kd*kh plane and row shifts, runs one
+    GEMM with the weight's kw taps as stacked output rows, and adds the
+    kw row blocks, block k shifted by k anchors (``_shifted``).  One
+    bias-fused copy keeps the Do x Ho x Wo voxels.  The tape keeps only
+    the flat buffer.
 
     Backward places the output gradient once in the same grid, zero on
-    the border columns, and gathers the input again for the weight
-    gradient.  At stride 1 (with padding < kernel) the input gradient is
-    the same correlation, run on that gradient buffer behind a front
-    margin, against the flipped kernel with C_in and C_out swapped; it
-    runs output-side when the forward widens (C_in < C_out).  Otherwise
-    the GEMM's transpose adds each tap's rows back into the flat
-    buffer's gradient as contiguous slices.  A 1x1x1 conv without
-    padding skips the gather and multiplies the input directly.
+    the border columns.  At stride 1 (with padding < kernel) the input
+    gradient is the same stride-1 correlation, run on that gradient
+    buffer behind a front margin, against the flipped kernel with C_in
+    and C_out swapped; the weight gradient is taken from that
+    correlation's gather, against the input at the same anchors, so the
+    backward gathers once.  Otherwise the weight gradient gathers the
+    input again (partially at stride 1), and the GEMM's transpose adds
+    each tap's rows back into the flat buffer's gradient as contiguous
+    slices.  A 1x1x1 conv without padding skips the gather and
+    multiplies the input directly.
     """
     if x.ndim != 5:
         raise ShapeError(f"conv3d expects (B,C,D,H,W), got {x.shape}")
@@ -306,8 +392,8 @@ def conv3d(x: Tensor, p: ConvParams) -> Tensor:
     weight, bias = p.weight, p.bias
     out = np.empty((b, c_out) + out_spatial, dtype=np.result_type(xp, w_mat))
     _correlate(xp, w_mat, kernel, stride, grid, out, None if bias is None else bias.data)
-    # the flipped-kernel adjoint needs a padding k - 1 - p >= 0
-    flip = stride == (1, 1, 1) and all(q < k for q, k in zip(padding, kernel))
+    # dx as the flipped-kernel correlation: stride 1, padding k - 1 - p >= 0
+    flip = x.requires_grad and stride == (1, 1, 1) and all(q < k for q, k in zip(padding, kernel))
 
     def backward(g):
         # g in the grid, after a front margin that aligns the flipped
@@ -320,21 +406,15 @@ def conv3d(x: Tensor, p: ConvParams) -> Tensor:
         gp = np.zeros((b, 1, c_out, length), dtype=g.dtype)
         g_at = gp[:, 0, :, margin:margin + do * plane]       # g at the forward anchors
         g_at.reshape(b, c_out, do, grid[1], pitch)[:, :, :, :ho, :wo] = g
-        if weight.requires_grad:
-            # dWᵀ = cols @ gᵀ: BLAS runs this shape about twice as fast as g @ colsᵀ
-            dw_t = np.zeros(w_mat.shape[::-1], dtype=g.dtype)
-            for bi, q0, cols in _gathered(xp, kernel, stride, grid, do * plane):
-                dw_t += cols @ g_at[bi, :, q0:q0 + cols.shape[1]].T
-            weight._accumulate(dw_t.T.reshape(weight.shape))
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2, 3, 4)))
-        if not x.requires_grad:
-            return
+        if weight.requires_grad and not flip:
+            weight._accumulate(_weight_grad(xp, g_at, weight.shape, stride, grid))
         if flip:
-            w_flip = weight.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4).reshape(c_in, -1)
-            dx = np.empty(x.shape, dtype=g.dtype)
-            _correlate(gp, w_flip, kernel, (1, 1, 1), grid, dx)
-            x._accumulate(dx, owned=True)
+            x._accumulate(_flipped_input_grad(gp, xp, weight, padding, grid, x.shape),
+                          owned=True)
+            return
+        if not x.requires_grad:
             return
         dxp = np.zeros_like(xp)
         rows = w_mat.shape[1]

@@ -100,14 +100,26 @@ class TestNoiseInjection:
 
     def test_level_one_tensor_identity_object(self, rng):
         x = Tensor(rng.normal((4, 4)))
-        assert inject_noise(x, NoiseSpec("gaussian", 1)) is x
+        assert inject_noise(x, NoiseSpec("uniform", 1)) is x
 
-    def test_gaussian_bounds(self, rng):
+    def test_uniform_bounds(self, rng):
         x = rng.normal((8, 8, 8))
-        out = inject_noise(x, NoiseSpec("gaussian", 2, seed=1))
+        out = inject_noise(x, NoiseSpec("uniform", 2, seed=1))
         assert np.abs(out - x).max() <= 2.0
-        out6 = inject_noise(x, NoiseSpec("gaussian", 6, seed=1))
+        out6 = inject_noise(x, NoiseSpec("uniform", 6, seed=1))
         assert np.abs(out6 - x).max() <= 12.0
+
+    def test_uniform_draws_are_flat_not_gaussian(self):
+        # the family's name matches its draw: within +-p and flat, with
+        # the sample kurtosis of a uniform (1.8), not of a Gaussian (3)
+        x = np.zeros(1 << 16, dtype=np.float64)
+        noise = inject_noise(x, NoiseSpec("uniform", 3, seed=4))
+        p = NOISE_LEVELS["uniform"][2]
+        assert np.abs(noise).max() <= p
+        assert np.abs(noise).max() > 0.99 * p
+        z = noise - noise.mean()
+        kurtosis = np.mean(z ** 4) / np.mean(z ** 2) ** 2
+        assert abs(kurtosis - 1.8) < 0.05, kurtosis
 
     def test_speckle_is_multiplicative(self, rng):
         x = np.zeros((5, 5), dtype=np.float32)
@@ -134,11 +146,11 @@ class TestNoiseInjection:
 
     def test_injector_deterministic_and_seed_sensitive(self, rng):
         x = rng.normal((6, 6, 6))
-        a = inject_noise(x, NoiseSpec("gaussian", 4, seed=9))
-        b = inject_noise(x, NoiseSpec("gaussian", 4, seed=9))
+        a = inject_noise(x, NoiseSpec("uniform", 4, seed=9))
+        b = inject_noise(x, NoiseSpec("uniform", 4, seed=9))
         npt.assert_array_equal(a, b)
         # distinct seeds give pairwise-distinct perturbations
-        outs = [inject_noise(x, NoiseSpec("gaussian", 4, seed=s)) for s in range(12)]
+        outs = [inject_noise(x, NoiseSpec("uniform", 4, seed=s)) for s in range(12)]
         for i in range(len(outs)):
             for j in range(i + 1, len(outs)):
                 assert not np.array_equal(outs[i], outs[j])
@@ -160,10 +172,10 @@ class TestNoiseInjection:
 
     def test_out_of_range_level_rejected(self):
         with pytest.raises(DataError, match="level"):
-            NoiseSpec("gaussian", 7)
+            NoiseSpec("uniform", 7)
 
     def test_level_mapping_table(self):
-        assert NOISE_LEVELS["gaussian"] == (0.0, 2.0, 5.0, 8.0, 10.0, 12.0)
+        assert NOISE_LEVELS["uniform"] == (0.0, 2.0, 5.0, 8.0, 10.0, 12.0)
         assert NOISE_LEVELS["speckle"] == (0.0, 0.3, 0.5, 0.7, 0.9, 1.1)
         assert NOISE_LEVELS["periodic"] == (0.0, 0.5, 1.0, 2.0, 3.5, 5.0)
         assert NOISE_LEVELS["salt_pepper"] == (0.0, 0.002, 0.005, 0.008, 0.01, 0.02)

@@ -156,7 +156,7 @@ class TestEvaluateAndPerturb:
 
     def test_grid_shape_and_level1_bit_equal(self):
         model, samples = _tiny_model_and_samples()
-        families = ["gaussian", "salt_pepper"]
+        families = ["uniform", "salt_pepper"]
         cells = perturbation_grid(model, samples, families, [1, 2, 3], seed=4)
         assert len(cells) == 6
         clean = [c for c in cells if c.level == 1]
@@ -172,7 +172,7 @@ class TestEvaluateAndPerturb:
         monkeypatch.setattr(model, "forward_stem", lambda x: calls.append("stem") or stem(x))
         monkeypatch.setattr(model, "forward", lambda *a, **k: calls.append("forward") or
                             forward(*a, **k))
-        cells = perturbation_grid(model, samples, ["gaussian", "speckle"], [1, 3], seed=2)
+        cells = perturbation_grid(model, samples, ["uniform", "speckle"], [1, 3], seed=2)
         assert calls == ["stem"] * len(samples)
         monkeypatch.undo()
         report = evaluate_model(model, samples)
@@ -182,20 +182,20 @@ class TestEvaluateAndPerturb:
     def test_grid_computes_no_hd95(self, monkeypatch):
         # a cell reads only DSC, so the grid never calls hd95
         model, samples = _tiny_model_and_samples()
-        want = perturbation_grid(model, samples, ["gaussian"], [1, 3], seed=6)
+        want = perturbation_grid(model, samples, ["uniform"], [1, 3], seed=6)
 
         def refuse(*args, **kwargs):
             raise AssertionError("perturbation_grid computed an HD95")
         monkeypatch.setattr(metrics, "hd95", refuse)
         with pytest.raises(AssertionError, match="HD95"):
             evaluate_model(model, samples)
-        assert perturbation_grid(model, samples, ["gaussian"], [1, 3], seed=6) == want
+        assert perturbation_grid(model, samples, ["uniform"], [1, 3], seed=6) == want
 
     def test_noisy_cells_match_hooked_forward(self):
         # the grid runs one clean stem per sample; a full forward with the
         # hook at the first block gives the same cells bit for bit
         model, samples = _tiny_model_and_samples()
-        cells = perturbation_grid(model, samples, ["gaussian", "speckle"], [1, 4], seed=5)
+        cells = perturbation_grid(model, samples, ["uniform", "speckle"], [1, 4], seed=5)
         for c in (c for c in cells if c.level != 1):
             scores, mags = [], []
             for idx, s in enumerate(samples):
@@ -230,11 +230,11 @@ class TestEvaluateAndPerturb:
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "p.csv"
-        good = [PerturbCell("gaussian", 1, 0.0, 0.9, 0.0)]
+        good = [PerturbCell("uniform", 1, 0.0, 0.9, 0.0)]
         write_perturb_csv(good, path, meta={"seed": 0})
         before = path.read_bytes()
         # the second row raises after the header and the first row are written
-        bad = good + [PerturbCell("gaussian", 2, 2.0, "not a number", 0.1)]
+        bad = good + [PerturbCell("uniform", 2, 2.0, "not a number", 0.1)]
         with pytest.raises(ValueError):
             write_perturb_csv(bad, path, meta={"seed": 1})
         assert path.read_bytes() == before

@@ -148,7 +148,8 @@ class TestConv3dAgainstIm2col:
     """The blocked conv3d against the im2col oracle, on every shape class
     the network uses and on shapes that span several gather chunks."""
 
-    # (B, C_in, spatial, C_out, k, stride, padding)
+    # (B, C_in, spatial, C_out, k, stride, padding); k and padding are
+    # one int for every axis or per-axis tuples
     CASES = [
         (2, 3, (6, 6, 6), 4, 3, 1, 1),      # residual conv
         (2, 3, (6, 6, 6), 4, 3, 2, 1),      # downsampling residual conv
@@ -165,60 +166,88 @@ class TestConv3dAgainstIm2col:
         (3, 3, (7, 5, 9), 4, 3, 2, 1),      # strided, odd extents, B = 3
         (2, 3, (5, 6, 7), 4, 3, 1, 3),      # padding = k: the transposed input adjoint
         (2, 2, (6, 6, 6), 3, 4, 2, 1),      # even kernel: phases of unequal tap counts
-        # stride 1 with fewer output rows than input channels: output-side
-        (2, 16, (12, 24, 24), 8, 3, 1, 1),  # 2C -> C: 3640 + 3640 + 220, the last reads the tail
+        (2, 3, (5, 6, 7), 4, 2, 1, 1),      # even kernel at stride 1: output grows by one
+        (2, 3, (6, 6, 6), 4, (3, 3, 1), 1, (1, 1, 0)),  # kw = 1: no shifted adds
+        (2, 3, (6, 6, 6), 4, (1, 3, 3), 1, (0, 1, 1)),  # kd = 1: one plane shift
+        (2, 3, (6, 6, 6), 4, (3, 1, 3), 1, (1, 0, 1)),  # kh = 1: one row shift
+        (2, 3, (5, 6, 7), 4, (3, 3, 1), 1, 1),  # kw = 1 with pw = 1: transposed dx
+        # stride 1 with fewer, as many and more output than input channels
+        (2, 16, (12, 24, 24), 8, 3, 1, 1),  # 2C -> C decoder conv
         (1, 8, (6, 7, 5), 3, 3, 1, 0),      # C_in > C_out without padding, B = 1
         (3, 6, (5, 6, 7), 2, 3, 1, 1),      # B = 3
-        (2, 4, (8, 8, 8), 8, 3, 1, 1),      # widening: the flipped-kernel dx is output-side
+        (2, 4, (8, 8, 8), 8, 3, 1, 1),      # widening
+        (2, 4, (11, 24, 24), 3, 3, 1, 1),
+        (2, 16, (10, 14, 14), 4, 3, 1, 0),
+        (1, 2, (9, 30, 30), 3, 3, 1, 1),
         # several chunks of anchors per sample, the last one partial
-        (2, 4, (11, 24, 24), 3, 3, 1, 1),   # 2427 + 2427 + 2021 anchors
-        (2, 4, (22, 48, 48), 3, 3, 2, 1),   # strided, the same 11 output planes
-        (2, 1, (20, 32, 32), 8, 3, 1, 1),   # C_in = 1 stem: 9709 + 9709 + 2362
-        (2, 16, (10, 14, 14), 4, 3, 1, 0),  # C_in = 16 without padding: 606 + 606 + 356
-        (1, 2, (9, 30, 30), 3, 3, 1, 1),    # 4854 + 3795: the last taps read the tail
+        (2, 4, (22, 48, 48), 3, 3, 2, 1),   # strided, full gather: 2427 + 2427 + 2021
+        (2, 1, (20, 32, 32), 8, 3, 1, 1),   # C_in = 1 stem, kw*C_out rows: 10922 + 10858
+        (2, 4, (12, 30, 30), 3, 3, 1, 1),   # 7281 + 4251
+        (2, 16, (14, 14, 14), 4, 3, 1, 0),  # C_in = 16 without padding: 1820 + 532
+        (2, 8, (10, 20, 20), 16, 3, 1, 1),  # widening: 3640 + 770, dx in 1820-anchor chunks
+        (1, 8, (9, 30, 30), 3, 3, 1, 1),    # 3640 + 3640 + 1369: the last taps read the tail
     ]
+    MULTI_CHUNK = 6     # the last six cases
 
     @staticmethod
-    def _run(conv, x, w, bias, g, stride, padding):
-        xt = Tensor(x, requires_grad=True)
+    def _axes(v):
+        return tuple(v) if isinstance(v, tuple) else (v,) * 3
+
+    @classmethod
+    def _run(cls, conv, x, w, bias, g, stride, padding, x_grad=True):
+        xt = Tensor(x, requires_grad=x_grad)
         p = ConvParams(Tensor(w, requires_grad=True), Tensor(bias, requires_grad=True),
-                       stride=(stride,) * 3, padding=(padding,) * 3)
+                       stride=cls._axes(stride), padding=cls._axes(padding))
         y = conv(xt, p)
         (y * Tensor(g)).sum().backward()
         return y.data, xt.grad, p.weight.grad, p.bias.grad
 
-    @pytest.mark.parametrize("dtype,tol", [("f64", 1e-12), ("f32", 1e-5)])
-    @pytest.mark.parametrize("case", CASES, ids=lambda c: "{}-k{}s{}p{}c{}".format(
-        "x".join(map(str, c[2])), c[4], c[5], c[6], c[1]))
-    def test_matches_im2col(self, case, dtype, tol):
-        T.set_default_dtype(dtype)
+    @classmethod
+    def _check(cls, case, tol, x_grad=True):
         b, c_in, spatial, c_out, k, stride, padding = case
-        r = Rng(sum(spatial) + k + stride, "conv-taps")
+        r = Rng(sum(spatial) + sum(cls._axes(k)) // 3 + stride, "conv-taps")
         x = r.normal((b, c_in) + spatial)
-        w = r.normal((c_out, c_in, k, k, k))
+        w = r.normal((c_out, c_in) + cls._axes(k))
         bias = r.normal((c_out,))
-        out_spatial = conv_output_shape(spatial, (k,) * 3, (stride,) * 3, (padding,) * 3)
+        out_spatial = conv_output_shape(spatial, cls._axes(k), cls._axes(stride),
+                                        cls._axes(padding))
         g = r.normal((b, c_out) + out_spatial)
-        got = self._run(conv3d, x, w, bias, g, stride, padding)
-        want = self._run(im2col_conv3d, x, w, bias, g, stride, padding)
+        got = cls._run(conv3d, x, w, bias, g, stride, padding, x_grad)
+        want = cls._run(im2col_conv3d, x, w, bias, g, stride, padding)
         for name, a, e in zip(("out", "x", "weight", "bias"), got, want):
+            if name == "x" and not x_grad:
+                assert a is None
+                continue
             assert a.shape == e.shape and a.dtype == e.dtype, name
             err = np.abs(a - e).max() / np.abs(e).max()
             assert err < tol, f"{name}: relative error {err:.2e}"
 
-    @staticmethod
-    def _layout(case):
-        """(grid, anchors per sample, gathered rows) of a case's flat layout."""
-        _, c_in, spatial, _, k, stride, padding = case
-        geometry = ((k,) * 3, (stride,) * 3, (padding,) * 3)
+    @pytest.mark.parametrize("dtype,tol", [("f64", 1e-12), ("f32", 1e-5)])
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: "{}-k{}s{}p{}c{}".format(
+        "x".join(map(str, c[2])), *("".join(map(str, v)) if isinstance(v, tuple) else v
+                                    for v in c[4:7]), c[1]))
+    def test_matches_im2col(self, case, dtype, tol):
+        T.set_default_dtype(dtype)
+        self._check(case, tol)
+
+    @classmethod
+    def _layout(cls, case):
+        """(grid, anchors per sample, rows per anchor that the forward
+        chunks by) of a case's flat layout: the larger of the partial
+        gather (C_in*kd*kh) and the stacked product (kw*C_out) at
+        stride 1, the full gather (C_in*kd*kh*kw) otherwise."""
+        _, c_in, spatial, c_out, k, stride, padding = case
+        kd, kh, kw = cls._axes(k)
+        geometry = ((kd, kh, kw), cls._axes(stride), cls._axes(padding))
         out = conv_output_shape(spatial, *geometry)
         grid = nnops._grid(spatial, *geometry, out)
-        return grid, out[0] * grid[1] * grid[2], c_in * k ** 3
+        rows = max(c_in * kd * kh, kw * c_out) if stride == 1 else c_in * kd * kh * kw
+        return grid, out[0] * grid[1] * grid[2], rows
 
     def test_cases_span_several_chunks(self):
-        # the last five cases each run several chunks of a sample's
+        # the multi-chunk cases each run several chunks of a sample's
         # anchors, ending on a partial one
-        for case in self.CASES[-5:]:
+        for case in self.CASES[-self.MULTI_CHUNK:]:
             _, anchors, rows = self._layout(case)
             sizes = [q1 - q0 for _, q0, q1 in nnops._chunks(1, anchors, rows)]
             assert len(sizes) > 1 and 0 < sizes[-1] < sizes[0], case
@@ -238,46 +267,85 @@ class TestConv3dAgainstIm2col:
         chunks = list(nnops._chunks(1, anchors, rows))
         assert len(chunks) > 1 and chunks[-1][1] <= last < chunks[-1][2]
 
-    def test_output_side_blocks(self):
-        # the 2C -> C case runs several blocks of stacked rows per sample,
-        # and the farthest tap of its last real anchor reads the tail
+    def test_partial_gather_chunks(self):
+        # the 2C -> C decoder conv's forward and its flipped-kernel dx
+        # (C_out*kd*kh gathered rows against kw*C_in product rows) each
+        # run several partial-gather chunks per sample, and the gather of
+        # a chunk is n + kw - 1 columns wide, reading at most to the tail
         case = (2, 16, (12, 24, 24), 8, 3, 1, 1)
         assert case in self.CASES
-        _, c_in, spatial, c_out, k, _, _ = case
-        assert c_out < c_in
-        (dr, hr, wr), anchors, _ = self._layout(case)
-        sizes = [q1 - q0 for _, q0, q1 in nnops._chunks(1, anchors, k * k * c_out)]
-        assert len(sizes) > 1 and 0 < sizes[-1] < sizes[0]
-        last = (spatial[0] - 1) * hr * wr + (spatial[1] - 1) * wr + spatial[2] - 1
-        assert last + (k - 1) * (hr * wr + wr + 1) >= dr * hr * wr
-        assert last >= anchors - sizes[-1]
+        b, c_in, spatial, c_out, k, _, _ = case
+        grid, anchors, rows = self._layout(case)
+        assert rows == c_in * k * k
+        for chunk_rows in (rows, max(c_out * k * k, k * c_in)):
+            sizes = [q1 - q0 for _, q0, q1 in nnops._chunks(1, anchors, chunk_rows)]
+            assert len(sizes) > 1 and 0 < sizes[-1] < sizes[0]
+        plane, pitch = grid[1] * grid[2], grid[2]
+        length = grid[0] * plane + (k - 1) * pitch + k - 1
+        src = np.arange(b * c_in * length, dtype=np.float64).reshape(b, 1, c_in, length)
+        seen = 0
+        for bi, q0, cols in nnops._partial(src, (k,) * 3, grid, anchors, c_out):
+            n = cols.shape[1] - (k - 1)
+            assert cols.shape == (c_in * k * k, n + k - 1)
+            # row (c, i, j) holds the flat input from q0 + i*plane + j*pitch
+            c, i, j = c_in - 1, k - 1, k - 1
+            start = q0 + i * plane + j * pitch
+            npt.assert_array_equal(cols[(c * k + i) * k + j], src[bi, 0, c, start:start + n + k - 1])
+            seen += n
+        assert seen == b * anchors and start + n + k - 1 == length
 
-    def test_channel_reducing_forward_gathers_nothing(self, rng, monkeypatch):
+    def test_stride_one_never_gathers_in_full(self, monkeypatch):
+        # reducing, equal-width and widening stride-1 convs gather only
+        # plane and row shifts, forward and backward, with and without an
+        # input gradient; a strided conv still gathers every tap
+        T.set_default_dtype("f32")
+        cases = [(2, 8, (6, 5, 7), c_out, 3, 1, 1) for c_out in (4, 8, 16)]
+        cases.append((2, 8, (6, 5, 7), 8, 3, 1, 3))     # padding = k: transposed dx
+
         def refuse(*args):
-            raise AssertionError("channel-reducing conv gathered its input")
-        x = Tensor(rng.normal((2, 8, 6, 5, 7)))
-        p = init_conv(rng, 8, 4, (3, 3, 3))
-        want = im2col_conv3d(x, p).data
+            raise AssertionError("stride-1 conv gathered every tap")
         monkeypatch.setattr(nnops, "_gathered", refuse)
-        got = conv3d(x, p).data
-        assert np.abs(got - want).max() < 1e-5 * np.abs(want).max()
+        for case in cases:
+            for x_grad in (True, False):
+                self._check(case, 1e-5, x_grad)
         with pytest.raises(AssertionError, match="gathered"):
-            conv3d(x, init_conv(rng, 8, 8, (3, 3, 3)))     # no fewer outputs: input side
+            self._check((2, 8, (6, 5, 7), 8, 3, 2, 1), 1e-5)
 
-    def test_gradients_f64_output_side_multi_block(self, f64_mode):
+    def test_gradients_f64_reducing_multi_chunk(self, f64_mode):
         r = Rng(9, "conv64outside")
         x = Tensor(r.normal((1, 4, 11, 40, 40)), requires_grad=True)
-        p = init_conv(r, 4, 2, (3, 3, 3))      # 18 stacked rows: 14563 + 3928 anchors
+        p = init_conv(r, 4, 2, (3, 3, 3))      # 36 gathered rows: 7281 + 7281 + 3929 anchors
         rel, _ = finite_difference_check(lambda: conv3d(x, p),
                                          [x, p.weight, p.bias], rel_tol=1e-6, seed=8)
         assert rel < 1e-6
 
     def test_gradients_f64_multi_chunk(self, f64_mode):
         r = Rng(6, "conv64chunks")
-        x = Tensor(r.normal((1, 2, 6, 40, 40)), requires_grad=True)
-        p = init_conv(r, 2, 2, (3, 3, 3))      # 3-plane chunks, both passes
+        x = Tensor(r.normal((1, 2, 10, 40, 40)), requires_grad=True)
+        p = init_conv(r, 2, 2, (3, 3, 3))      # 14563 + 2247 anchors, both passes
         rel, _ = finite_difference_check(lambda: conv3d(x, p),
                                          [x, p.weight, p.bias], rel_tol=1e-6, seed=7)
+        assert rel < 1e-6
+
+    def test_gradients_f64_shared_gather_multi_chunk(self, f64_mode):
+        # x and W both need gradients: dW comes from the dx gather, here
+        # of a widening conv's 8-channel gradient buffer in 3640 + 3640 +
+        # 1369-anchor chunks
+        r = Rng(10, "conv64shared")
+        x = Tensor(r.normal((1, 3, 9, 30, 30)), requires_grad=True)
+        p = init_conv(r, 3, 8, (3, 3, 3))
+        rel, _ = finite_difference_check(lambda: conv3d(x, p),
+                                         [x, p.weight, p.bias], rel_tol=1e-6, seed=9)
+        assert rel < 1e-6
+
+    def test_gradients_f64_weight_only_multi_chunk(self, f64_mode):
+        # x needs no gradient (the stem on the image): dW comes from x's
+        # own partial gather, in 10922 + 2526-anchor chunks
+        r = Rng(11, "conv64stem")
+        x = Tensor(r.normal((1, 1, 8, 40, 40)))
+        p = init_conv(r, 1, 8, (3, 3, 3))
+        rel, _ = finite_difference_check(lambda: conv3d(x, p),
+                                         [p.weight, p.bias], rel_tol=1e-6, seed=10)
         assert rel < 1e-6
 
     def test_no_gather_buffer_on_tape(self, f64_mode):
