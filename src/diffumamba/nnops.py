@@ -13,8 +13,9 @@ gradient and takes the weight gradient from that same gather.  Chunks
 hold about CONV_CHUNK elements, and the output is written over whole
 grid planes.  The buffers live only inside the forward or the backward
 call; backward gathers again rather than caching them, which keeps the
-live graph small.  Instance norm is one tape node with a hand-written
-adjoint, and the rectifiers are max(x, alpha * x) without a select.
+live graph small.  Normalization (instance norm, and the mamba block's
+token LayerNorm) is one tape node with a hand-written adjoint, and the
+rectifiers are max(x, alpha * x) without a select.
 The segmentation loss is the unweighted sum of soft Dice (per class
 over the whole batch, averaged over foreground classes) and mean voxel
 cross-entropy.
@@ -22,6 +23,7 @@ cross-entropy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -482,51 +484,88 @@ def conv_transpose3d(x: Tensor, p: ConvTransposeParams) -> Tensor:
     return make_op(out, parents, "conv_transpose3d", backward)
 
 
-def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = EPS_NORM) -> Tensor:
-    """gamma * (x - mean) / sqrt(var + eps) + beta per (batch, channel)
-    slice, with the biased variance, as one tape node.
+def normalize(x: Tensor, axes, gamma: Tensor, beta: Tensor, eps: float,
+              channel_axis: int = 1) -> Tensor:
+    """gamma * (x - mean) / sqrt(var + eps) + beta over ``axes``, the
+    trailing axes of x in order, with the biased variance, as one tape
+    node.  gamma and beta are 1-D along ``channel_axis``: instance norm
+    normalizes the spatial axes of (B, C, D, H, W) with a per-channel
+    affine on axis 1; the token LayerNorm normalizes the channel axis of
+    (B, L, C), which carries its own affine.
 
     The forward runs the arithmetic of the autodiff composition op for
-    op (pairwise ``np.sum`` means, x̂ = (x - mean) / sqrt(var + eps)),
-    so its values are bit-equal to it.  The tape keeps only x̂ and
-    rstd = 1/sqrt(var + eps).  Backward: dβ = Σ g, dγ = Σ g·x̂ and
-    dx = rstd·(gγ - mean(gγ) - x̂·mean(gγ·x̂)), with the sums over each
-    slice.
+    op (pairwise ``np.sum`` means, x̂ = (x - mean) / sqrt(var + eps),
+    then γx̂ + β), so its values are bit-equal to it.  The tape keeps
+    only x̂ and rstd = 1/sqrt(var + eps).  Backward, with the sums over
+    the normalized axes: dβ = Σ g and dγ = Σ g·x̂ over every axis but
+    the channel's, and dx = rstd·(h - mean(h) - x̂·mean(h·x̂)) for
+    h = gγ; γ factors out of the means when it is constant over the
+    normalized axes.
 
-    A spatial size of 1 is not an error: variance collapses to zero and
-    the eps floor turns the slice into zeros before the affine map.
+    A normalized size of 1 is not an error: variance collapses to zero
+    and the eps floor turns the slice into zeros before the affine map.
     """
-    if x.ndim != 5:
-        raise ShapeError(f"instance_norm expects (B,C,D,H,W), got {x.shape}")
-    b, c = x.shape[:2]
-    n = x.size // (b * c)
-    flat = x.data.reshape(b, c, n)
-    xhat = flat - flat.sum(axis=2, keepdims=True) * (1.0 / n)
-    var = np.square(xhat).sum(axis=2, keepdims=True) * (1.0 / n)
+    nd = x.ndim
+    k = nd - len(axes)
+    ch = channel_axis % nd
+    if not axes or tuple(axes) != tuple(range(k, nd)) or (ch >= k and k < nd - 1):
+        raise ShapeError(f"normalize needs the trailing axes in order, with the channel "
+                         f"axis outside them or alone in them; got axes {tuple(axes)} of "
+                         f"{x.shape} and channel axis {channel_axis}")
+    if gamma.shape != (x.shape[ch],) or beta.shape != gamma.shape:
+        raise ShapeError(f"normalize affine gamma{gamma.shape} beta{beta.shape} does not "
+                         f"match axis {ch} of {x.shape}")
+    lead = x.shape[:k]
+    n = math.prod(x.shape[k:])
+    affine = [1] * (k + 1)                     # gamma's shape in the (*lead, n) view
+    affine[min(ch, k)] = -1
+    gam, bet = gamma.data.reshape(affine), beta.data.reshape(affine)
+    flat = x.data.reshape(*lead, n)
+    xhat = flat - flat.sum(axis=-1, keepdims=True) * (1.0 / n)
+    var = np.square(xhat).sum(axis=-1, keepdims=True) * (1.0 / n)
     std = np.sqrt(var + eps)
     xhat /= std
     rstd = 1.0 / std
-    out = xhat * gamma.data[:, None]
-    out += beta.data[:, None]
+    out = xhat * gam
+    out += bet
 
     def backward(g):
-        g = g.reshape(b, c, n)
-        g_sum = g.sum(axis=2)
+        g = g.reshape(xhat.shape)
         gx = g * xhat
-        gx_sum = gx.sum(axis=2)
+        if ch < k:                             # γ is constant over each slice
+            g_sum, gx_sum = g.sum(axis=-1), gx.sum(axis=-1)
+            lead_sums = (g_sum, gx_sum)
+            scale = rstd * gam
+        else:                                  # γ runs along the normalized axis
+            lead_sums = (g, gx)
+        lead_axes = tuple(ax for ax in range(k) if ax != ch)
         if beta.requires_grad:
-            beta._accumulate(g_sum.sum(axis=0))
+            beta._accumulate(lead_sums[0].sum(axis=lead_axes))
         if gamma.requires_grad:
-            gamma._accumulate(gx_sum.sum(axis=0))
-        if x.requires_grad:
-            # rstd·γ·(g - mean(g) - x̂·mean(g·x̂)), built in the g·x̂ buffer
-            dx = np.multiply(xhat, gx_sum[:, :, None] * (1.0 / n), out=gx)
-            np.subtract(g, dx, out=dx)
-            dx -= g_sum[:, :, None] * (1.0 / n)
-            dx *= rstd * gamma.data[:, None]
-            x._accumulate(dx.reshape(x.shape), owned=True)
+            gamma._accumulate(lead_sums[1].sum(axis=lead_axes))
+        if not x.requires_grad:
+            return
+        if ch >= k:
+            g = g * gam
+            np.multiply(g, xhat, out=gx)
+            g_sum, gx_sum = g.sum(axis=-1), gx.sum(axis=-1)
+            scale = rstd
+        # rstd·(h - mean(h) - x̂·mean(h·x̂)), h = gγ, built in the h·x̂ buffer
+        dx = np.multiply(xhat, gx_sum[..., None] * (1.0 / n), out=gx)
+        np.subtract(g, dx, out=dx)
+        dx -= g_sum[..., None] * (1.0 / n)
+        dx *= scale
+        x._accumulate(dx.reshape(x.shape), owned=True)
 
-    return make_op(out.reshape(x.shape), (x, gamma, beta), "instance_norm", backward)
+    return make_op(out.reshape(x.shape), (x, gamma, beta), "normalize", backward)
+
+
+def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = EPS_NORM) -> Tensor:
+    """gamma * (x - mean) / sqrt(var + eps) + beta per (batch, channel)
+    slice of a (B, C, D, H, W) map: ``normalize`` over the spatial axes."""
+    if x.ndim != 5:
+        raise ShapeError(f"instance_norm expects (B,C,D,H,W), got {x.shape}")
+    return normalize(x, (2, 3, 4), gamma, beta, eps)
 
 
 def leaky_relu(x: Tensor, alpha: float = LEAKY_SLOPE) -> Tensor:

@@ -16,12 +16,14 @@ series instead.
 The mamba block runs the input-dependent (selective) recurrence as one
 fused tape op, ``selective_scan_t``, with a hand-written reverse-scan
 adjoint.  It works in a state-major (L, B, N, C) layout, so its
-full-size elementwise passes run along the channel axis and its
-contractions over N and C are matmuls, and its tape keeps only
-u = dt * a and the states.  Its independent check, the LTI
-global-convolution kernel with its own discretization, lives in
-``oracles``.  The causal depthwise conv ahead of the scan is one tape
-node as well.
+elementwise passes run along the channel axis and its contractions
+over N and C are matmuls.  Forward and backward walk blocks of
+consecutive tokens of about SCAN_BLOCK elements through buffers
+allocated once per call, and the tape keeps only the states.  Its
+independent check, the LTI global-convolution kernel with its own
+discretization, lives in ``oracles``.  The causal depthwise conv ahead
+of the scan and the token LayerNorm (``nnops.normalize``) are one tape
+node each as well.
 """
 
 from __future__ import annotations
@@ -32,52 +34,66 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .nnops import init_linear, silu
+from .nnops import init_linear, normalize, silu
 from .tensor import Tensor, ShapeError, exp, softplus
 
 PHI_SERIES_CUTOFF = 2e-2   # |u| below which phi' is a Taylor series
+SCAN_BLOCK = 1 << 15       # elements of (tokens, B, N, C) in one scan block buffer
 
 
 # ----------------------------------------------------------------------
 # selective scan as one fused tape op
 
 
-def _exp_phi(u):
-    """(e^u, phi(u)) from one ``expm1`` pass: phi = expm1(u)/u, accurate
-    to a few ulps at every u != 0, and 1 at u = 0."""
-    phi = np.expm1(u)
-    e = phi + 1.0
+def _exp_phi(u, e, phi, zero_possible=True):
+    """Write e^u into ``e`` and phi(u) = expm1(u)/u into ``phi`` from one
+    ``expm1`` pass: accurate to a few ulps at every u != 0, and 1 at
+    u = 0.  ``phi`` may be ``u`` itself; ``e`` must not be.  With
+    ``zero_possible`` false the caller has shown that no u is 0, and the
+    u == 0 pass is skipped."""
+    zero = np.flatnonzero(u == 0) if zero_possible else ()   # before phi overwrites u
+    np.expm1(u, out=e)
     with np.errstate(divide="ignore", invalid="ignore"):
-        phi /= u
-    zero = u == 0
-    if zero.any():
-        phi[zero] = 1.0
-    return e, phi
+        np.divide(e, u, out=phi)
+    e += 1.0
+    if len(zero):
+        phi.reshape(-1)[zero] = 1.0
 
 
-def _dphi(e, phi, u):
-    """phi'(u) = (e - phi)/u, and its Taylor series
-    sum_m m u^(m-1)/(m+1)! through u^7 where |u| < PHI_SERIES_CUTOFF:
-    there the difference would cancel (in f32 it loses up to 2.5e-4
-    relative at |u| = 1e-3), while the series is exact to f64 precision."""
+def _dphi(u, e, phi, out):
+    """Write phi'(u) = (e - phi)/u into ``out`` (which aliases none of
+    the inputs), and its Taylor series sum_m m u^(m-1)/(m+1)! through
+    u^7 where |u| < PHI_SERIES_CUTOFF: there the difference would cancel
+    (in f32 it loses up to 2.5e-4 relative at |u| = 1e-3), while the
+    series is exact to f64 precision."""
+    np.subtract(e, phi, out=out)
     with np.errstate(divide="ignore", invalid="ignore"):
-        d = np.subtract(e, phi)
-        d /= u
-    small = np.flatnonzero(np.abs(u) < PHI_SERIES_CUTOFF)     # take and put beat a mask
-    if small.size:
-        us = u.reshape(-1).take(small)
+        out /= u
+    small = np.flatnonzero(np.abs(u) < PHI_SERIES_CUTOFF)     # indices beat a mask
+    u_flat, out_flat = u.reshape(-1), out.reshape(-1)
+    part = max(1, u.size // 4)                 # bounds the series' own temporaries
+    for lo in range(0, small.size, part):
+        idx = small[lo:lo + part]
+        us = u_flat.take(idx)
         series = np.zeros_like(us)
         for m in range(8, 0, -1):
             series *= us
             series += m / math.factorial(m + 1)
-        d.reshape(-1).put(small, series)
-    return d
+        out_flat[idx] = series                 # 3x faster than put
 
 
 def _blc(arr):
     """``arr`` with its first two axes swapped, (B, L, ...) <-> (L, B, ...),
     C-ordered: a copy unless that layout is already contiguous."""
     return np.ascontiguousarray(arr.swapaxes(0, 1))
+
+
+def _token_blocks(length, per_token):
+    """(t0, t1) of the consecutive token blocks of about SCAN_BLOCK
+    elements, ``per_token`` = B*N*C of them per token; the last block
+    holds what is left."""
+    step = max(1, SCAN_BLOCK // max(1, per_token))
+    return [(t0, min(t0 + step, length)) for t0 in range(0, length, step)], step
 
 
 def selective_scan_t(x: Tensor, dt: Tensor, b_sel: Tensor, c_sel: Tensor, a: Tensor) -> Tensor:
@@ -87,15 +103,23 @@ def selective_scan_t(x: Tensor, dt: Tensor, b_sel: Tensor, c_sel: Tensor, a: Ten
     Returns y (B, L, C) with h_t = exp(u_t) h_{t-1} + dt_t phi(u_t) b_t x_t,
     u_t = dt_t a, y_t = h_t . c_t and h_0 = 0.
 
-    Everything runs in a state-major (L, B, N, C) layout: each input is
-    copied once into token-major order, so every full-size elementwise
-    pass has the channel axis innermost, and the contractions over N and
-    C (y and the x, b, c gradients) are matmuls.  Only the two-op
-    recurrence loops over tokens.  The tape keeps u and the states h of
-    the full-size arrays; backward recomputes exp(u) and phi from one
-    ``expm1`` pass, runs the adjoint recurrence
-    dh_t = g_t c_t + exp(u_{t+1}) dh_{t+1} in reverse and then forms all
-    five input gradients at once.
+    The states run in a state-major (L, B, N, C) layout, so every
+    full-size elementwise pass has the channel axis innermost and the
+    contractions over N and C (y and the x, b, c gradients) are
+    matmuls.  Both directions walk over blocks of consecutive tokens of
+    about SCAN_BLOCK elements of (tokens, B, N, C): each block's inputs
+    are laid out token-major, u, exp(u) and phi fill block buffers that
+    are allocated once per call, and only the two-op recurrence loops
+    over tokens, carrying the state h from one block into the next.  The
+    tape keeps only the states h, one full-size array.  Backward walks
+    the blocks in reverse, carrying dh: it recomputes u, exp(u), phi and
+    phi' per block from dt and a, runs the adjoint recurrence
+    dh_t = g_t c_t + exp(u_{t+1}) dh_{t+1}, writes the block's slices of
+    the x, dt, b and c gradients and sums a's gradient over the blocks.
+
+    u = dt a is 0 only where some dt or some a is; the u == 0 pass of
+    phi runs only when min|dt| * min|a| rounds to 0, which is exact
+    because rounding is monotonic.  All buffers are locals of the call.
     """
     bsz, length, ch = x.shape
     n = a.shape[1]
@@ -103,54 +127,99 @@ def selective_scan_t(x: Tensor, dt: Tensor, b_sel: Tensor, c_sel: Tensor, a: Ten
             c_sel.shape != (bsz, length, n) or a.shape != (ch, n):
         raise ShapeError(f"selective scan shapes x{x.shape} dt{dt.shape} b{b_sel.shape} "
                          f"c{c_sel.shape} a{a.shape} do not form (B, L, C)/(B, L, N)/(C, N)")
-    xs = _blc(x.data)                                      # (L, B, C)
-    ds = _blc(dt.data)                                     # (L, B, C)
-    bs = _blc(b_sel.data)                                  # (L, B, N)
-    cs = _blc(c_sel.data)                                  # (L, B, N)
     a_t = np.ascontiguousarray(a.data.T)                   # (N, C)
-    u = ds[:, :, None, :] * a_t                            # (L, B, N, C)
-    e, hs = _exp_phi(u)                                    # hs: dt phi b x, built in place
-    hs *= (ds * xs)[:, :, None, :]
-    hs *= bs[..., None]
-    h_t, e_t = list(hs), list(e)
-    for t in range(1, length):
-        np.multiply(e_t[t], h_t[t - 1], out=e_t[t])
-        np.add(h_t[t], e_t[t], out=h_t[t])
-    y = np.matmul(cs[:, :, None, :], hs)[:, :, 0].swapaxes(0, 1)
+    dtype = np.result_type(dt.data, a_t)
+    zero_possible = not np.abs(dt.data).min(initial=np.inf) * \
+        np.abs(a_t).min(initial=np.inf) > 0
+    blocks, step = _token_blocks(length, bsz * n * ch)
+    block = (min(step, length), bsz, n, ch)
+    u_buf, e_buf = np.empty(block, dtype), np.empty(block, dtype)
+    taped = T.records_tape((x, dt, b_sel, c_sel, a))
+    if taped:
+        hs = np.empty((length, bsz, n, ch), dtype)       # the tape's states
+    else:
+        h_buf, carry = np.empty(block, dtype), np.empty(block[1:], dtype)
+    y = np.empty((bsz, length, ch), np.result_type(c_sel.data, dtype))
+    e_tok = list(e_buf)                                    # per-token views, made once
+    h_tok = list(hs) if taped else list(h_buf)
+    for t0, t1 in blocks:
+        k = t1 - t0
+        xs, ds, bs, cs = (_blc(v.data[:, t0:t1]) for v in (x, dt, b_sel, c_sel))
+        u, e = u_buf[:k], e_buf[:k]
+        np.multiply(ds[:, :, None, :], a_t, out=u)
+        _exp_phi(u, e, u, zero_possible)                    # phi in u's buffer
+        h = hs[t0:t1] if taped else h_buf[:k]
+        np.multiply(u, (ds * xs)[:, :, None, :], out=h)    # dt phi b x
+        h *= bs[..., None]
+        h_blk = h_tok[t0:t1] if taped else h_tok[:k]
+        first = 0 if t0 else 1                             # h_0 = 0 before token 0
+        prev = h_blk[0] if not t0 else hs[t0 - 1] if taped else carry
+        for e_t, h_t in zip(e_tok[first:k], h_blk[first:]):
+            np.multiply(e_t, prev, out=e_t)
+            np.add(h_t, e_t, out=h_t)
+            prev = h_t
+        if not taped:
+            np.copyto(carry, h[-1])
+        y[:, t0:t1] = np.matmul(cs[:, :, None, :], h)[:, :, 0].swapaxes(0, 1)
+    if not taped:
+        return T.make_op(y, (x, dt, b_sel, c_sel, a), "selective_scan", None)
 
     def backward(g):
-        # the closure holds u and hs; the rest is laid out again
-        xs, ds, bs, cs, gs = (_blc(v) for v in (x.data, dt.data, b_sel.data, c_sel.data, g))
-        e, phi = _exp_phi(u)
-        dh = cs[..., None] * gs[:, :, None, :]             # g_t c_t, then the adjoint
-        step = np.empty_like(dh[0])
-        dh_t, e_t = list(dh), list(e)
-        for t in range(length - 2, -1, -1):
-            np.multiply(e_t[t + 1], dh_t[t + 1], out=step)
-            np.add(dh_t[t], step, out=dh_t[t])
-        if c_sel.requires_grad:
-            c_sel._accumulate(_blc(np.matmul(hs, gs[..., None])[..., 0]), owned=True)
-        # du = dh (b dt x phi'(u) + exp(u_t) h_{t-1})
-        du = _dphi(e, phi, u)
-        dsx = ds * xs
-        du *= dsx[:, :, None, :]
-        du *= bs[..., None]
-        np.multiply(e[1:], hs[:-1], out=e[1:])
-        np.add(du[1:], e[1:], out=du[1:])
-        du *= dh
-        p = np.multiply(phi, dh, out=phi)                  # dh phi
-        if b_sel.requires_grad:
-            db = np.matmul(p, dsx[..., None])[..., 0]
-            b_sel._accumulate(_blc(db), owned=True)
-        s = np.matmul(bs[:, :, None, :], p)[:, :, 0]       # sum_n dh phi b
-        if x.requires_grad:
-            x._accumulate(_blc(ds * s), owned=True)
-        if dt.requires_grad:
-            ddt = np.einsum("lbnc,nc->lbc", du, a_t)
-            ddt += xs * s
-            dt._accumulate(_blc(ddt), owned=True)
-        if a.requires_grad:
-            a._accumulate(np.ascontiguousarray(np.einsum("lbnc,lbc->nc", du, ds).T), owned=True)
+        # the closure holds only hs; everything else is recomputed per block
+        u_buf, e_buf, p_buf, d_buf = (np.empty(block, dtype) for _ in range(4))
+        carry = np.empty(block[1:], dtype)
+        e_tok, dh_tok = list(e_buf), list(u_buf)          # dh takes u's buffer
+        dx, ddt, db, dc = (np.empty(v.shape, v.dtype) if v.requires_grad else None
+                           for v in (x, dt, b_sel, c_sel))
+        da = np.zeros((n, ch), dtype) if a.requires_grad else None
+        for t0, t1 in reversed(blocks):
+            k = t1 - t0
+            xs, ds, bs, cs, gs = (_blc(v[:, t0:t1]) for v in
+                                  (x.data, dt.data, b_sel.data, c_sel.data, g))
+            u, e, phi, du = u_buf[:k], e_buf[:k], p_buf[:k], d_buf[:k]
+            np.multiply(ds[:, :, None, :], a_t, out=u)
+            _exp_phi(u, e, phi, zero_possible)
+            _dphi(u, e, phi, du)
+            dh = np.multiply(cs[..., None], gs[:, :, None, :], out=u)   # g_t c_t
+            if t1 < length:
+                dh[-1] += carry
+            e_blk, dh_blk = e_tok[:k], dh_tok[:k]
+            for t in range(k - 2, -1, -1):
+                np.multiply(e_blk[t + 1], dh_blk[t + 1], out=carry)
+                np.add(dh_blk[t], carry, out=dh_blk[t])
+            if t0:
+                np.multiply(e[0], dh[0], out=carry)        # into the block before
+            hb = hs[t0:t1]
+            if dc is not None:
+                dc[:, t0:t1] = np.matmul(hb, gs[..., None])[..., 0].swapaxes(0, 1)
+            # du = dh (b dt x phi'(u) + exp(u_t) h_{t-1})
+            dsx = ds * xs
+            du *= dsx[:, :, None, :]
+            du *= bs[..., None]
+            if t0:
+                np.multiply(e, hs[t0 - 1:t1 - 1], out=e)
+                du += e
+            else:
+                np.multiply(e[1:], hb[:-1], out=e[1:])
+                np.add(du[1:], e[1:], out=du[1:])
+            du *= dh
+            p = np.multiply(phi, dh, out=phi)              # dh phi
+            if db is not None:
+                db[:, t0:t1] = np.matmul(p, dsx[..., None])[..., 0].swapaxes(0, 1)
+            s = np.matmul(bs[:, :, None, :], p)[:, :, 0]   # sum_n dh phi b
+            if dx is not None:
+                dx[:, t0:t1] = (ds * s).swapaxes(0, 1)
+            if ddt is not None:
+                ddt_k = np.einsum("lbnc,nc->lbc", du, a_t)
+                ddt_k += xs * s
+                ddt[:, t0:t1] = ddt_k.swapaxes(0, 1)
+            if da is not None:
+                da += np.einsum("lbnc,lbc->nc", du, ds)
+        for v, grad in ((x, dx), (dt, ddt), (b_sel, db), (c_sel, dc)):
+            if grad is not None:
+                v._accumulate(grad, owned=True)
+        if da is not None:
+            a._accumulate(np.ascontiguousarray(da.T), owned=True)
 
     return T.make_op(y, (x, dt, b_sel, c_sel, a), "selective_scan", backward)
 
@@ -264,10 +333,8 @@ def init_mamba_block(rng, channels, n_state=8, expand=2, conv_width=3) -> MambaB
 
 
 def _token_layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    mean = t.mean(axis=2, keepdims=True)
-    centered = t - mean
-    var = (centered * centered).mean(axis=2, keepdims=True)
-    return centered / (var + eps).sqrt() * gamma + beta
+    """LayerNorm of each token of a (B, L, C) sequence over its C channels."""
+    return normalize(t, (2,), gamma, beta, eps, channel_axis=2)
 
 
 def mamba_block(x: Tensor, p: MambaBlockParams) -> Tensor:

@@ -65,6 +65,12 @@ class no_grad:
         return False
 
 
+def records_tape(parents):
+    """Whether an op on ``parents`` is recorded: the tape is on in this
+    context and some parent needs a gradient."""
+    return _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
+
+
 def set_gradient_fault(scale):
     """Testing hook: corrupt matmul adjoints by ``scale`` (None to clear)."""
     _GRAD_FAULT.set(scale)
@@ -299,7 +305,7 @@ def make_op(data, parents, op, backward):
     out.grad = None
     out._op = op
     out._backward_ran = False
-    if _GRAD_ENABLED.get() and any(p.requires_grad for p in parents):
+    if records_tape(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward

@@ -126,11 +126,13 @@ class TestTapeSize:
     desk, 8 on longseq.  The causal conv as one node instead of 16 took
     15 off every mamba block: two per model (M1 and the NRM's M2).  silu
     as one node instead of mul and sigmoid took 2 more off every mamba
-    block, which calls it twice."""
+    block, which calls it twice.  The token LayerNorm as one ``normalize``
+    node instead of an 11-node composition took 10 more off every mamba
+    block."""
 
     @pytest.mark.parametrize("cfg,side,nodes", [
-        (desk_config(), 32, 188),
-        (ModelConfig(n_stages=3, channels=(8, 16, 32), strides=(1, 2, 1)), 16, 146),
+        (desk_config(), 32, 168),
+        (ModelConfig(n_stages=3, channels=(8, 16, 32), strides=(1, 2, 1)), 16, 126),
     ], ids=["desk", "longseq"])
     def test_training_step_tape_nodes(self, rng, cfg, side, nodes):
         m = Network(cfg)

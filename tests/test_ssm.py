@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,13 +8,13 @@ import pytest
 
 from diffumamba import ssm
 from diffumamba import tensor as T
-from diffumamba.nnops import silu
+from diffumamba.nnops import normalize, silu
 from diffumamba.oracles import (finite_difference_check, kernel_apply, lti_scan,
                                 ssm_kernel, zoh_discretize)
 from diffumamba.ssm import (PHI_SERIES_CUTOFF, causal_depthwise_conv1d,
                             init_mamba_block, mamba_block, mamba_param_count,
                             selective_scan_t, _token_layer_norm)
-from diffumamba.tensor import Rng, Tensor
+from diffumamba.tensor import Rng, ShapeError, Tensor
 
 
 def taped_expm1(u):
@@ -68,6 +69,15 @@ def taped_causal_conv1d(x, weight, bias):
         term = seg * w_k
         acc = term if acc is None else acc + term
     return acc + bias
+
+
+def token_layer_norm_reference(t, gamma, beta, eps=1e-5):
+    """The 11-node autodiff composition of the token LayerNorm, kept as
+    the reference for the one-node ``_token_layer_norm``."""
+    mean = t.mean(axis=2, keepdims=True)
+    centered = t - mean
+    var = (centered * centered).mean(axis=2, keepdims=True)
+    return centered / (var + eps).sqrt() * gamma + beta
 
 
 def scan64(x, dt, b_sel, c_sel, a):
@@ -264,6 +274,15 @@ class TestSelectiveScanTape:
         assert rel < 1e-6
 
 
+def _phi_series(u):
+    """(e^u, phi(u), phi'(u)) from the scan's block helpers, each written
+    into a fresh buffer."""
+    e, phi, dphi = (np.empty_like(u) for _ in range(3))
+    ssm._exp_phi(u, e, phi)
+    ssm._dphi(u, e, phi, dphi)
+    return e, phi, dphi
+
+
 class TestPhi:
     """phi(u) = expm1(u)/u and phi'(u) as the fused scan forms them."""
 
@@ -275,8 +294,7 @@ class TestPhi:
         phi_ref = np.expm1(u64) / u64
         dphi_ref = (np.exp(u64) - phi_ref) / u64      # f64: within 3e-9 here
         u = u64.astype(np.float32)
-        e, phi = ssm._exp_phi(u)
-        dphi = ssm._dphi(e, phi, u)
+        e, phi, dphi = _phi_series(u)
         assert phi.dtype == dphi.dtype == np.float32
         assert np.abs(phi / phi_ref - 1).max() < 1e-6
         assert np.abs(dphi / dphi_ref - 1).max() < 1e-4
@@ -285,10 +303,10 @@ class TestPhi:
     def test_zero_is_the_limit(self):
         for dtype in (np.float32, np.float64):
             u = np.array([0.0, -0.0], dtype=dtype)
-            e, phi = ssm._exp_phi(u)
+            e, phi, dphi = _phi_series(u)
             npt.assert_array_equal(e, 1.0)
             npt.assert_array_equal(phi, 1.0)
-            npt.assert_array_equal(ssm._dphi(e, phi, u), 0.5)
+            npt.assert_array_equal(dphi, 0.5)
 
 
 class TestSelectiveScanFused:
@@ -308,35 +326,41 @@ class TestSelectiveScanFused:
                   r.normal((bsz, L, N), dtype=np.float64), a]
         return [Tensor(v, requires_grad=True, dtype=dtype) for v in arrays]
 
+    @staticmethod
+    def _rel(got, want):
+        return np.abs(got - want).max() / np.abs(want).max()
+
+    def _check_against_oracle(self, arrays, dtype, tol, seed):
+        """y and all five gradients of the fused op against the taped
+        oracle, under a random projection of y."""
+        fused_in = [Tensor(v, requires_grad=True, dtype=dtype) for v in arrays]
+        taped_in = [Tensor(v, requires_grad=True, dtype=dtype) for v in arrays]
+        y = selective_scan_t(*fused_in)
+        y_ref = taped_selective_scan(*taped_in)
+        assert y.dtype == y_ref.dtype == dtype
+        proj = Rng(seed, "proj").normal(y.shape, dtype=dtype)
+        (y * Tensor(proj, dtype=dtype)).sum().backward()
+        (y_ref * Tensor(proj, dtype=dtype)).sum().backward()
+        assert self._rel(y.data, y_ref.data) < tol
+        for name, t, t_ref in zip("x dt b c a".split(), fused_in, taped_in):
+            assert t.grad.shape == t_ref.grad.shape
+            assert self._rel(t.grad, t_ref.grad) < tol, name
+
+    @classmethod
+    def _arrays(cls, shape, seed):
+        """The inputs as f64 arrays, for cases that edit them first."""
+        return [v.data for v in cls._inputs(shape, np.float64, seed)]
+
     @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)],
                              ids=["f64", "f32"])
     @pytest.mark.parametrize("shape", [(2, 1, 3, 2), (2, 9, 3, 4), (2, 64, 8, 4)],
                              ids=["L1", "L9", "L64"])
     def test_matches_taped_oracle(self, shape, dtype, tol):
-        fused_in = self._inputs(shape, dtype, seed=sum(shape))
-        taped_in = self._inputs(shape, dtype, seed=sum(shape))
-        u = fused_in[1].data[..., None] * fused_in[4].data
+        arrays = self._arrays(shape, seed=sum(shape))
+        u = arrays[1][..., None] * arrays[4]
         small = np.abs(u) < PHI_SERIES_CUTOFF
         assert small.any() and (~small).any()
-
-        y = selective_scan_t(*fused_in)
-        y_ref = taped_selective_scan(*taped_in)
-        assert y.dtype == y_ref.dtype == dtype
-        proj = Rng(7, "proj").normal(y.shape, dtype=dtype)
-        (y * Tensor(proj, dtype=dtype)).sum().backward()
-        (y_ref * Tensor(proj, dtype=dtype)).sum().backward()
-
-        def rel(got, want):
-            return np.abs(got - want).max() / np.abs(want).max()
-
-        assert rel(y.data, y_ref.data) < tol
-        for name, t, t_ref in zip("x dt b c a".split(), fused_in, taped_in):
-            assert t.grad.shape == t_ref.grad.shape
-            assert rel(t.grad, t_ref.grad) < tol, name
-
-    @staticmethod
-    def _rel(got, want):
-        return np.abs(got - want).max() / np.abs(want).max()
+        self._check_against_oracle(arrays, dtype, tol, seed=7)
 
     @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)],
                              ids=["f64", "f32"])
@@ -345,39 +369,78 @@ class TestSelectiveScanFused:
         # a = -1 and dt a hair below or above the cutoff on alternate tokens,
         # so |u| straddles the branch switch
         bsz, L, C, N = 2, 12, 3, 4
-        arrays = [v.data.astype(np.float64) for v in self._inputs((bsz, L, C, N), dtype, 11)]
+        arrays = self._arrays((bsz, L, C, N), 11)
         arrays[4][:, 0] = 0.0
         arrays[4][0, 1] = -1.0
         arrays[1][:, 0::2, 0] = PHI_SERIES_CUTOFF * 0.999
         arrays[1][:, 1::2, 0] = PHI_SERIES_CUTOFF * 1.001
-        fused_in = [Tensor(v, requires_grad=True, dtype=dtype) for v in arrays]
-        taped_in = [Tensor(v, requires_grad=True, dtype=dtype) for v in arrays]
-        u = fused_in[1].data[..., None] * fused_in[4].data
+        u = arrays[1][..., None] * arrays[4]
         assert np.all(u[..., 0] == 0)
         assert np.all(np.abs(u[:, 0::2, 0, 1]) < PHI_SERIES_CUTOFF)
         assert np.all(np.abs(u[:, 1::2, 0, 1]) >= PHI_SERIES_CUTOFF)
+        self._check_against_oracle(arrays, dtype, tol, seed=8)
 
-        y = selective_scan_t(*fused_in)
-        y_ref = taped_selective_scan(*taped_in)
-        proj = Rng(8, "proj").normal(y.shape, dtype=dtype)
-        (y * Tensor(proj, dtype=dtype)).sum().backward()
-        (y_ref * Tensor(proj, dtype=dtype)).sum().backward()
-        assert self._rel(y.data, y_ref.data) < tol
-        for name, t, t_ref in zip("x dt b c a".split(), fused_in, taped_in):
-            assert self._rel(t.grad, t_ref.grad) < tol, name
+    # B = 3 and token counts that are no multiple of the tokens per block:
+    # (shape, SCAN_BLOCK), with the block lengths that gives
+    BLOCKED = [((3, 23, 3, 4), 36 * 5),                 # 5, 5, 5, 5, 3
+               ((3, 7, 2, 2), 12 * 2),                  # 2, 2, 2, 1
+               ((3, 6, 2, 3), 18 * 4),                  # 4, 2
+               ((1, 5, 2, 2), 1),                       # 1 token per block
+               ((3, 100, 64, 4), ssm.SCAN_BLOCK)]       # the module's own: 42, 42, 16
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)],
+                             ids=["f64", "f32"])
+    @pytest.mark.parametrize("shape, block", BLOCKED,
+                             ids=["L23-per5", "L7-per2", "L6-per4", "L5-per1", "L100-default"])
+    def test_blocks_carry_state_and_adjoint(self, monkeypatch, shape, block, dtype, tol):
+        # several blocks with a ragged last one: the forward carries h and
+        # the backward carries dh across every block edge
+        monkeypatch.setattr(ssm, "SCAN_BLOCK", block)
+        bsz, length, ch, n = shape
+        blocks, step = ssm._token_blocks(length, bsz * n * ch)
+        assert len(blocks) > 1 and blocks[-1][1] == length
+        assert step == 1 or length % step
+        self._check_against_oracle(self._arrays(shape, seed=sum(shape)), dtype, tol, seed=9)
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)],
+                             ids=["f64", "f32"])
+    def test_series_straddle_at_block_edge(self, monkeypatch, dtype, tol):
+        # 4 tokens per block; in channel 0, state 1 (a = -1) the last token
+        # of each block sits a hair below the cutoff and the first token of
+        # the next a hair above, so the series switch meets the block edge
+        bsz, length, ch, n = 2, 13, 3, 4
+        monkeypatch.setattr(ssm, "SCAN_BLOCK", 4 * bsz * n * ch)
+        assert [t0 for t0, _ in ssm._token_blocks(length, bsz * n * ch)[0]] == [0, 4, 8, 12]
+        arrays = self._arrays((bsz, length, ch, n), seed=12)
+        arrays[4][0, 1] = -1.0
+        arrays[1][:, 3::4, 0] = PHI_SERIES_CUTOFF * 0.999
+        arrays[1][:, 4::4, 0] = PHI_SERIES_CUTOFF * 1.001
+        u = arrays[1][..., None] * arrays[4]
+        assert np.all(np.abs(u[:, 3::4, 0, 1]) < PHI_SERIES_CUTOFF)
+        assert np.all(np.abs(u[:, 4::4, 0, 1]) >= PHI_SERIES_CUTOFF)
+        self._check_against_oracle(arrays, dtype, tol, seed=10)
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)],
+                             ids=["f64", "f32"])
+    def test_one_dt_exactly_zero(self, monkeypatch, dtype, tol):
+        # min|dt| * min|a| is 0, so the u == 0 pass runs, in the middle
+        # block of three; the zero dt gives phi = 1 in all four states
+        monkeypatch.setattr(ssm, "SCAN_BLOCK", 3 * 2 * 4 * 3)
+        arrays = self._arrays((2, 8, 3, 4), seed=13)
+        arrays[1][1, 4, 2] = 0.0
+        assert np.count_nonzero(arrays[1][..., None] * arrays[4] == 0) == 4
+        self._check_against_oracle(arrays, dtype, tol, seed=11)
 
     def test_one_tape_node(self):
         inputs = self._inputs((2, 9, 3, 4), np.float32, seed=3)
         y = selective_scan_t(*inputs)
         assert _tape_nodes(y) == 1 and y._parents == tuple(inputs)
 
-    def test_tape_keeps_u_and_states_only(self):
-        # f32 at the long-sequence size: the node retains u, the states h
-        # and the series-branch mask, about 2.25 full-size arrays
+    def test_tape_keeps_states_only(self):
+        # f32 at the long-sequence size: the node retains the states h, one
+        # full-size array; u, exp(u) and phi live in block buffers
         bsz, L, C, N = 2, 512, 64, 8
         inputs = self._inputs((bsz, L, C, N), np.float32, seed=5)
-        u = inputs[1].data[..., None] * inputs[4].data
-        assert (np.abs(u) < PHI_SERIES_CUTOFF).any()   # the mask is kept too
         full = bsz * L * C * N * np.dtype(np.float32).itemsize
         tracemalloc.start()
         try:
@@ -387,13 +450,68 @@ class TestSelectiveScanFused:
         finally:
             tracemalloc.stop()
         assert y.requires_grad
-        assert retained <= 2.5 * full, retained / full
+        assert retained <= 1.25 * full, retained / full
+
+    def test_backward_temporaries_stay_in_blocks(self):
+        # the backward closure's peak: its five gradients, which it hands
+        # over, plus the block buffers, under half a full-size array
+        bsz, L, C, N = 2, 512, 64, 8
+        inputs = self._inputs((bsz, L, C, N), np.float32, seed=6)
+        y = selective_scan_t(*inputs)
+        g = Rng(6, "g").normal(y.shape, dtype=np.float32)
+        full = bsz * L * C * N * np.dtype(np.float32).itemsize
+        grads = sum(t.data.nbytes for t in inputs)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            y._backward_fn(g)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert all(t.grad is not None for t in inputs)
+        assert peak <= grads + 0.5 * full, (peak - grads) / full
 
     def test_no_grad_records_no_tape(self):
         inputs = self._inputs((2, 9, 3, 4), np.float32, seed=3)
         with T.no_grad():
             y = selective_scan_t(*inputs)
         assert not y.requires_grad and y._parents == () and y._backward_fn is None
+
+
+    @pytest.mark.parametrize("shape, block", BLOCKED[:3],
+                             ids=["L23-per5", "L7-per2", "L6-per4"])
+    def test_no_grad_carries_state_too(self, monkeypatch, shape, block):
+        # without a tape the states live in one block buffer, and the last
+        # one is carried over: y is bit-equal to the taped forward's
+        monkeypatch.setattr(ssm, "SCAN_BLOCK", block)
+        inputs = self._inputs(shape, np.float64, seed=sum(shape))
+        with T.no_grad():
+            y = selective_scan_t(*inputs)
+        npt.assert_array_equal(y.data, selective_scan_t(*inputs).data)
+
+    def test_threads_match_serial(self):
+        # forward passes over disjoint inputs share no buffer: two threads
+        # scanning their own inputs over and over give the serial outputs
+        shapes = [(2, 100, 64, 4), (3, 77, 32, 8)]
+        inputs = [self._inputs(shape, np.float32, seed=20 + i) for i, shape in enumerate(shapes)]
+        with T.no_grad():
+            serial = [selective_scan_t(*v).data for v in inputs]
+        results = [[], []]
+
+        def work(i):
+            with T.no_grad():
+                for _ in range(20):
+                    results[i].append(selective_scan_t(*inputs[i]).data)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        for want, got in zip(serial, results):
+            assert len(got) == 20
+            for y in got:
+                npt.assert_array_equal(y, want)
 
 
 class TestCausalConv1d:
@@ -448,6 +566,67 @@ class TestCausalConv1d:
         x2[0, -1] += 10
         out2 = causal_depthwise_conv1d(Tensor(x2), w, b).data
         npt.assert_array_equal(out1[:, :-1], out2[:, :-1])
+
+
+class TestTokenLayerNorm:
+    """``_token_layer_norm``: ``normalize`` over the channels of each token."""
+
+    @staticmethod
+    def _run(norm, x, gamma, beta, g):
+        xt, gt, bt = (Tensor(v, requires_grad=True) for v in (x, gamma, beta))
+        y = norm(xt, gt, bt)
+        (y * Tensor(g)).sum().backward()
+        return y, xt.grad, gt.grad, bt.grad
+
+    # the longseq and desk mamba inputs, a short odd one and one channel
+    @pytest.mark.parametrize("dtype,tol", [("f64", 1e-12), ("f32", 1e-5)])
+    @pytest.mark.parametrize("shape", [(2, 512, 32), (2, 8, 128), (3, 5, 7), (2, 4, 1)],
+                             ids=lambda s: "x".join(map(str, s)))
+    def test_matches_composition(self, shape, dtype, tol):
+        T.set_default_dtype(dtype)
+        r = Rng(sum(shape), "ln-oracle")
+        x = r.normal(shape) * 3 + 1
+        gamma, beta = r.normal(shape[2:]), r.normal(shape[2:])
+        g = r.normal(shape)
+        got = self._run(_token_layer_norm, x, gamma, beta, g)
+        want = self._run(token_layer_norm_reference, x, gamma, beta, g)
+        # the forward is the composition's arithmetic, op for op
+        npt.assert_array_equal(got[0].data, want[0].data)
+        for name, a, e in zip(("x", "gamma", "beta"), got[1:], want[1:]):
+            assert a.shape == e.shape and a.dtype == e.dtype, name
+            err = np.abs(a - e).max()
+            assert err <= tol * max(np.abs(e).max(), 1e-30), f"{name}: error {err:.2e}"
+
+    def test_one_tape_node(self, rng):
+        x = Tensor(rng.normal((2, 6, 4)), requires_grad=True)
+        g = Tensor(rng.normal((4,)), requires_grad=True)
+        b = Tensor(rng.normal((4,)), requires_grad=True)
+        y = _token_layer_norm(x, g, b)
+        assert y._parents == (x, g, b) and _tape_nodes(y) == 1
+
+    def test_gradients(self, f64_mode):
+        r = Rng(6, "ln")
+        x = Tensor(r.normal((2, 3, 5)), requires_grad=True)
+        g = Tensor(r.normal((5,)), requires_grad=True)
+        b = Tensor(r.normal((5,)), requires_grad=True)
+        rel, _ = finite_difference_check(lambda: _token_layer_norm(x, g, b), [x, g, b],
+                                         rel_tol=1e-6, seed=6)
+        assert rel < 1e-6
+
+    def test_eps_is_the_only_default(self):
+        # TestLambdaScale sets eps through this tuple
+        assert _token_layer_norm.__defaults__ == (1e-5,)
+
+    @pytest.mark.parametrize("axes, channel_axis, width", [
+        ((1,), 2, 4),        # axes that are not trailing
+        ((1, 2), 2, 4),      # the channel axis among several normalized ones
+        ((2,), 1, 4),        # gamma of the wrong length for axis 1
+    ])
+    def test_normalize_rejects_other_layouts(self, axes, channel_axis, width):
+        x = Tensor(np.ones((2, 3, 4)))
+        gamma = Tensor(np.ones(width))
+        with pytest.raises(ShapeError):
+            normalize(x, axes, gamma, gamma, 1e-5, channel_axis=channel_axis)
 
 
 class TestMambaBlock:
