@@ -488,10 +488,11 @@ def normalize(x: Tensor, axes, gamma: Tensor, beta: Tensor, eps: float,
               channel_axis: int = 1) -> Tensor:
     """gamma * (x - mean) / sqrt(var + eps) + beta over ``axes``, the
     trailing axes of x in order, with the biased variance, as one tape
-    node.  gamma and beta are 1-D along ``channel_axis``: instance norm
-    normalizes the spatial axes of (B, C, D, H, W) with a per-channel
-    affine on axis 1; the token LayerNorm normalizes the channel axis of
-    (B, L, C), which carries its own affine.
+    node.  gamma and beta are 1-D along ``channel_axis``, the axis just
+    before ``axes`` or the one axis in them: instance norm normalizes the
+    spatial axes of (B, C, D, H, W) with a per-channel affine on axis 1;
+    the token LayerNorm normalizes the channel axis of (B, L, C), which
+    carries its own affine.
 
     The forward runs the arithmetic of the autodiff composition op for
     op (pairwise ``np.sum`` means, x̂ = (x - mean) / sqrt(var + eps),
@@ -505,22 +506,22 @@ def normalize(x: Tensor, axes, gamma: Tensor, beta: Tensor, eps: float,
     A normalized size of 1 is not an error: variance collapses to zero
     and the eps floor turns the slice into zeros before the affine map.
     """
-    nd = x.ndim
+    shape = x.shape
+    nd = len(shape)
     k = nd - len(axes)
     ch = channel_axis % nd
-    if not axes or tuple(axes) != tuple(range(k, nd)) or (ch >= k and k < nd - 1):
-        raise ShapeError(f"normalize needs the trailing axes in order, with the channel "
-                         f"axis outside them or alone in them; got axes {tuple(axes)} of "
-                         f"{x.shape} and channel axis {channel_axis}")
-    if gamma.shape != (x.shape[ch],) or beta.shape != gamma.shape:
+    if not axes or axes != tuple(range(k, nd)) or ch not in (k - 1, k) or \
+            (ch == k and k < nd - 1):
+        raise ShapeError(f"normalize needs a tuple of the trailing axes in order, with the "
+                         f"channel axis just before them or alone in them; got axes {axes} "
+                         f"of {shape} and channel axis {channel_axis}")
+    if gamma.shape != (shape[ch],) or beta.shape != gamma.shape:
         raise ShapeError(f"normalize affine gamma{gamma.shape} beta{beta.shape} does not "
-                         f"match axis {ch} of {x.shape}")
-    lead = x.shape[:k]
-    n = math.prod(x.shape[k:])
-    affine = [1] * (k + 1)                     # gamma's shape in the (*lead, n) view
-    affine[min(ch, k)] = -1
+                         f"match axis {ch} of {shape}")
+    n = math.prod(shape[k:])
+    affine = (-1,) + (1,) * (k - ch)           # gamma's shape against the (*lead, n) view
     gam, bet = gamma.data.reshape(affine), beta.data.reshape(affine)
-    flat = x.data.reshape(*lead, n)
+    flat = x.data.reshape(shape[:k] + (n,))
     xhat = flat - flat.sum(axis=-1, keepdims=True) * (1.0 / n)
     var = np.square(xhat).sum(axis=-1, keepdims=True) * (1.0 / n)
     std = np.sqrt(var + eps)
@@ -531,21 +532,24 @@ def normalize(x: Tensor, axes, gamma: Tensor, beta: Tensor, eps: float,
 
     def backward(g):
         g = g.reshape(xhat.shape)
-        gx = g * xhat
         if ch < k:                             # γ is constant over each slice
-            g_sum, gx_sum = g.sum(axis=-1), gx.sum(axis=-1)
-            lead_sums = (g_sum, gx_sum)
-            scale = rstd * gam
+            g_sum = g.sum(axis=-1)
+            gx = g * xhat
+            gx_sum = gx.sum(axis=-1)
+            d_beta, d_gamma = g_sum, gx_sum
         else:                                  # γ runs along the normalized axis
-            lead_sums = (g, gx)
-        lead_axes = tuple(ax for ax in range(k) if ax != ch)
+            gx = g * xhat
+            d_beta, d_gamma = g, gx
+        # the channel is the last axis of both: sum over all the others
         if beta.requires_grad:
-            beta._accumulate(lead_sums[0].sum(axis=lead_axes))
+            beta._accumulate(d_beta.reshape(-1, shape[ch]).sum(axis=0))
         if gamma.requires_grad:
-            gamma._accumulate(lead_sums[1].sum(axis=lead_axes))
+            gamma._accumulate(d_gamma.reshape(-1, shape[ch]).sum(axis=0))
         if not x.requires_grad:
             return
-        if ch >= k:
+        if ch < k:
+            scale = rstd * gam
+        else:
             g = g * gam
             np.multiply(g, xhat, out=gx)
             g_sum, gx_sum = g.sum(axis=-1), gx.sum(axis=-1)
@@ -555,9 +559,9 @@ def normalize(x: Tensor, axes, gamma: Tensor, beta: Tensor, eps: float,
         np.subtract(g, dx, out=dx)
         dx -= g_sum[..., None] * (1.0 / n)
         dx *= scale
-        x._accumulate(dx.reshape(x.shape), owned=True)
+        x._accumulate(dx.reshape(shape), owned=True)
 
-    return make_op(out.reshape(x.shape), (x, gamma, beta), "normalize", backward)
+    return make_op(out.reshape(shape), (x, gamma, beta), "normalize", backward)
 
 
 def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = EPS_NORM) -> Tensor:

@@ -620,7 +620,8 @@ class TestTokenLayerNorm:
     @pytest.mark.parametrize("axes, channel_axis, width", [
         ((1,), 2, 4),        # axes that are not trailing
         ((1, 2), 2, 4),      # the channel axis among several normalized ones
-        ((2,), 1, 4),        # gamma of the wrong length for axis 1
+        ((2,), 0, 2),        # a channel axis that is not just before the axes
+        ((2,), 2, 3),        # gamma of the wrong length for axis 2
     ])
     def test_normalize_rejects_other_layouts(self, axes, channel_axis, width):
         x = Tensor(np.ones((2, 3, 4)))
