@@ -3,19 +3,20 @@
 3D convolution runs on one flat zero-padded layout: each phase of the
 stride of each sample's padded input is a (C, grid + tail) buffer, so
 the input of every kernel tap for a run of output anchors is a
-contiguous slice.  A strided conv gathers every tap of a chunk of
-anchors (one strided copy per phase) for one BLAS matmul.  A stride-1
-conv gathers only the plane and row shifts of the kernel, multiplies
-them with the weight whose kw tap columns are stacked as output rows,
-and adds row block k back shifted by k anchors; its
-backward runs the same path on the output gradient for the input
-gradient and takes the weight gradient from that same gather.  Chunks
-hold about CONV_CHUNK elements, and the output is written over whole
-grid planes.  The buffers live only inside the forward or the backward
-call; backward gathers again rather than caching them, which keeps the
-live graph small.  Normalization (instance norm, and the mamba block's
-token LayerNorm) is one tape node with a hand-written adjoint, and the
-rectifiers are max(x, alpha * x) without a select.
+contiguous slice.  Every conv that is not pointwise is the sum over its
+stride phases (one at stride 1) of stride-1 correlations of a phase
+with its sub-kernel, all on one path: a chunk gathers only the plane
+and row shifts of the taps, one GEMM with the weight's kw tap columns
+stacked as output rows gives every tap's product, and row block k is
+added back shifted by k anchors.  Backward runs the same correlation
+per phase on the output gradient with the flipped sub-kernel for the
+input gradient, and takes the weight gradient from that same gather.
+Chunks hold about CONV_CHUNK elements, and the output is written over
+whole grid planes.  The buffers live only inside the forward or the
+backward call; backward gathers again rather than caching them, which
+keeps the live graph small.  Normalization (instance norm, and the
+mamba block's token LayerNorm) is one tape node with a hand-written
+adjoint, and the rectifiers are max(x, alpha * x) without a select.
 The segmentation loss is the unweighted sum of soft Dice (per class
 over the whole batch, averaged over foreground classes) and mean voxel
 cross-entropy.
@@ -110,138 +111,108 @@ def _phase_slices(spatial, padding, stride, phase, grid):
     return (Ellipsis, *dst), (Ellipsis, *src)
 
 
-def _chunks(b, anchors, rows):
-    """(bi, q0, q1) for every chunk of the first ``anchors`` grid anchors
-    of every sample: as many anchors as keep ``rows`` elements per
-    anchor (gathered, or of a stacked product) within about CONV_CHUNK,
-    at least one."""
+def _sub_kernel(phase, stride):
+    """The index of ``phase``'s taps in a (C_out, C_in, kd, kh, kw)
+    weight: the phase's tap (i, j, k) is tap (a + s*i, b + s*j, c + s*k)."""
+    return (Ellipsis,) + tuple(slice(a, None, s) for a, s in zip(phase, stride))
+
+
+def _stacked(w):
+    """The (kw*C_out, C*kd*kh) GEMM rows of a (C_out, C, kd, kh, kw)
+    weight: tap column k's rows are row block k."""
+    c_out, c, kd, kh, kw = w.shape
+    return w.transpose(4, 0, 1, 2, 3).reshape(kw * c_out, c * kd * kh)
+
+
+def _chunks(anchors, rows):
+    """(q0, q1) for every chunk of a sample's first ``anchors`` grid
+    anchors: as many anchors as keep ``rows`` elements per anchor
+    (gathered, or of a stacked product) within about CONV_CHUNK, at
+    least one."""
     per = max(1, CONV_CHUNK // rows)
-    for bi in range(b):
-        for q0 in range(0, anchors, per):
-            yield bi, q0, min(q0 + per, anchors)
+    for q0 in range(0, anchors, per):
+        yield q0, min(q0 + per, anchors)
 
 
-def _gathered(src, kernel, stride, grid, anchors):
-    """(bi, q0, cols) for every chunk of ``_chunks`` over ``anchors``.
+def _partial(src, terms, grid, anchors, c_out):
+    """(bi, t, q0, cols) for every sample bi, term t and chunk of
+    ``_chunks`` over ``anchors``, gathering only the kd*kh plane and row
+    shifts of the term's taps.
 
     ``src`` is a C-contiguous (B, P, C, L): per sample and phase, C flat
-    grids of ``grid``'s (H, W) geometry.  cols is (C*kd*kh*kw, n), its rows in
-    the weight's (channel, tap) order: the row of channel c and tap
-    (i, j, k) holds src[bi, p, c, q0 + m + (i div s)*H*W + (j div s)*W
-    + (k div s)] for the n anchors q0 + m of the chunk, p being phase
-    (i mod s, j mod s, k mod s).  Each phase's rows are one ``copyto``
-    from a strided view whose inner rows are the whole chunk.  One
-    buffer serves every chunk.
+    grids of ``grid``'s (H, W) geometry.  Term t = (p, start, (kd, kh, kw))
+    reads phase p from element ``start`` on.  Its chunks are sized by the
+    larger of the C*kd*kh gathered rows and the kw*c_out rows of a
+    product with every tap column stacked.  cols is (C*kd*kh, n + kw - 1),
+    its rows in (channel, i, j) order: the row of channel c and taps
+    (i, j) holds src[bi, p, c, start + q0 + m + i*H*W + j*W] for
+    m < n + kw - 1, so the input of tap (i, j, k) for the n anchors of the
+    chunk is cols[:, k:k + n].  The gather is one ``copyto`` from a
+    strided view whose inner rows are the whole chunk, into one buffer
+    that grows to the widest chunk.
     """
     b, _, c, length = src.shape
     es = src.itemsize
-    steps = (grid[1] * grid[2] * es, grid[2] * es, es)
-    phases = _phases(kernel, stride)
-    views = [np.ndarray((b, c) + taps + (anchors,), src.dtype, src, p * length * c * es,
-                        (src.strides[0], src.strides[2]) + steps + (es,))
-             for p, (_, taps) in enumerate(phases)]
-    rows = c * int(np.prod(kernel))
-    buf = np.empty(rows * min(anchors, max(1, CONV_CHUNK // rows)), dtype=src.dtype)
-    for bi, q0, q1 in _chunks(b, anchors, rows):
-        cols = buf[:rows * (q1 - q0)].reshape((c,) + kernel + (-1,))
-        for ((a, bb, cc), _), v in zip(phases, views):
-            np.copyto(cols[:, a::stride[0], bb::stride[1], cc::stride[2]], v[bi, ..., q0:q1])
-        yield bi, q0, cols.reshape(rows, -1)
+    strides = (src.strides[2], grid[1] * grid[2] * es, grid[2] * es, es)
+    buf = np.empty(0, dtype=src.dtype)
+    for bi in range(b):
+        for t, (p, start, (kd, kh, kw)) in enumerate(terms):
+            span = c * kd * kh
+            view = np.ndarray((c, kd, kh, anchors + kw - 1), src.dtype, src,
+                              bi * src.strides[0] + (p * c * length + start) * es, strides)
+            for q0, q1 in _chunks(anchors, max(span, kw * c_out)):
+                size = span * (q1 - q0 + kw - 1)
+                if buf.size < size:
+                    buf = np.empty(size, dtype=src.dtype)
+                cols = buf[:size].reshape(c, kd, kh, -1)
+                np.copyto(cols, view[..., q0:q1 + kw - 1])
+                yield bi, t, q0, cols.reshape(span, -1)
 
 
-def _partial(src, kernel, grid, anchors, c_out):
-    """(bi, q0, cols) for every chunk of ``_chunks`` over ``anchors`` of a
-    stride-1 layout, gathering only the kd*kh plane and row shifts.
+def _correlate(src, terms, w_rows, grid, out, bias=None, visit=None):
+    """Fill ``out`` (B, C_out, Do, Ho, Wo) with the sum over ``terms`` of
+    the stride-1 correlations of ``src``'s flat grids (``_partial``) with
+    their ``_stacked`` weights ``w_rows``.
 
-    ``src`` is a C-contiguous (B, 1, C, L) of flat grids of ``grid``'s
-    (H, W) geometry.  Chunks are sized by the larger of the C*kd*kh
-    gathered rows and the kw*c_out rows of a product with every tap
-    column stacked.  cols is (C*kd*kh, n + kw - 1), its rows in
-    (channel, i, j) order: the row of channel c and taps (i, j) holds
-    src[bi, 0, c, q0 + m + i*H*W + j*W] for m < n + kw - 1, so the input
-    of tap (i, j, k) for the n anchors of the chunk is cols[:, k:k + n].
-    The gather is one ``copyto`` from a strided view whose inner rows are
-    the whole chunk, and one buffer serves every chunk.
+    Each sample's output is built extended over whole grid planes.  For
+    every chunk of a term, one GEMM of its (kw*C_out, C*kd*kh) rows and
+    the gathered columns gives the products of all kw tap columns over
+    n + kw - 1 anchors, and row block k goes into the output shifted by
+    k anchors (the first term writes, the others add).  One (bias-fused)
+    copy per sample keeps the Ho x Wo corner of each plane.
+    ``visit(bi, t, q0, cols)`` sees every chunk's gather.  The product
+    buffer grows to the widest chunk and serves every chunk.
     """
-    b, _, c, _ = src.shape
-    kd, kh, kw = kernel
-    es = src.itemsize
-    view = np.ndarray((b, c, kd, kh, anchors + kw - 1), src.dtype, src, 0,
-                      (src.strides[0], src.strides[2], grid[1] * grid[2] * es, grid[2] * es, es))
-    span = c * kd * kh
-    rows = max(span, kw * c_out)
-    buf = np.empty(span * (min(anchors, max(1, CONV_CHUNK // rows)) + kw - 1), dtype=src.dtype)
-    for bi, q0, q1 in _chunks(b, anchors, rows):
-        cols = buf[:span * (q1 - q0 + kw - 1)].reshape(c, kd, kh, -1)
-        np.copyto(cols, view[bi, ..., q0:q1 + kw - 1])
-        yield bi, q0, cols.reshape(span, -1)
-
-
-def _correlate(src, w_mat, kernel, stride, grid, out, bias=None, visit=None):
-    """Fill ``out`` (B, C_out, Do, Ho, Wo) with the correlation of ``src``
-    and the (C_out, C*taps) ``w_mat``.  Each sample's output is built
-    extended over whole grid planes, a chunk of anchors at a time, by
-    ``_shifted`` at stride 1 and by ``_input_side`` otherwise; one
-    (bias-fused) copy per sample keeps the Ho x Wo corner of each plane.
-    At stride 1, ``visit(bi, q0, cols)`` sees every chunk's partial
-    gather."""
-    c_out = w_mat.shape[0]
+    c_out, (do, ho, wo) = out.shape[1], out.shape[2:]
     _, hr, wr = grid
-    do, ho, wo = out.shape[2:]
     ext = np.empty((c_out, do * hr * wr), dtype=out.dtype)
     corner = ext.reshape(c_out, do, hr, wr)[:, :, :ho, :wo]
-    if stride == (1, 1, 1):
-        blocks = _shifted(src, w_mat, kernel, grid, ext, visit)
-    else:
-        blocks = _input_side(src, w_mat, kernel, stride, grid, ext)
-    for bi, q1 in blocks:
-        if q1 < ext.shape[1]:
-            continue
-        if bias is None:
-            np.copyto(out[bi], corner)
-        else:
-            np.add(corner, bias[:, None, None, None], out=out[bi])
-
-
-def _input_side(src, w_mat, kernel, stride, grid, ext):
-    """For every chunk of ``_gathered``, one GEMM of ``w_mat`` and the
-    gathered columns into ``ext``; yields (bi, q1) once ext[:, :q1] of
-    sample bi is filled."""
-    for bi, q0, cols in _gathered(src, kernel, stride, grid, ext.shape[1]):
-        q1 = q0 + cols.shape[1]
-        np.matmul(w_mat, cols, out=ext[:, q0:q1])
-        yield bi, q1
-
-
-def _shifted(src, w_mat, kernel, grid, ext, visit):
-    """The stride-1 correlation from the partial gather, as
-    ``_input_side`` yields it.  For every chunk of ``_partial``, one GEMM
-    of the (kw*C_out, C*kd*kh) weight, tap column k's rows stacked as
-    row block k, gives the products of all kw taps over n + kw - 1
-    anchors; the chunk's output is row block 0 plus row block k shifted
-    by k anchors.  The product buffer is sized by the first, widest
-    chunk and serves every chunk."""
-    c_out = w_mat.shape[0]
-    kw = kernel[2]
-    span = w_mat.shape[1] // kw
-    w_rows = w_mat.reshape(c_out, span, kw).transpose(2, 0, 1).reshape(kw * c_out, span)
-    buf = None
-    for bi, q0, cols in _partial(src, kernel, grid, ext.shape[1], c_out):
+    buf = np.empty(0, dtype=out.dtype)
+    for bi, t, q0, cols in _partial(src, terms, grid, ext.shape[1], c_out):
+        kw = terms[t][2][2]
         n = cols.shape[1] - kw + 1
         acc = ext[:, q0:q0 + n]
-        if kw == 1:
-            np.matmul(w_rows, cols, out=acc)
+        if t == 0 and kw == 1:
+            np.matmul(w_rows[t], cols, out=acc)
         else:
-            if buf is None:
-                buf = np.empty(kw * c_out * cols.shape[1], dtype=ext.dtype)
-            prod = buf[:kw * c_out * cols.shape[1]].reshape(kw, c_out, -1)
-            np.matmul(w_rows, cols, out=prod.reshape(kw * c_out, -1))
-            np.add(prod[0, :, :n], prod[1, :, 1:n + 1], out=acc)
-            for k in range(2, kw):
+            size = kw * c_out * cols.shape[1]
+            if buf.size < size:
+                buf = np.empty(size, dtype=out.dtype)
+            prod = buf[:size].reshape(kw, c_out, -1)
+            np.matmul(w_rows[t], cols, out=prod.reshape(kw * c_out, -1))
+            blocks = range(kw)
+            if t == 0:
+                np.add(prod[0, :, :n], prod[1, :, 1:n + 1], out=acc)
+                blocks = range(2, kw)
+            for k in blocks:
                 acc += prod[k, :, k:k + n]
         if visit is not None:
-            visit(bi, q0, cols)
-        yield bi, q0 + n
+            visit(bi, t, q0, cols)
+        if t == len(terms) - 1 and q0 + n == ext.shape[1]:
+            if bias is None:
+                np.copyto(out[bi], corner)
+            else:
+                np.add(corner, bias[:, None, None, None], out=out[bi])
 
 
 def _pointwise(x, p, out_spatial):
@@ -282,60 +253,60 @@ def _pointwise(x, p, out_spatial):
     return make_op(out.reshape((b, c_out) + tuple(out_spatial)), parents, "conv3d", backward)
 
 
-def _weight_grad(xp, g_at, shape, stride, grid):
-    """dW from the flat input ``xp`` and the output gradient ``g_at`` at
-    the forward anchors.  dWᵀ = cols @ gᵀ (BLAS runs this shape about
-    twice as fast as g @ colsᵀ): at stride 1, the partial gather shifted
-    by k for each tap column k; otherwise the full gather."""
-    c_out, c_in, kd, kh, kw = shape
-    kernel, anchors = (kd, kh, kw), g_at.shape[2]
-    if stride != (1, 1, 1):
-        dw_t = np.zeros((c_in * kd * kh * kw, c_out), dtype=g_at.dtype)
-        for bi, q0, cols in _gathered(xp, kernel, stride, grid, anchors):
-            dw_t += cols @ g_at[bi, :, q0:q0 + cols.shape[1]].T
-        return dw_t.T.reshape(shape)
-    # dw_t[k] row (c, i, j) holds dW[:, c, i, j, k]
-    dw_t = np.zeros((kw, c_in * kd * kh, c_out), dtype=g_at.dtype)
-    for bi, q0, cols in _partial(xp, kernel, grid, anchors, c_out):
+def _weight_grad(xp, g_at, terms, grid, dw, subs):
+    """Fill ``dw`` from the flat input ``xp`` and the output gradient
+    ``g_at`` at the forward anchors, when x needs no gradient: the
+    transposed gradient of term t's sub-kernel ``dw[subs[t]]`` is x's own
+    partial gather of that phase, shifted by k for each tap column k,
+    times gᵀ (BLAS runs this shape about twice as fast as g @ colsᵀ)."""
+    c_in, c_out = xp.shape[2], g_at.shape[1]
+    # dw_t[t][k] row (c, i, j) holds the sub-kernel's dW[:, c, i, j, k]
+    dw_t = [np.zeros((kw, c_in * kd * kh, c_out), dtype=g_at.dtype)
+            for _, _, (kd, kh, kw) in terms]
+    for bi, t, q0, cols in _partial(xp, terms, grid, g_at.shape[2], c_out):
+        kw = terms[t][2][2]
         n = cols.shape[1] - kw + 1
         g_n = g_at[bi, :, q0:q0 + n]
         for k in range(kw):
-            dw_t[k] += cols[:, k:k + n] @ g_n.T
-    return dw_t.reshape(kw, c_in, kd, kh, c_out).transpose(4, 1, 2, 3, 0)
+            dw_t[t][k] += cols[:, k:k + n] @ g_n.T
+    for (_, _, (kd, kh, kw)), acc, sub in zip(terms, dw_t, subs):
+        dw[sub] = acc.reshape(kw, c_in, kd, kh, c_out).transpose(4, 1, 2, 3, 0)
 
 
-def _flipped_input_grad(gp, xp, weight, padding, grid, x_shape):
-    """dx of a stride-1 conv with padding < kernel: the correlation of
-    the gradient buffer ``gp`` with the flipped kernel, C_in and C_out
-    swapped.  When the weight needs a gradient too, it is taken from the
-    same gather: for dx anchor q, cols[:, q - q0 + k'] holds gp at
-    q + offset(i', j', k') and xp holds x at q + s0, s0 = pd*H'W' + ph*W'
-    + pw, which meet in dW[o, :, kd-1-i', kh-1-j', kw-1-k'].  One GEMM
-    per chunk multiplies cols with the x slice stacked kw times, block k'
-    shifted by k' columns between zeros.  xp is zero at the junk dx
-    anchors (the shared padding) and gp at the junk forward anchors, so
-    this is the forward-side sum reordered."""
-    c_out, c_in, kd, kh, kw = weight.shape
-    w_flip = weight.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4).reshape(c_in, -1)
-    dx = np.empty(x_shape, dtype=gp.dtype)
-    if not weight.requires_grad:
-        _correlate(gp, w_flip, (kd, kh, kw), (1, 1, 1), grid, dx)
-        return dx
-    s0 = padding[0] * grid[1] * grid[2] + padding[1] * grid[2] + padding[2]
+def _flipped_input_grad(gp, start, xs, w, grid, dx, dw):
+    """Fill ``dx``, the strided view of the input gradient at the voxels
+    one stride phase holds, with the stride-1 correlation of the gradient
+    buffer ``gp`` from ``start`` on and the phase's flipped sub-kernel
+    ``w``, C_in and C_out swapped.
+
+    When ``dw``, the sub-kernel's view of the weight gradient, is given,
+    it is taken from the same gather.  ``xs`` is the phase's flat input
+    from its first held voxel on, so for dx anchor q, cols[:, q - q0 + k']
+    holds gp at start + q + offset(i', j', k') and xs holds x at q, which
+    meet in dW[o, :, kd-1-i', kh-1-j', kw-1-k'].  One GEMM per chunk
+    multiplies cols with the x slice stacked kw times, block k' shifted
+    by k' columns between zeros.  x is zero at the junk dx anchors (the
+    shared padding) and gp at the junk forward anchors, so this is the
+    forward-side sum reordered."""
+    c_out, c_in, kd, kh, kw = w.shape
+    terms = [(0, start, (kd, kh, kw))]
+    w_rows = [_stacked(w[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4))]
+    if dw is None:
+        _correlate(gp, terms, w_rows, grid, dx)
+        return
     # row (o, i', j'), column (k', c) holds dW[o, c, kd-1-i', kh-1-j', kw-1-k']
     dw_flip = np.zeros((c_out * kd * kh, kw * c_in), dtype=gp.dtype)
 
-    def visit(bi, q0, cols):
+    def visit(bi, _, q0, cols):
         n = cols.shape[1] - kw + 1
-        xs = np.zeros((kw, c_in, cols.shape[1]), dtype=gp.dtype)
+        seg = xs[bi, :, q0:q0 + n]          # shorter past the layout's end, where x is 0
+        xk = np.zeros((kw, c_in, cols.shape[1]), dtype=gp.dtype)
         for k in range(kw):
-            xs[k, :, k:k + n] = xp[bi, 0, :, q0 + s0:q0 + s0 + n]
-        dw_flip[...] += cols @ xs.reshape(kw * c_in, -1).T
+            xk[k, :, k:k + seg.shape[1]] = seg
+        dw_flip[...] += cols @ xk.reshape(kw * c_in, -1).T
 
-    _correlate(gp, w_flip, (kd, kh, kw), (1, 1, 1), grid, dx, visit=visit)
-    weight._accumulate(dw_flip.reshape(c_out, kd, kh, kw, c_in)[:, ::-1, ::-1, ::-1]
-                       .transpose(0, 4, 1, 2, 3))
-    return dx
+    _correlate(gp, terms, w_rows, grid, dx, visit=visit)
+    dw[...] = dw_flip.reshape(c_out, kd, kh, kw, c_in)[:, ::-1, ::-1, ::-1].transpose(0, 4, 1, 2, 3)
 
 
 def conv3d(x: Tensor, p: ConvParams) -> Tensor:
@@ -348,26 +319,23 @@ def conv3d(x: Tensor, p: ConvParams) -> Tensor:
     W + p rather than W + 2p at stride 1.  The input of tap (i, j, k)
     for output anchor q = d*H'W' + h*W' + w is then element
     q + (i div s)*H'W' + (j div s)*W' + (k div s) of phase
-    (i mod s, j mod s, k mod s), and the output is built extended over
-    whole grid planes.  A strided conv gathers every tap of a chunk of
-    anchors, one ``copyto`` per phase, for one GEMM (``_input_side``).
-    A stride-1 conv gathers only the kd*kh plane and row shifts, runs one
-    GEMM with the weight's kw taps as stacked output rows, and adds the
-    kw row blocks, block k shifted by k anchors (``_shifted``).  One
-    bias-fused copy keeps the Do x Ho x Wo voxels.  The tape keeps only
-    the flat buffer.
+    (a, b, c) = (i mod s, j mod s, k mod s), so the conv is the sum over
+    the phases of the stride-1 correlation of each phase with its
+    sub-kernel weight[:, :, a::s, b::s, c::s] (``_correlate``), built
+    extended over whole grid planes.  One bias-fused copy keeps the
+    Do x Ho x Wo voxels.  The tape keeps only the flat buffer.
 
-    Backward places the output gradient once in the same grid, zero on
-    the border columns.  At stride 1 (with padding < kernel) the input
-    gradient is the same stride-1 correlation, run on that gradient
-    buffer behind a front margin, against the flipped kernel with C_in
-    and C_out swapped; the weight gradient is taken from that
-    correlation's gather, against the input at the same anchors, so the
-    backward gathers once.  Otherwise the weight gradient gathers the
-    input again (partially at stride 1), and the GEMM's transpose adds
-    each tap's rows back into the flat buffer's gradient as contiguous
-    slices.  A 1x1x1 conv without padding skips the gather and
-    multiplies the input directly.
+    Backward places the output gradient once in the same grid, behind a
+    front margin and zero on the border columns.  Each phase's share of
+    the input gradient is the stride-1 correlation of that buffer with
+    the phase's flipped sub-kernel, C_in and C_out swapped, over the
+    anchors of the input voxels the phase holds; its corner copy writes
+    straight into dx's strided view of those voxels.  The sub-kernel's
+    weight gradient is taken from that correlation's gather, against the
+    input at the same anchors, so the backward gathers once; when x needs
+    no gradient, it comes from each phase's own gather of x.  A 1x1x1
+    conv without padding skips the gather and multiplies the input
+    directly.
     """
     if x.ndim != 5:
         raise ShapeError(f"conv3d expects (B,C,D,H,W), got {x.shape}")
@@ -390,48 +358,45 @@ def conv3d(x: Tensor, p: ConvParams) -> Tensor:
     xp = np.zeros((b, len(phases), c_in, size + tail), dtype=x.dtype)
     for n, (dst, src) in enumerate(slices):
         xp[:, n, :, :size].reshape((b, c_in) + grid)[dst] = x.data[src]
-    w_mat = p.weight.data.reshape(c_out, -1)
+    subs = [_sub_kernel(ph, stride) for ph, _ in phases]
+    terms = [(n, 0, taps) for n, (_, taps) in enumerate(phases)]
     weight, bias = p.weight, p.bias
-    out = np.empty((b, c_out) + out_spatial, dtype=np.result_type(xp, w_mat))
-    _correlate(xp, w_mat, kernel, stride, grid, out, None if bias is None else bias.data)
-    # dx as the flipped-kernel correlation: stride 1, padding k - 1 - p >= 0
-    flip = x.requires_grad and stride == (1, 1, 1) and all(q < k for q, k in zip(padding, kernel))
+    out = np.empty((b, c_out) + out_spatial, dtype=np.result_type(xp, weight.data))
+    _correlate(xp, terms, [_stacked(weight.data[sub]) for sub in subs], grid, out,
+               None if bias is None else bias.data)
 
     def backward(g):
-        # g in the grid, after a front margin that aligns the flipped
-        # kernel's taps with dx: g[q] meets dx[q + margin - offset(tap)]
-        margin = sum((k - 1 - q) * m for k, q, m in zip(kernel, padding, (plane, pitch, 1))) \
-            if flip else 0
-        # the flipped taps of the last dx anchor reach (D + kd - 1) planes
-        length = max((spatial[0] + kd - 1) * plane + (kh - 1) * pitch + kw - 1,
-                     margin + do * plane) if flip else do * plane
+        # per phase, the flat offsets of its first held voxel and of its
+        # last tap; g sits in the grid behind a front margin so that every
+        # phase's flipped taps, read from margin - last + first on, meet
+        # its dx anchors
+        steps = (plane, pitch, 1)
+        firsts = [sum(s.start * m for s, m in zip(dst[1:], steps)) for dst, _ in slices]
+        lasts = [sum((t - 1) * m for t, m in zip(taps, steps)) for _, taps in phases]
+        margin = max(0, *(last - first for first, last in zip(firsts, lasts)))
+        # the flipped taps of a phase's last dx anchor reach its planes past its first voxel
+        length = margin + max(do * plane, *(first + (dst[1].stop - dst[1].start) * plane
+                                            for first, (dst, _) in zip(firsts, slices)))
         gp = np.zeros((b, 1, c_out, length), dtype=g.dtype)
         g_at = gp[:, 0, :, margin:margin + do * plane]       # g at the forward anchors
         g_at.reshape(b, c_out, do, grid[1], pitch)[:, :, :, :ho, :wo] = g
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2, 3, 4)))
-        if weight.requires_grad and not flip:
-            weight._accumulate(_weight_grad(xp, g_at, weight.shape, stride, grid))
-        if flip:
-            x._accumulate(_flipped_input_grad(gp, xp, weight, padding, grid, x.shape),
-                          owned=True)
-            return
-        if not x.requires_grad:
-            return
-        dxp = np.zeros_like(xp)
-        rows = w_mat.shape[1]
-        for bi, q0, q1 in _chunks(b, do * plane, rows):
-            n = q1 - q0
-            dcols = (w_mat.T @ g_at[bi, :, q0:q0 + n]).reshape((c_in,) + kernel + (n,))
-            for ph, ((a, bb, c), taps) in enumerate(phases):
-                for i, j, k in np.ndindex(taps):
-                    off = q0 + i * plane + j * pitch + k
-                    dxp[bi, ph, :, off:off + n] += dcols[:, a + i * stride[0], bb + j * stride[1],
-                                                         c + k * stride[2]]
-        dx = np.zeros(x.shape, dtype=g.dtype)
-        for n, (dst, src) in enumerate(slices):
-            dx[src] = dxp[:, n, :, :size].reshape((b, c_in) + grid)[dst]
-        x._accumulate(dx, owned=True)
+        dw = np.empty(weight.shape, dtype=g.dtype) if weight.requires_grad else None
+        if x.requires_grad:
+            # voxels that no tap reads (kernel < stride, or past the last
+            # anchor's taps) belong to no phase and keep a zero gradient
+            held = sum(x.data[src].size for _, src in slices)
+            dx = (np.empty if held == x.data.size else np.zeros)(x.shape, dtype=g.dtype)
+            for n, (sub, (_, src), first, last) in enumerate(zip(subs, slices, firsts, lasts)):
+                _flipped_input_grad(gp, margin - last + first, xp[:, n, :, first:],
+                                    weight.data[sub], grid, dx[src],
+                                    None if dw is None else dw[sub])
+            x._accumulate(dx, owned=True)
+        elif dw is not None:
+            _weight_grad(xp, g_at, terms, grid, dw, subs)
+        if dw is not None:
+            weight._accumulate(dw, owned=True)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return make_op(out, parents, "conv3d", backward)

@@ -305,12 +305,15 @@ def _matmul_case(rng):
 
 
 def _conv_case(rng):
+    """A stride-1 conv, instance norm and LeakyReLU, then a stride-2 conv:
+    the one-phase and the eight-phase sum of the conv's correlations."""
     conv = init_conv(rng.derive("c"), 2, 3, (3, 3, 3))
+    down = init_conv(rng.derive("down"), 3, 3, (3, 3, 3), stride=(2, 2, 2))
     x = Tensor(rng.derive("x").normal((1, 2, 4, 4, 4)), requires_grad=True)
     gamma = Tensor(np.ones(3), requires_grad=True)
     beta = Tensor(np.zeros(3), requires_grad=True)
-    return (lambda: leaky_relu(instance_norm(conv3d(x, conv), gamma, beta))), \
-        [x, conv.weight, gamma]
+    return (lambda: conv3d(leaky_relu(instance_norm(conv3d(x, conv), gamma, beta)), down)), \
+        [x, conv.weight, gamma, down.weight]
 
 
 def _mamba_case(rng):

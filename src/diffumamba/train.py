@@ -126,8 +126,11 @@ def train_run(model: Network, samples, tcfg: TrainConfig, out_dir,
     """Train ``model`` on ``samples``; write logs and checkpoints to out_dir.
 
     On a non-finite loss the run aborts with NumericError after writing
-    a diagnostic snapshot (checkpoint + context JSON).
+    a diagnostic snapshot (checkpoint + context JSON).  An empty sample
+    list with epochs to run raises ValueError before anything is written.
     """
+    if tcfg.epochs > 0 and len(samples) == 0:
+        raise ValueError(f"train_run got an empty sample list for {tcfg.epochs} epoch(s)")
     os.makedirs(out_dir, exist_ok=True)
     rng = Rng(tcfg.seed, name="train")
     opt = SGD(model.named_parameters(), momentum=tcfg.momentum, nesterov=tcfg.nesterov)

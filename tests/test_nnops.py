@@ -164,13 +164,17 @@ class TestConv3dAgainstIm2col:
         (2, 3, (6, 1, 5), 4, 3, 1, 1),      # H = 1: rows of one voxel's padding
         (2, 2, (5, 6, 1), 3, 3, 2, 1),      # W = 1, strided: a pitch of 1
         (3, 3, (7, 5, 9), 4, 3, 2, 1),      # strided, odd extents, B = 3
-        (2, 3, (5, 6, 7), 4, 3, 1, 3),      # padding = k: the transposed input adjoint
+        (2, 3, (5, 6, 7), 4, 3, 1, 3),      # padding = k: dx reads g from an offset
         (2, 2, (6, 6, 6), 3, 4, 2, 1),      # even kernel: phases of unequal tap counts
         (2, 3, (5, 6, 7), 4, 2, 1, 1),      # even kernel at stride 1: output grows by one
         (2, 3, (6, 6, 6), 4, (3, 3, 1), 1, (1, 1, 0)),  # kw = 1: no shifted adds
         (2, 3, (6, 6, 6), 4, (1, 3, 3), 1, (0, 1, 1)),  # kd = 1: one plane shift
         (2, 3, (6, 6, 6), 4, (3, 1, 3), 1, (1, 0, 1)),  # kh = 1: one row shift
-        (2, 3, (5, 6, 7), 4, (3, 3, 1), 1, 1),  # kw = 1 with pw = 1: transposed dx
+        (2, 3, (5, 6, 7), 4, (3, 3, 1), 1, 1),  # kw = 1 with pw = 1: padding past the kernel in W
+        (2, 3, (5, 6, 7), 4, 3, 2, 3),      # strided, padding = k: so does every phase
+        (2, 4, (22, 48, 48), 3, 3, 2, 1),   # strided, one 6875-anchor chunk per phase
+        (2, 3, (6, 6, 6), 4, 3, 2, 0),      # strided without padding: the last voxel is never read
+        (2, 3, (5, 6, 7), 4, 1, 2, 1),      # k < s with padding: one phase, odd voxels never read
         # stride 1 with fewer, as many and more output than input channels
         (2, 16, (12, 24, 24), 8, 3, 1, 1),  # 2C -> C decoder conv
         (1, 8, (6, 7, 5), 3, 3, 1, 0),      # C_in > C_out without padding, B = 1
@@ -180,7 +184,7 @@ class TestConv3dAgainstIm2col:
         (2, 16, (10, 14, 14), 4, 3, 1, 0),
         (1, 2, (9, 30, 30), 3, 3, 1, 1),
         # several chunks of anchors per sample, the last one partial
-        (2, 4, (22, 48, 48), 3, 3, 2, 1),   # strided, full gather: 2427 + 2427 + 2021
+        (2, 4, (32, 64, 64), 3, 3, 2, 1),   # strided, the 16-row phases: 16384 + 1040
         (2, 1, (20, 32, 32), 8, 3, 1, 1),   # C_in = 1 stem, kw*C_out rows: 10922 + 10858
         (2, 4, (12, 30, 30), 3, 3, 1, 1),   # 7281 + 4251
         (2, 16, (14, 14, 14), 4, 3, 1, 0),  # C_in = 16 without padding: 1820 + 532
@@ -188,10 +192,16 @@ class TestConv3dAgainstIm2col:
         (1, 8, (9, 30, 30), 3, 3, 1, 1),    # 3640 + 3640 + 1369: the last taps read the tail
     ]
     MULTI_CHUNK = 6     # the last six cases
+    STRIDED = [c for c in CASES if c[5] != 1]
 
     @staticmethod
     def _axes(v):
         return tuple(v) if isinstance(v, tuple) else (v,) * 3
+
+    @staticmethod
+    def _id(c):
+        return "{}-k{}s{}p{}c{}".format("x".join(map(str, c[2])), *(
+            "".join(map(str, v)) if isinstance(v, tuple) else v for v in c[4:7]), c[1])
 
     @classmethod
     def _run(cls, conv, x, w, bias, g, stride, padding, x_grad=True):
@@ -223,33 +233,38 @@ class TestConv3dAgainstIm2col:
             assert err < tol, f"{name}: relative error {err:.2e}"
 
     @pytest.mark.parametrize("dtype,tol", [("f64", 1e-12), ("f32", 1e-5)])
-    @pytest.mark.parametrize("case", CASES, ids=lambda c: "{}-k{}s{}p{}c{}".format(
-        "x".join(map(str, c[2])), *("".join(map(str, v)) if isinstance(v, tuple) else v
-                                    for v in c[4:7]), c[1]))
+    @pytest.mark.parametrize("case", CASES, ids=_id)
     def test_matches_im2col(self, case, dtype, tol):
         T.set_default_dtype(dtype)
         self._check(case, tol)
+
+    @pytest.mark.parametrize("dtype,tol", [("f64", 1e-12), ("f32", 1e-5)])
+    @pytest.mark.parametrize("case", STRIDED, ids=_id)
+    def test_strided_weight_only_matches_im2col(self, case, dtype, tol):
+        # x needs no gradient: dW comes from each phase's own gather of x
+        T.set_default_dtype(dtype)
+        self._check(case, tol, x_grad=False)
 
     @classmethod
     def _layout(cls, case):
         """(grid, anchors per sample, rows per anchor that the forward
         chunks by) of a case's flat layout: the larger of the partial
-        gather (C_in*kd*kh) and the stacked product (kw*C_out) at
-        stride 1, the full gather (C_in*kd*kh*kw) otherwise."""
+        gather (C_in*nd*nh) and the stacked product (nw*C_out) of the
+        first stride phase, whose taps (nd, nh, nw) are ceil(k / s), the
+        most of any phase (k itself at stride 1)."""
         _, c_in, spatial, c_out, k, stride, padding = case
-        kd, kh, kw = cls._axes(k)
-        geometry = ((kd, kh, kw), cls._axes(stride), cls._axes(padding))
+        geometry = (cls._axes(k), cls._axes(stride), cls._axes(padding))
         out = conv_output_shape(spatial, *geometry)
         grid = nnops._grid(spatial, *geometry, out)
-        rows = max(c_in * kd * kh, kw * c_out) if stride == 1 else c_in * kd * kh * kw
-        return grid, out[0] * grid[1] * grid[2], rows
+        nd, nh, nw = nnops._phases(*geometry[:2])[0][1]
+        return grid, out[0] * grid[1] * grid[2], max(c_in * nd * nh, nw * c_out)
 
     def test_cases_span_several_chunks(self):
         # the multi-chunk cases each run several chunks of a sample's
         # anchors, ending on a partial one
         for case in self.CASES[-self.MULTI_CHUNK:]:
             _, anchors, rows = self._layout(case)
-            sizes = [q1 - q0 for _, q0, q1 in nnops._chunks(1, anchors, rows)]
+            sizes = [q1 - q0 for q0, q1 in nnops._chunks(anchors, rows)]
             assert len(sizes) > 1 and 0 < sizes[-1] < sizes[0], case
             assert sum(sizes) == anchors
 
@@ -264,8 +279,8 @@ class TestConv3dAgainstIm2col:
         farthest = last + (k - 1) * (hr * wr + wr + 1)
         tail = (k - 1) * wr + k - 1
         assert dr * hr * wr <= farthest < dr * hr * wr + tail
-        chunks = list(nnops._chunks(1, anchors, rows))
-        assert len(chunks) > 1 and chunks[-1][1] <= last < chunks[-1][2]
+        chunks = list(nnops._chunks(anchors, rows))
+        assert len(chunks) > 1 and chunks[-1][0] <= last < chunks[-1][1]
 
     def test_partial_gather_chunks(self):
         # the 2C -> C decoder conv's forward and its flipped-kernel dx
@@ -278,13 +293,13 @@ class TestConv3dAgainstIm2col:
         grid, anchors, rows = self._layout(case)
         assert rows == c_in * k * k
         for chunk_rows in (rows, max(c_out * k * k, k * c_in)):
-            sizes = [q1 - q0 for _, q0, q1 in nnops._chunks(1, anchors, chunk_rows)]
+            sizes = [q1 - q0 for q0, q1 in nnops._chunks(anchors, chunk_rows)]
             assert len(sizes) > 1 and 0 < sizes[-1] < sizes[0]
         plane, pitch = grid[1] * grid[2], grid[2]
         length = grid[0] * plane + (k - 1) * pitch + k - 1
         src = np.arange(b * c_in * length, dtype=np.float64).reshape(b, 1, c_in, length)
         seen = 0
-        for bi, q0, cols in nnops._partial(src, (k,) * 3, grid, anchors, c_out):
+        for bi, _, q0, cols in nnops._partial(src, [(0, 0, (k,) * 3)], grid, anchors, c_out):
             n = cols.shape[1] - (k - 1)
             assert cols.shape == (c_in * k * k, n + k - 1)
             # row (c, i, j) holds the flat input from q0 + i*plane + j*pitch
@@ -293,23 +308,6 @@ class TestConv3dAgainstIm2col:
             npt.assert_array_equal(cols[(c * k + i) * k + j], src[bi, 0, c, start:start + n + k - 1])
             seen += n
         assert seen == b * anchors and start + n + k - 1 == length
-
-    def test_stride_one_never_gathers_in_full(self, monkeypatch):
-        # reducing, equal-width and widening stride-1 convs gather only
-        # plane and row shifts, forward and backward, with and without an
-        # input gradient; a strided conv still gathers every tap
-        T.set_default_dtype("f32")
-        cases = [(2, 8, (6, 5, 7), c_out, 3, 1, 1) for c_out in (4, 8, 16)]
-        cases.append((2, 8, (6, 5, 7), 8, 3, 1, 3))     # padding = k: transposed dx
-
-        def refuse(*args):
-            raise AssertionError("stride-1 conv gathered every tap")
-        monkeypatch.setattr(nnops, "_gathered", refuse)
-        for case in cases:
-            for x_grad in (True, False):
-                self._check(case, 1e-5, x_grad)
-        with pytest.raises(AssertionError, match="gathered"):
-            self._check((2, 8, (6, 5, 7), 8, 3, 2, 1), 1e-5)
 
     def test_gradients_f64_reducing_multi_chunk(self, f64_mode):
         r = Rng(9, "conv64outside")

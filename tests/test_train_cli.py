@@ -11,7 +11,7 @@ from diffumamba.cli import main
 from diffumamba.data import PhantomConfig, gen_phantoms
 from diffumamba.network import ModelConfig, Network, load_checkpoint
 from diffumamba.tensor import NumericError
-from diffumamba.train import SGD, TrainConfig, poly_lr, train_run
+from diffumamba.train import SGD, TrainConfig, paired_comparison, poly_lr, train_run
 
 
 def tiny_model_cfg(**over):
@@ -95,6 +95,16 @@ class TestTrainRun:
         assert res.best_path is None
         assert not os.path.exists(tmp_path / "best.ckpt")
         assert os.path.exists(res.final_path)
+
+    def test_empty_sample_list_raises_before_training(self, tmp_path):
+        # an epoch over no samples would divide its loss sums by zero batches
+        model = Network(tiny_model_cfg())
+        with pytest.raises(ValueError, match="empty sample list"):
+            train_run(model, [], TrainConfig(epochs=1, seed=1), tmp_path / "run", quiet=True)
+        assert not os.path.exists(tmp_path / "run")
+        with pytest.raises(ValueError, match="empty sample list"):
+            paired_comparison([], tiny_samples(1), tiny_model_cfg(), TrainConfig(epochs=2),
+                              [0], tmp_path / "cmp")
 
     def test_same_seed_identical_loss_curves(self, tmp_path):
         def run(sub):
