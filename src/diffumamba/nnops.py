@@ -111,12 +111,6 @@ def _phase_slices(spatial, padding, stride, phase, grid):
     return (Ellipsis, *dst), (Ellipsis, *src)
 
 
-def _sub_kernel(phase, stride):
-    """The index of ``phase``'s taps in a (C_out, C_in, kd, kh, kw)
-    weight: the phase's tap (i, j, k) is tap (a + s*i, b + s*j, c + s*k)."""
-    return (Ellipsis,) + tuple(slice(a, None, s) for a, s in zip(phase, stride))
-
-
 def _stacked(w):
     """The (kw*C_out, C*kd*kh) GEMM rows of a (C_out, C, kd, kh, kw)
     weight: tap column k's rows are row block k."""
@@ -358,7 +352,8 @@ def conv3d(x: Tensor, p: ConvParams) -> Tensor:
     xp = np.zeros((b, len(phases), c_in, size + tail), dtype=x.dtype)
     for n, (dst, src) in enumerate(slices):
         xp[:, n, :, :size].reshape((b, c_in) + grid)[dst] = x.data[src]
-    subs = [_sub_kernel(ph, stride) for ph, _ in phases]
+    # phase (a, b, c)'s tap (i, j, k) is the weight's tap (a + s*i, b + s*j, c + s*k)
+    subs = [(Ellipsis, *(slice(a, None, s) for a, s in zip(ph, stride))) for ph, _ in phases]
     terms = [(n, 0, taps) for n, (_, taps) in enumerate(phases)]
     weight, bias = p.weight, p.bias
     out = np.empty((b, c_out) + out_spatial, dtype=np.result_type(xp, weight.data))
