@@ -411,6 +411,17 @@ class ConvTransposeParams:
 
 
 def conv_transpose3d(x: Tensor, p: ConvTransposeParams) -> Tensor:
+    """Transposed conv with kernel == stride: input voxel v of sample b
+    paints the disjoint block out[b, :, v * k : (v + 1) * k] with
+    sum_c x[b, c, v] * weight[c] (+ bias).
+
+    Forward is one GEMM per sample in the input's own (C_in, D*H*W)
+    layout, w_mat^T @ x_b with w_mat = weight as (C_in, C_out*k^3); its
+    (C_out, kd, kh, kw, D, H, W) rows are added to the bias straight
+    into the output's strided view.  Backward lays the output gradient
+    out once as g of shape (B, C_out*k^3, D*H*W): dW = sum_b x_b g_b^T
+    and dx = w_mat @ g, both already in their parents' layouts.
+    """
     c_in, c_out, kd, kh, kw = p.weight.shape
     if p.stride != (kd, kh, kw):
         raise ShapeError(f"conv_transpose3d supports kernel == stride only, "
@@ -419,26 +430,33 @@ def conv_transpose3d(x: Tensor, p: ConvTransposeParams) -> Tensor:
         raise ShapeError(f"conv_transpose3d channel mismatch: input has {x.shape[1]}, "
                          f"weight expects {c_in}")
     b, _, d, h, w = x.shape
-    w_mat = p.weight.data.reshape(c_in, -1)            # (C_in, C_out*k^3)
-    x_mat = x.data.transpose(0, 2, 3, 4, 1).reshape(-1, c_in)
-    out = x_mat @ w_mat                                # (B*D*H*W, C_out*k^3)
-    out = out.reshape(b, d, h, w, c_out, kd, kh, kw)
-    out = out.transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape(b, c_out, d * kd, h * kh, w * kw)
-    if p.bias is not None:
-        out = out + p.bias.data.reshape(1, c_out, 1, 1, 1)
-
     weight, bias = p.weight, p.bias
+    w_mat = weight.data.reshape(c_in, -1)               # (C_in, C_out*k^3)
+    x_mat = x.data.reshape(b, c_in, d * h * w)
+    prod = np.matmul(w_mat.T, x_mat).reshape(b, c_out, kd, kh, kw, d, h, w)
+    out = np.empty((b, c_out, d * kd, h * kh, w * kw), dtype=prod.dtype)
+    # out[b, o, d*kd + i, h*kh + j, w*kw + l] as [b, o, i, j, l, d, h, w]
+    blocks = out.reshape(b, c_out, d, kd, h, kh, w, kw).transpose(0, 1, 3, 5, 7, 2, 4, 6)
+    b_vec = np.zeros(1, prod.dtype) if bias is None else bias.data
+    if w * 16 <= c_out:
+        # rows of w voxels are short next to the channels: the add's inner loop
+        # runs along the channels instead (equal strides in prod and out)
+        np.add(np.moveaxis(prod, 1, -1), b_vec, out=np.moveaxis(blocks, 1, -1), order="C")
+    else:
+        np.add(prod, b_vec.reshape(-1, 1, 1, 1, 1, 1, 1), out=blocks)
 
     def backward(g):
-        g_blocks = g.reshape(b, c_out, d, kd, h, kh, w, kw)
-        g_mat = g_blocks.transpose(0, 2, 4, 6, 1, 3, 5, 7).reshape(-1, c_out * kd * kh * kw)
+        g_mat = g.reshape(b, c_out, d, kd, h, kh, w, kw).transpose(0, 1, 3, 5, 7, 2, 4, 6)
+        g_mat = g_mat.reshape(b, c_out * kd * kh * kw, d * h * w)
         if weight.requires_grad:
-            weight._accumulate((x_mat.T @ g_mat).reshape(weight.shape))
+            dw = x_mat[0] @ g_mat[0].T
+            for i in range(1, b):
+                dw += x_mat[i] @ g_mat[i].T
+            weight._accumulate(dw.reshape(weight.shape), owned=True)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=(0, 2, 3, 4)))
+            bias._accumulate(g_mat.reshape(b, c_out, -1).sum(axis=(0, 2)))
         if x.requires_grad:
-            dx = (g_mat @ w_mat.T).reshape(b, d, h, w, c_in).transpose(0, 4, 1, 2, 3)
-            x._accumulate(np.ascontiguousarray(dx), owned=True)
+            x._accumulate(np.matmul(w_mat, g_mat).reshape(x.shape), owned=True)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return make_op(out, parents, "conv_transpose3d", backward)

@@ -29,15 +29,23 @@ def downsample_stage(f_i: Tensor, conv: ConvParams, target) -> Tensor:
     The pooling target is the bottleneck spatial shape, taken from m1
     at forward time so one parameter set serves any input size; it must
     divide the stage extent.  A cell is one pooling window of one
-    sample (n voxels).  The conv, ReLU and sum run over blocks of at
-    most ``DOWNSAMPLE_CHUNK`` voxels, in one reused (C', block)
-    pre-activation buffer: a block holds whole cells when n is at most
-    that, and consecutive parts of one cell otherwise.  Each block's
-    sums are added into its cells' sums, and the pool is sum / n, so the
-    C' x D x H x W activation never exists.  A block whose minimum is
-    not finite raises, so an overflow to -inf that the ReLU would hide
-    still does.  Backward recomputes each block's pre-activation for the
-    ReLU mask.
+    sample (n voxels).  The input is written once, cell by cell, into a
+    (C + 1, cells * n) buffer whose last row is ones, so the bias is the
+    last column of the (C', C + 1) weight matrix (zero without a bias)
+    and each block's conv is one GEMM.  The conv, ReLU and sum run over
+    blocks of at most ``DOWNSAMPLE_CHUNK`` voxels, in one reused (C',
+    block) pre-activation buffer: a block holds whole cells when n is at
+    most that, and consecutive parts of one cell otherwise.  A block's
+    per-cell sums are a matrix-vector product with ones, added into its
+    cells' sums, and the pool is sum / n, so the C' x D x H x W
+    activation never exists.  At n = 1 the activation is the output: one
+    GEMM per sample writes it in the output's layout, and backward takes
+    all cells as one block.  An overflow to -inf that the ReLU
+    would hide still raises: each block's minimum is checked unless
+    max|input| * max_o sum|weight row o| bounds every pre-activation
+    below half the dtype's largest value.  Backward recomputes each
+    block's pre-activation for the ReLU mask; the weight gradient's
+    ones column is the bias gradient.
     """
     if f_i.ndim != 5 or conv.weight.shape[1:] != (f_i.shape[1], 1, 1, 1):
         raise ShapeError(f"downsample_stage needs (B,C,D,H,W) input and a 1x1x1 conv "
@@ -52,52 +60,72 @@ def downsample_stage(f_i: Tensor, conv: ConvParams, target) -> Tensor:
     n = fd * fh * fw
     cells = b * td * th * tw
     n_cols = cells * n
-    # (C_in, cells * n): the columns of one cell are adjacent
-    cell_order = (1, 0, 2, 4, 6, 3, 5, 7)
-    x_cols = f_i.data.reshape(b, c_in, td, fd, th, fh, tw, fw).transpose(cell_order)
-    x_cols = x_cols.reshape(c_in, n_cols)
     weight, bias = conv.weight, conv.bias
-    w_mat = weight.data.reshape(c_out, c_in)
-    b_col = 0.0 if bias is None else bias.data[:, None]
-    group = max(1, DOWNSAMPLE_CHUNK // n) * n        # columns of whole cells
+    dtype = np.result_type(weight.data, f_i.data)
+    # (C_in + 1, cells * n): the columns of one cell are adjacent, the last row is ones
+    cell_order = (1, 0, 2, 4, 6, 3, 5, 7)
+    x_aug = np.empty((c_in + 1, n_cols), dtype=dtype)
+    x_aug[:c_in].reshape(c_in, b, td, th, tw, fd, fh, fw)[...] = \
+        f_i.data.reshape(b, c_in, td, fd, th, fh, tw, fw).transpose(cell_order)
+    x_aug[c_in] = 1
+    w_aug = np.empty((c_out, c_in + 1), dtype=dtype)
+    w_aug[:, :c_in] = weight.data.reshape(c_out, c_in)
+    w_aug[:, c_in] = 0 if bias is None else bias.data
+    chunk = n_cols if n == 1 else DOWNSAMPLE_CHUNK  # one-voxel cells: one block, the output's size
+    group = max(1, chunk // n) * n                 # columns of whole cells
     # [s, e) per block; min(n, e - s) columns of each of its cells
-    blocks = [(s, min(s + DOWNSAMPLE_CHUNK, g + group, n_cols))
+    blocks = [(s, min(s + chunk, g + group, n_cols))
               for g in range(0, n_cols, group)
-              for s in range(g, min(g + group, n_cols), DOWNSAMPLE_CHUNK)]
-    buf = np.empty(c_out * max(e - s for s, e in blocks), dtype=np.result_type(w_mat, x_cols))
+              for s in range(g, min(g + group, n_cols), chunk)]
+    buf = np.empty(c_out * max(e - s for s, e in blocks), dtype=dtype)
+    # max|x_aug| * max_o sum|w_aug[o]| bounds every pre-activation; below half
+    # the dtype's max none overflows and the blocks' minima need no check.  One
+    # block is checked directly, which costs less than the bound.  float() lets
+    # an overflowing or NaN bound fail the test without a warning
+    check_blocks = len(blocks) == 1 or not (
+        float(max(x_aug.max(), -x_aug.min())) * float(np.abs(w_aug).sum(axis=1).max())
+        < np.finfo(dtype).max / 2)
 
     def pre_activation(s, e):
         """The block's (C', cells, columns per cell) pre-activation, and
         the index of its first cell."""
-        y = np.matmul(w_mat, x_cols[:, s:e], out=buf[:c_out * (e - s)].reshape(c_out, e - s))
-        y += b_col
+        y = np.matmul(w_aug, x_aug[:, s:e], out=buf[:c_out * (e - s)].reshape(c_out, e - s))
         return y.reshape(c_out, -1, min(n, e - s)), s // n
 
-    sums = np.zeros((c_out, cells), dtype=buf.dtype)
-    for s, e in blocks:
-        y, c0 = pre_activation(s, e)
-        _check_finite(y.min(), "downsample_stage")        # NaN and -inf reach the min
-        sums[:, c0:c0 + y.shape[1]] += np.maximum(y, 0, out=y).sum(axis=2)
-    out = (sums / n).reshape(c_out, b, td, th, tw).transpose(1, 0, 2, 3, 4)
+    if n == 1:
+        # one-voxel cells: the activation is the output, one GEMM per sample
+        out = np.matmul(w_aug, x_aug.reshape(c_in + 1, b, cells // b).transpose(1, 0, 2))
+        _check_finite(out.min(), "downsample_stage")
+        out = np.maximum(out, 0, out=out).reshape(b, c_out, td, th, tw)
+    else:
+        ones = np.ones(min(n, chunk), dtype=dtype)
+        sums = np.zeros((c_out, cells), dtype=dtype)
+        for s, e in blocks:
+            y, c0 = pre_activation(s, e)
+            if check_blocks:
+                _check_finite(y.min(), "downsample_stage")    # NaN and -inf reach the min
+            k, m = y.shape[1:]
+            np.maximum(y, 0, out=y)
+            sums[:, c0:c0 + k] += (y.reshape(-1, m) @ ones[:m]).reshape(c_out, k)
+        out = np.empty((b, c_out, td, th, tw), dtype=dtype)
+        np.divide(sums.reshape(c_out, b, td, th, tw).transpose(1, 0, 2, 3, 4), n, out=out)
 
     def backward(g):
         g_cells = g.transpose(1, 0, 2, 3, 4).reshape(c_out, cells, 1) / n
-        dw = np.zeros(w_mat.shape, dtype=g.dtype)
-        db = np.zeros(c_out, dtype=g.dtype)
-        dx = np.empty_like(x_cols) if f_i.requires_grad else None
+        dw = np.zeros(w_aug.shape, dtype=g.dtype)
+        dx = np.empty((c_in, n_cols), dtype=dtype) if f_i.requires_grad else None
         for s, e in blocks:
             y, c0 = pre_activation(s, e)
             # the ReLU slope is 1 at 0, as in nnops.leaky_relu
             gy = np.multiply(y >= 0, g_cells[:, c0:c0 + y.shape[1]], out=y)
             gy = gy.reshape(c_out, -1)
-            dw += gy @ x_cols[:, s:e].T
-            db += gy.sum(axis=1)
+            dw += gy @ x_aug[:, s:e].T
             if dx is not None:
-                np.matmul(w_mat.T, gy, out=dx[:, s:e])
+                np.matmul(w_aug[:, :c_in].T, gy, out=dx[:, s:e])
         if weight.requires_grad:
-            weight._accumulate(dw.reshape(weight.shape))
+            weight._accumulate(dw[:, :c_in].reshape(weight.shape))
         if bias is not None and bias.requires_grad:
-            bias._accumulate(db)
+            bias._accumulate(dw[:, c_in])
         if dx is not None:
             dx = dx.reshape(c_in, b, td, th, tw, fd, fh, fw).transpose(np.argsort(cell_order))
             f_i._accumulate(dx.reshape(f_i.shape), owned=True)

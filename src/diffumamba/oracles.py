@@ -29,6 +29,7 @@ cannot resolve ratios of gradients at its own rounding level.
 
 from __future__ import annotations
 
+import contextvars
 from dataclasses import replace
 
 import numpy as np
@@ -36,9 +37,11 @@ import numpy as np
 from .analysis import kmeans_silhouette, pearson
 from .metrics import dsc_iou, hd95, surface_voxels
 from .network import ModelConfig, Network, copy_shared_weights
-from .nnops import conv3d, init_conv, instance_norm, leaky_relu
+from .nnops import (adaptive_avg_pool3d, conv3d, conv_transpose3d, init_conv,
+                    init_conv_transpose, instance_norm, leaky_relu, relu)
+from .nrm import downsample_stage
 from .ssm import init_mamba_block, mamba_block, selective_scan_t
-from .tensor import Rng, ShapeError, Tensor, no_grad
+from .tensor import Rng, ShapeError, Tensor, no_grad, set_default_dtype
 
 # ----------------------------------------------------------------------
 # finite-difference gradients
@@ -224,6 +227,84 @@ def worked_case_gap():
 
 
 # ----------------------------------------------------------------------
+# slow paths of the fused nodes
+
+
+def downsample_reference(f_i, conv, target):
+    """The unfused composition downsample_stage replaces: three tape nodes."""
+    return adaptive_avg_pool3d(relu(conv3d(f_i, conv)), target)
+
+
+def conv_transpose_taps(x, weight, bias, g):
+    """A kernel == stride transposed conv and its adjoint, one tap at a time.
+
+    Tap (i, j, l) of ``weight`` (C_in, C_out, kd, kh, kw) writes
+    out[:, :, i::kd, j::kh, l::kw] = einsum(x, weight[..., i, j, l]).
+    Returns (out, dx, dW, db) for the output adjoint ``g``; ``bias`` may
+    be None (db is then None).
+    """
+    _, c_out, kd, kh, kw = weight.shape
+    b, _, d, h, w = x.shape
+    out = np.zeros((b, c_out, d * kd, h * kh, w * kw), dtype=np.result_type(x, weight))
+    dx = np.zeros(x.shape, dtype=out.dtype)
+    dw = np.zeros(weight.shape, dtype=out.dtype)
+    for i, j, l in np.ndindex(kd, kh, kw):
+        tap = (slice(None), slice(None), slice(i, None, kd), slice(j, None, kh),
+               slice(l, None, kw))
+        out[tap] = np.einsum("bcdhw,co->bodhw", x, weight[:, :, i, j, l])
+        dx += np.einsum("bodhw,co->bcdhw", g[tap], weight[:, :, i, j, l])
+        dw[:, :, i, j, l] = np.einsum("bcdhw,bodhw->co", x, g[tap])
+    if bias is None:
+        return out, dx, dw, None
+    return out + bias.reshape(1, -1, 1, 1, 1), dx, dw, g.sum(axis=(0, 2, 3, 4))
+
+
+def _rel_gap(got, want):
+    return float(np.abs(got - want).max() / max(np.abs(want).max(), 1e-30))
+
+
+def _value_and_grads(out_fn, wiggle, proj):
+    """Output and the gradients of sum(out_fn() * proj) for ``wiggle``."""
+    for t in wiggle:
+        t.zero_grad()
+    out = out_fn()
+    (out * Tensor(proj)).sum().backward()
+    return [out.data] + [t.grad for t in wiggle]
+
+
+def fused_downsample_gap(rng: Rng):
+    """Max relative gap of downsample_stage's output and x/W/b gradients to
+    the three-node composition, at the default dtype: cells split across
+    blocks (pool factors (9, 8, 8)) and one-voxel cells (pool factor 1)."""
+    worst = 0.0
+    for i, (shape, target) in enumerate((((2, 3, 18, 16, 16), (2, 2, 2)),
+                                         ((2, 4, 4, 4, 4), (4, 4, 4)))):
+        r = rng.derive(f"ds{i}")
+        conv = init_conv(r.derive("c"), shape[1], 5, (1, 1, 1))
+        conv.bias.data = r.derive("b").normal((5,))
+        x = Tensor(r.derive("x").normal(shape), requires_grad=True)
+        proj = r.derive("p").normal((shape[0], 5) + target)
+        wiggle = [x, conv.weight, conv.bias]
+        fused = _value_and_grads(lambda: downsample_stage(x, conv, target), wiggle, proj)
+        ref = _value_and_grads(lambda: downsample_reference(x, conv, target), wiggle, proj)
+        worst = max([worst] + [_rel_gap(a, b) for a, b in zip(fused, ref)])
+    return worst
+
+
+def fused_conv_transpose_gap(rng: Rng):
+    """Max relative gap of conv_transpose3d's output and x/W/b gradients to
+    ``conv_transpose_taps``, at the default dtype, for an anisotropic
+    kernel (2, 1, 2) on a non-cubic batch of two."""
+    p = init_conv_transpose(rng.derive("up"), 3, 4, (2, 1, 2))
+    p.bias.data = rng.derive("b").normal((4,))
+    x = Tensor(rng.derive("x").normal((2, 3, 3, 4, 2)), requires_grad=True)
+    proj = rng.derive("p").normal((2, 4, 6, 4, 4))
+    fused = _value_and_grads(lambda: conv_transpose3d(x, p), [x, p.weight, p.bias], proj)
+    ref = conv_transpose_taps(x.data, p.weight.data, p.bias.data, proj)
+    return max(_rel_gap(a, b) for a, b in zip(fused, ref))
+
+
+# ----------------------------------------------------------------------
 # module-off equivalence
 
 
@@ -345,6 +426,18 @@ def _silhouette_shortfall(seed):
     return 1.0 - kmeans_silhouette(pts, k_range=(2,), seed=0)[2]
 
 
+def _in_f64(check):
+    """Selfcheck fn: ``check(Rng(seed, "selfcheck"))`` with float64 as the
+    default dtype in a copy of the current context, so the caller's default
+    stays as it was."""
+    def fn(seed):
+        def run():
+            set_default_dtype("f64")
+            return check(Rng(seed, "selfcheck"))
+        return contextvars.copy_context().run(run)
+    return fn
+
+
 SELFCHECKS = [
     ("grad: matmul", 1e-3, _grad_check(_matmul_case)),
     ("grad: conv3d+instancenorm+lrelu", 1e-3, _grad_check(_conv_case)),
@@ -352,6 +445,8 @@ SELFCHECKS = [
     ("ssm: scan == kernel conv (10 seeds)", 1e-5, _scan_kernel_check),
     ("ssm: worked case y=[1,2,3]", 0.0, lambda seed: worked_case_gap()),
     ("equivalence: module-off == baseline", 1e-6, _nrm_off_check),
+    ("fused: downsample == conv+relu+pool", 1e-12, _in_f64(fused_downsample_gap)),
+    ("fused: conv_transpose3d == per-tap", 1e-12, _in_f64(fused_conv_transpose_gap)),
     ("metrics: hd95 == brute force", 1e-6,
      lambda seed: hd95_brute_gap(_mask_pairs(seed, 5, (6, 6, 6), 0.2))[0]),
     ("metrics: dsc == 2*iou/(1+iou)", 1e-6,

@@ -44,20 +44,17 @@ class ExperimentConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     train_manifest: str = ""
-    eval_manifest: str = ""
     out_dir: str = "out"
 
     def to_dict(self):
         return {"model": self.model.to_dict(), "train": self.train.to_dict(),
-                "train_manifest": self.train_manifest,
-                "eval_manifest": self.eval_manifest, "out_dir": self.out_dir}
+                "train_manifest": self.train_manifest, "out_dir": self.out_dir}
 
     @classmethod
     def from_dict(cls, d):
         return cls(model=ModelConfig.from_dict(d.get("model", {})),
                    train=TrainConfig(**d.get("train", {})),
                    train_manifest=d.get("train_manifest", ""),
-                   eval_manifest=d.get("eval_manifest", ""),
                    out_dir=d.get("out_dir", "out"))
 
 

@@ -1,4 +1,5 @@
 import os
+import threading
 
 import numpy as np
 import numpy.testing as npt
@@ -102,6 +103,33 @@ class TestForward:
     def test_nrm_off_equivalence(self, rng):
         inputs = [Tensor(rng.derive(f"eq{i}").normal((1, 1, 8, 8, 8))) for i in range(10)]
         assert nrm_off_gap(tiny_config(seed=5), inputs) < 1e-6
+
+    def test_threads_match_serial(self):
+        # README's concurrency contract for whole models: two threads running
+        # no-grad desk forwards of one model on their own inputs, over and
+        # over, give the serial logits bit for bit
+        m = Network(desk_config(seed=6))
+        inputs = [Tensor(Rng(40 + i, "thread").normal((1, 1, 32, 32, 32))) for i in range(2)]
+        with T.no_grad():
+            serial = [m.forward(x).data for x in inputs]
+        assert not np.array_equal(serial[0], serial[1])
+        results = [[], []]
+
+        def work(i):
+            with T.no_grad():
+                for _ in range(4):
+                    results[i].append(m.forward(inputs[i]).data)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        for want, got in zip(serial, results):
+            assert len(got) == 4
+            for y in got:
+                npt.assert_array_equal(y, want)
 
     def test_full_model_gradients_fd(self, f64_mode):
         cfg = ModelConfig(channels=(2, 3), strides=(1, 2), n_stages=2,

@@ -7,7 +7,7 @@ import pytest
 
 from diffumamba import nnops
 from diffumamba import tensor as T
-from diffumamba.oracles import finite_difference_check
+from diffumamba.oracles import conv_transpose_taps, finite_difference_check
 from diffumamba.nnops import (ConvParams, ConvTransposeParams, adaptive_avg_pool3d,
                               conv3d, conv_output_shape, conv_transpose3d,
                               dice_ce_loss, init_conv, init_conv_transpose,
@@ -407,6 +407,33 @@ class TestConvTranspose3d:
                         npt.assert_allclose(
                             out.data[0, o, 2 * d:2 * d + 2, 2 * h:2 * h + 2,
                                      2 * wi:2 * wi + 2], block, rtol=1e-12)
+
+    @pytest.mark.parametrize("with_bias", [True, False], ids=["bias", "nobias"])
+    @pytest.mark.parametrize("shape,c_out,stride", [
+        ((2, 3, 3, 4, 2), 4, (2, 1, 2)),     # anisotropic kernel, non-cubic extents
+        ((2, 4, 2, 3, 1), 16, (1, 2, 2)),    # rows of one voxel: the add runs along channels
+        ((2, 5, 2, 3, 4), 3, (1, 1, 1)),     # pointwise
+    ], ids=["aniso", "channel-inner", "pointwise"])
+    def test_matches_per_tap_oracle(self, f64_mode, shape, c_out, stride, with_bias):
+        r = Rng(13, "up-oracle")
+        p = init_conv_transpose(r.derive("w"), shape[1], c_out, stride)
+        if with_bias:
+            p.bias.data = r.derive("b").normal((c_out,))
+        else:
+            p = ConvTransposeParams(p.weight, None, stride)
+        x = Tensor(r.derive("x").normal(shape), requires_grad=True)
+        out = conv_transpose3d(x, p)
+        g = r.derive("g").normal(out.shape)
+        (out * Tensor(g)).sum().backward()
+        bias = None if p.bias is None else p.bias.data
+        want = conv_transpose_taps(x.data, p.weight.data, bias, g)
+        got = [out.data, x.grad, p.weight.grad, None if p.bias is None else p.bias.grad]
+        assert out.shape == (shape[0], c_out) + tuple(s * k for s, k in zip(shape[2:], stride))
+        for a, b in zip(got, want):
+            if b is None:
+                assert a is None
+            else:
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
     def test_kernel_must_equal_stride(self, rng):
         p = ConvTransposeParams(Tensor(rng.normal((2, 2, 3, 3, 3))), None, stride=(2, 2, 2))

@@ -6,8 +6,8 @@ import numpy.testing as npt
 import pytest
 
 from diffumamba import tensor as T
-from diffumamba.oracles import finite_difference_check
-from diffumamba.nnops import adaptive_avg_pool3d, conv3d, init_conv, relu
+from diffumamba.oracles import downsample_reference, finite_difference_check
+from diffumamba.nnops import init_conv
 from diffumamba.nrm import aggregate, downsample_stage, init_nrm, nrm_forward, nrm_param_count
 from diffumamba.ssm import mamba_param_count
 from diffumamba.tensor import NumericError, Rng, ShapeError, Tensor
@@ -19,19 +19,15 @@ def _lambdas(n, value=0.5):
     return Tensor(np.full(n, value), requires_grad=True)
 
 
-def downsample_reference(f_i, conv, target):
-    """The unfused composition downsample_stage replaces: three tape nodes."""
-    return adaptive_avg_pool3d(relu(conv3d(f_i, conv)), target)
-
-
 def _value_and_grads(fn, x, conv, target):
-    """Output and the x/W/b gradients of sum(fn(...) * a fixed projection)."""
-    for t in (x, conv.weight, conv.bias):
+    """Output and the x/W(/b) gradients of sum(fn(...) * a fixed projection)."""
+    params = [x, conv.weight] + ([] if conv.bias is None else [conv.bias])
+    for t in params:
         t.zero_grad()
     out = fn(x, conv, target)
     proj = Tensor(Rng(9, "proj").normal(out.shape, dtype=out.dtype))
     (out * proj).sum().backward()
-    return [out.data, x.grad, conv.weight.grad, conv.bias.grad]
+    return [out.data] + [t.grad for t in params]
 
 
 def _max_rel(a, b):
@@ -105,6 +101,43 @@ class TestFusedDownsample:
             assert got.dtype == want.dtype
             assert _max_rel(got, want) < tol
 
+    @pytest.mark.parametrize("dtype,tol", [("f64", 1e-12), ("f32", 1e-5)])
+    @pytest.mark.parametrize("shape,c_out,target", [
+        ((2, 8, 32, 32, 32), 16, (2, 2, 2)),          # 4096-voxel cells over 8 blocks each
+        ((2, 3, 18, 16, 16), 4, (2, 2, 2)),           # split cells
+        ((3, 4, 16, 16, 12), 6, (8, 8, 6)),           # whole cells, many blocks
+        ((2, 5, 3, 4, 6), 7, (3, 4, 6)),              # pool factor 1
+    ], ids=["desk1", "split", "chunks", "factor1"])
+    def test_without_bias_matches_reference(self, shape, c_out, target, dtype, tol):
+        T.set_default_dtype(dtype)
+        r = Rng(8, "fused")
+        conv = init_conv(r.derive("c"), shape[1], c_out, (1, 1, 1), bias=False)
+        x = Tensor(r.normal(shape), requires_grad=True)
+        fused = _value_and_grads(downsample_stage, x, conv, target)
+        ref = _value_and_grads(downsample_reference, x, conv, target)
+        assert len(fused) == 3
+        for got, want in zip(fused, ref):
+            assert got.dtype == want.dtype
+            assert _max_rel(got, want) < tol
+
+    @pytest.mark.parametrize("dtype,tol", [("f64", 1e-12), ("f32", 1e-5)])
+    @pytest.mark.parametrize("shape,c_out", [
+        ((2, 5, 3, 4, 6), 7),           # non-cubic
+        ((1, 3, 1, 1, 1), 2),           # one voxel
+        ((2, 4, 8, 8, 12), 3),          # 1536 cells: above DOWNSAMPLE_CHUNK
+    ], ids=["noncubic", "voxel", "wide"])
+    def test_pool_factor_one_matches_reference(self, shape, c_out, dtype, tol):
+        T.set_default_dtype(dtype)
+        r = Rng(10, "fused")
+        conv = init_conv(r.derive("c"), shape[1], c_out, (1, 1, 1))
+        conv.bias.data = r.derive("b").normal((c_out,))
+        x = Tensor(r.normal(shape), requires_grad=True)
+        fused = _value_and_grads(downsample_stage, x, conv, shape[2:])
+        ref = _value_and_grads(downsample_reference, x, conv, shape[2:])
+        for got, want in zip(fused, ref):
+            assert got.dtype == want.dtype
+            assert _max_rel(got, want) < tol
+
     def test_input_without_grad(self, f64_mode):
         r = Rng(5, "fused")
         conv = init_conv(r.derive("c"), 4, 3, (1, 1, 1))
@@ -162,6 +195,19 @@ class TestFusedDownsample:
             downsample_reference(x, conv, (1, 1, 1))
         with pytest.raises(NumericError, match="downsample_stage"):
             downsample_stage(x, conv, (1, 1, 1))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("target", [(1, 1, 1), (2, 2, 2), (16, 16, 16)],
+                             ids=["split", "cells", "factor1"])
+    def test_negative_overflow_in_one_of_many_blocks_raises(self, rng, target):
+        # one voxel of 4096 overflows to -inf: no bound holds, so the blocks
+        # are checked, and the block that holds it raises
+        conv = init_conv(rng, 2, 2, (1, 1, 1))
+        conv.weight.data[...] = -1e20
+        x = np.full((1, 2, 16, 16, 16), 0.5, dtype=np.float32)
+        x[0, :, 11, 3, 7] = 1e20
+        with pytest.raises(NumericError, match="downsample_stage"):
+            downsample_stage(Tensor(x), conv, target)
 
 
 def test_tracer_bindings_resolve():

@@ -11,7 +11,8 @@ from diffumamba.cli import main
 from diffumamba.data import PhantomConfig, gen_phantoms
 from diffumamba.network import ModelConfig, Network, load_checkpoint
 from diffumamba.tensor import NumericError
-from diffumamba.train import SGD, TrainConfig, paired_comparison, poly_lr, train_run
+from diffumamba.train import (SGD, ExperimentConfig, TrainConfig, paired_comparison,
+                              poly_lr, train_run)
 
 
 def tiny_model_cfg(**over):
@@ -143,6 +144,23 @@ class TestTrainRun:
         assert aux["rng_state"] is not None
 
 
+class TestExperimentConfig:
+    def test_round_trip(self):
+        cfg = ExperimentConfig(model=tiny_model_cfg(), train=TrainConfig(epochs=3, seed=2),
+                               train_manifest="m.tsv", out_dir="o")
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    def test_loads_config_with_dropped_eval_manifest(self):
+        # config.json files written before eval_manifest was dropped still load
+        old = {"model": {"channels": [4, 8], "strides": [1, 2], "n_stages": 2},
+               "train": {"epochs": 3}, "train_manifest": "train.tsv",
+               "eval_manifest": "eval.tsv", "out_dir": "o", "build_id": "0123456789ab"}
+        cfg = ExperimentConfig.from_dict(old)
+        assert cfg.train_manifest == "train.tsv" and cfg.out_dir == "o"
+        assert cfg.train.epochs == 3 and cfg.model.channels == (4, 8)
+        assert "eval_manifest" not in cfg.to_dict()
+
+
 @pytest.fixture(scope="module")
 def cli_dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("data")
@@ -270,7 +288,9 @@ class TestCli:
 
 SELFCHECK_NAMES = ["grad: matmul", "grad: conv3d+instancenorm+lrelu", "grad: mamba block",
                    "ssm: scan == kernel conv (10 seeds)", "ssm: worked case y=[1,2,3]",
-                   "equivalence: module-off == baseline", "metrics: hd95 == brute force",
+                   "equivalence: module-off == baseline",
+                   "fused: downsample == conv+relu+pool", "fused: conv_transpose3d == per-tap",
+                   "metrics: hd95 == brute force",
                    "metrics: dsc == 2*iou/(1+iou)", "analysis: pearson hand case",
                    "analysis: silhouette 2-cluster fixture"]
 
