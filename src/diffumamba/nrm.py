@@ -45,7 +45,9 @@ def downsample_stage(f_i: Tensor, conv: ConvParams, target) -> Tensor:
     max|input| * max_o sum|weight row o| bounds every pre-activation
     below half the dtype's largest value.  Backward recomputes each
     block's pre-activation for the ReLU mask; the weight gradient's
-    ones column is the bias gradient.
+    ones column is the bias gradient.  A block inside one cell has one
+    output gradient per channel, so it scales that block's small GEMM
+    operands instead of the (C', block) mask.
     """
     if f_i.ndim != 5 or conv.weight.shape[1:] != (f_i.shape[1], 1, 1, 1):
         raise ShapeError(f"downsample_stage needs (B,C,D,H,W) input and a 1x1x1 conv "
@@ -116,12 +118,20 @@ def downsample_stage(f_i: Tensor, conv: ConvParams, target) -> Tensor:
         dx = np.empty((c_in, n_cols), dtype=dtype) if f_i.requires_grad else None
         for s, e in blocks:
             y, c0 = pre_activation(s, e)
+            k = y.shape[1]
             # the ReLU slope is 1 at 0, as in nnops.leaky_relu
-            gy = np.multiply(y >= 0, g_cells[:, c0:c0 + y.shape[1]], out=y)
-            gy = gy.reshape(c_out, -1)
-            dw += gy @ x_aug[:, s:e].T
-            if dx is not None:
-                np.matmul(w_aug[:, :c_in].T, gy, out=dx[:, s:e])
+            if k == 1:
+                # part of one cell: its gradient scales the GEMMs' small operands
+                mask = np.greater_equal(y, 0, out=y).reshape(c_out, -1)
+                g_o = g_cells[:, c0]
+                dw += g_o * (mask @ x_aug[:, s:e].T)
+                if dx is not None:
+                    np.matmul((w_aug[:, :c_in] * g_o).T, mask, out=dx[:, s:e])
+            else:
+                gy = np.multiply(y >= 0, g_cells[:, c0:c0 + k], out=y).reshape(c_out, -1)
+                dw += gy @ x_aug[:, s:e].T
+                if dx is not None:
+                    np.matmul(w_aug[:, :c_in].T, gy, out=dx[:, s:e])
         if weight.requires_grad:
             weight._accumulate(dw[:, :c_in].reshape(weight.shape))
         if bias is not None and bias.requires_grad:
