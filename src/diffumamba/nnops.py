@@ -438,12 +438,7 @@ def conv_transpose3d(x: Tensor, p: ConvTransposeParams) -> Tensor:
     # out[b, o, d*kd + i, h*kh + j, w*kw + l] as [b, o, i, j, l, d, h, w]
     blocks = out.reshape(b, c_out, d, kd, h, kh, w, kw).transpose(0, 1, 3, 5, 7, 2, 4, 6)
     b_vec = np.zeros(1, prod.dtype) if bias is None else bias.data
-    if w * 16 <= c_out:
-        # rows of w voxels are short next to the channels: the add's inner loop
-        # runs along the channels instead (equal strides in prod and out)
-        np.add(np.moveaxis(prod, 1, -1), b_vec, out=np.moveaxis(blocks, 1, -1), order="C")
-    else:
-        np.add(prod, b_vec.reshape(-1, 1, 1, 1, 1, 1, 1), out=blocks)
+    np.add(prod, b_vec.reshape(-1, 1, 1, 1, 1, 1, 1), out=blocks)
 
     def backward(g):
         g_mat = g.reshape(b, c_out, d, kd, h, kh, w, kw).transpose(0, 1, 3, 5, 7, 2, 4, 6)

@@ -118,20 +118,11 @@ def downsample_stage(f_i: Tensor, conv: ConvParams, target) -> Tensor:
         dx = np.empty((c_in, n_cols), dtype=dtype) if f_i.requires_grad else None
         for s, e in blocks:
             y, c0 = pre_activation(s, e)
-            k = y.shape[1]
             # the ReLU slope is 1 at 0, as in nnops.leaky_relu
-            if k == 1:
-                # part of one cell: its gradient scales the GEMMs' small operands
-                mask = np.greater_equal(y, 0, out=y).reshape(c_out, -1)
-                g_o = g_cells[:, c0]
-                dw += g_o * (mask @ x_aug[:, s:e].T)
-                if dx is not None:
-                    np.matmul((w_aug[:, :c_in] * g_o).T, mask, out=dx[:, s:e])
-            else:
-                gy = np.multiply(y >= 0, g_cells[:, c0:c0 + k], out=y).reshape(c_out, -1)
-                dw += gy @ x_aug[:, s:e].T
-                if dx is not None:
-                    np.matmul(w_aug[:, :c_in].T, gy, out=dx[:, s:e])
+            gy = np.multiply(y >= 0, g_cells[:, c0:c0 + y.shape[1]], out=y).reshape(c_out, -1)
+            dw += gy @ x_aug[:, s:e].T
+            if dx is not None:
+                np.matmul(w_aug[:, :c_in].T, gy, out=dx[:, s:e])
         if weight.requires_grad:
             weight._accumulate(dw[:, :c_in].reshape(weight.shape))
         if bias is not None and bias.requires_grad:

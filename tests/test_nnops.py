@@ -411,9 +411,9 @@ class TestConvTranspose3d:
     @pytest.mark.parametrize("with_bias", [True, False], ids=["bias", "nobias"])
     @pytest.mark.parametrize("shape,c_out,stride", [
         ((2, 3, 3, 4, 2), 4, (2, 1, 2)),     # anisotropic kernel, non-cubic extents
-        ((2, 4, 2, 3, 1), 16, (1, 2, 2)),    # rows of one voxel: the add runs along channels
+        ((2, 4, 2, 3, 1), 16, (1, 2, 2)),    # rows of one voxel, more channels than voxels
         ((2, 5, 2, 3, 4), 3, (1, 1, 1)),     # pointwise
-    ], ids=["aniso", "channel-inner", "pointwise"])
+    ], ids=["aniso", "wide", "pointwise"])
     def test_matches_per_tap_oracle(self, f64_mode, shape, c_out, stride, with_bias):
         r = Rng(13, "up-oracle")
         p = init_conv_transpose(r.derive("w"), shape[1], c_out, stride)

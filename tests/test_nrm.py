@@ -6,7 +6,8 @@ import numpy.testing as npt
 import pytest
 
 from diffumamba import tensor as T
-from diffumamba.oracles import downsample_reference, finite_difference_check
+from diffumamba.oracles import (_rel_gap, _value_and_grads, downsample_reference,
+                                finite_difference_check)
 from diffumamba.nnops import init_conv
 from diffumamba.nrm import aggregate, downsample_stage, init_nrm, nrm_forward, nrm_param_count
 from diffumamba.ssm import mamba_param_count
@@ -19,19 +20,14 @@ def _lambdas(n, value=0.5):
     return Tensor(np.full(n, value), requires_grad=True)
 
 
-def _value_and_grads(fn, x, conv, target):
-    """Output and the x/W(/b) gradients of sum(fn(...) * a fixed projection)."""
-    params = [x, conv.weight] + ([] if conv.bias is None else [conv.bias])
-    for t in params:
-        t.zero_grad()
-    out = fn(x, conv, target)
-    proj = Tensor(Rng(9, "proj").normal(out.shape, dtype=out.dtype))
-    (out * proj).sum().backward()
-    return [out.data] + [t.grad for t in params]
-
-
-def _max_rel(a, b):
-    return np.abs(a - b).max() / max(np.abs(b).max(), 1e-30)
+def _fused_and_reference(x, conv, target):
+    """downsample_stage and downsample_reference, each as its output and the
+    x/W(/b) gradients of sum(out * one fixed projection)."""
+    wiggle = [x, conv.weight] + ([] if conv.bias is None else [conv.bias])
+    shape = (x.shape[0], conv.weight.shape[0]) + tuple(target)
+    proj = Rng(9, "proj").normal(shape, dtype=np.result_type(x.data, conv.weight.data))
+    return [_value_and_grads(lambda: fn(x, conv, target), wiggle, proj)
+            for fn in (downsample_stage, downsample_reference)]
 
 
 class TestDownsampleStage:
@@ -94,12 +90,11 @@ class TestFusedDownsample:
         r = Rng(4, "fused")
         conv = init_conv(r.derive("c"), shape[1], c_out, (1, 1, 1))
         x = Tensor(r.normal(shape), requires_grad=True)
-        fused = _value_and_grads(downsample_stage, x, conv, target)
-        ref = _value_and_grads(downsample_reference, x, conv, target)
+        fused, ref = _fused_and_reference(x, conv, target)
         assert fused[0].shape == (shape[0], c_out) + target
         for got, want in zip(fused, ref):
             assert got.dtype == want.dtype
-            assert _max_rel(got, want) < tol
+            assert _rel_gap(got, want) < tol
 
     @pytest.mark.parametrize("dtype,tol", [("f64", 1e-12), ("f32", 1e-5)])
     @pytest.mark.parametrize("shape,c_out,target", [
@@ -113,12 +108,11 @@ class TestFusedDownsample:
         r = Rng(8, "fused")
         conv = init_conv(r.derive("c"), shape[1], c_out, (1, 1, 1), bias=False)
         x = Tensor(r.normal(shape), requires_grad=True)
-        fused = _value_and_grads(downsample_stage, x, conv, target)
-        ref = _value_and_grads(downsample_reference, x, conv, target)
+        fused, ref = _fused_and_reference(x, conv, target)
         assert len(fused) == 3
         for got, want in zip(fused, ref):
             assert got.dtype == want.dtype
-            assert _max_rel(got, want) < tol
+            assert _rel_gap(got, want) < tol
 
     @pytest.mark.parametrize("dtype,tol", [("f64", 1e-12), ("f32", 1e-5)])
     @pytest.mark.parametrize("shape,c_out", [
@@ -132,21 +126,19 @@ class TestFusedDownsample:
         conv = init_conv(r.derive("c"), shape[1], c_out, (1, 1, 1))
         conv.bias.data = r.derive("b").normal((c_out,))
         x = Tensor(r.normal(shape), requires_grad=True)
-        fused = _value_and_grads(downsample_stage, x, conv, shape[2:])
-        ref = _value_and_grads(downsample_reference, x, conv, shape[2:])
+        fused, ref = _fused_and_reference(x, conv, shape[2:])
         for got, want in zip(fused, ref):
             assert got.dtype == want.dtype
-            assert _max_rel(got, want) < tol
+            assert _rel_gap(got, want) < tol
 
     def test_input_without_grad(self, f64_mode):
         r = Rng(5, "fused")
         conv = init_conv(r.derive("c"), 4, 3, (1, 1, 1))
         x = Tensor(r.normal((2, 4, 4, 4, 4)))
-        fused = _value_and_grads(downsample_stage, x, conv, (2, 2, 2))
-        ref = _value_and_grads(downsample_reference, x, conv, (2, 2, 2))
+        fused, ref = _fused_and_reference(x, conv, (2, 2, 2))
         assert fused[1] is None and ref[1] is None
         for i in (0, 2, 3):
-            assert _max_rel(fused[i], ref[i]) < 1e-12
+            assert _rel_gap(fused[i], ref[i]) < 1e-12
 
     def test_relu_slope_at_zero_matches_reference(self, f64_mode):
         # zero weights and bias make every pre-activation exactly 0
@@ -155,8 +147,7 @@ class TestFusedDownsample:
         conv.weight.data[...] = 0.0
         conv.bias.data[...] = 0.0
         x = Tensor(r.normal((1, 3, 4, 4, 2)), requires_grad=True)
-        fused = _value_and_grads(downsample_stage, x, conv, (2, 2, 1))
-        ref = _value_and_grads(downsample_reference, x, conv, (2, 2, 1))
+        fused, ref = _fused_and_reference(x, conv, (2, 2, 1))
         assert np.all(ref[3] != 0)
         for got, want in zip(fused, ref):
             npt.assert_allclose(got, want, rtol=1e-12, atol=0)
