@@ -45,9 +45,7 @@ def downsample_stage(f_i: Tensor, conv: ConvParams, target) -> Tensor:
     max|input| * max_o sum|weight row o| bounds every pre-activation
     below half the dtype's largest value.  Backward recomputes each
     block's pre-activation for the ReLU mask; the weight gradient's
-    ones column is the bias gradient.  A block inside one cell has one
-    output gradient per channel, so it scales that block's small GEMM
-    operands instead of the (C', block) mask.
+    ones column is the bias gradient.
     """
     if f_i.ndim != 5 or conv.weight.shape[1:] != (f_i.shape[1], 1, 1, 1):
         raise ShapeError(f"downsample_stage needs (B,C,D,H,W) input and a 1x1x1 conv "
