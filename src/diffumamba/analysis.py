@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import model_input
 from .recordio import json_from_record, json_record, read_container, write_container
-from .tensor import Rng, Tensor, no_grad
+from .tensor import Rng, no_grad
 from .util import write_csv
 
 LATENT_MAGIC = b"DUML"
@@ -235,9 +236,8 @@ def capture_latents(model, sample) -> dict:
     e_hat, e_1..e_l.  Values keep the model dtype.
     """
     with no_grad():
-        x = Tensor(sample.image[None])
         cap = {}
-        model.forward(x, capture=cap)
+        model.forward(model_input(model, sample), capture=cap)
     out = {"m1": cap["m1"].data[0].copy()}
     if "m2" in cap:
         out["m2"] = cap["m2"].data[0].copy()

@@ -152,7 +152,7 @@ def predict_labels(model, sample) -> np.ndarray:
 
 def model_input(model, sample) -> Tensor:
     """The (1, C, D, H, W) input tensor of one sample, in the model's dtype."""
-    return Tensor(sample.image[None].astype(model_dtype(model)))
+    return Tensor(sample.image[None], dtype=model_dtype(model))
 
 
 def label_map(logits) -> np.ndarray:

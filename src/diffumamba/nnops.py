@@ -597,49 +597,25 @@ def softmax(x: Tensor, axis: int) -> Tensor:
 
 
 def adaptive_avg_pool3d(x: Tensor, target) -> Tensor:
-    """Resize spatial dims to ``target`` by mean over half-open windows.
+    """Resize spatial dims to ``target`` by the mean over equal windows.
 
-    Window i along an axis of size S resized to T covers source indices
-    [floor(i*S/T), ceil((i+1)*S/T)).  target == source is the identity.
+    Every target extent must divide its source extent; window i along an
+    axis of size S resized to T covers source indices [i*S/T, (i+1)*S/T).
+    target == source is the identity.
     """
     td, th, tw = (int(t) for t in target)
     b, c, d, h, w = x.shape
     for t, s in zip((td, th, tw), (d, h, w)):
-        if t < 1 or t > s:
-            raise ShapeError(f"pool target {(td, th, tw)} invalid for source {(d, h, w)}")
-
-    def bounds(s, t):
-        return [(int(np.floor(i * s / t)), int(np.ceil((i + 1) * s / t))) for i in range(t)]
-
-    bd, bh, bw = bounds(d, td), bounds(h, th), bounds(w, tw)
-
-    if d % td == 0 and h % th == 0 and w % tw == 0:
-        # equal partition fast path: reshape + mean
-        fd, fh, fw = d // td, h // th, w // tw
-        out = x.data.reshape(b, c, td, fd, th, fh, tw, fw).mean(axis=(3, 5, 7))
-
-        def backward(g):
-            gg = g / (fd * fh * fw)
-            gg = np.broadcast_to(gg[:, :, :, None, :, None, :, None],
-                                 (b, c, td, fd, th, fh, tw, fw))
-            x._accumulate(gg.reshape(b, c, d, h, w).astype(x.dtype, copy=False))
-
-        return make_op(out, (x,), "adaptive_avg_pool3d", backward)
-
-    out = np.empty((b, c, td, th, tw), dtype=x.dtype)
-    for i, (d0, d1) in enumerate(bd):
-        for j, (h0, h1) in enumerate(bh):
-            for k, (w0, w1) in enumerate(bw):
-                out[:, :, i, j, k] = x.data[:, :, d0:d1, h0:h1, w0:w1].mean(axis=(2, 3, 4))
+        if t < 1 or s % t:
+            raise ShapeError(f"pool target {(td, th, tw)} does not divide source {(d, h, w)}")
+    fd, fh, fw = d // td, h // th, w // tw
+    out = x.data.reshape(b, c, td, fd, th, fh, tw, fw).mean(axis=(3, 5, 7))
 
     def backward(g):
-        dx = np.zeros_like(x.data)
-        for i, (d0, d1) in enumerate(bd):
-            for j, (h0, h1) in enumerate(bh):
-                for k, (w0, w1) in enumerate(bw):
-                    n = (d1 - d0) * (h1 - h0) * (w1 - w0)
-                    dx[:, :, d0:d1, h0:h1, w0:w1] += g[:, :, i:i + 1, j:j + 1, k:k + 1] / n
-        x._accumulate(dx)
+        gg = g / (fd * fh * fw)
+        gg = np.broadcast_to(gg[:, :, :, None, :, None, :, None],
+                             (b, c, td, fd, th, fh, tw, fw))
+        x._accumulate(gg.reshape(b, c, d, h, w).astype(x.dtype, copy=False))
 
     return make_op(out, (x,), "adaptive_avg_pool3d", backward)
 
@@ -667,8 +643,9 @@ def one_hot(labels: np.ndarray, n_classes: int, dtype) -> np.ndarray:
 def dice_ce_loss(logits: Tensor, labels: np.ndarray, eps: float = EPS_DICE) -> LossValue:
     """Unweighted sum of soft Dice loss and voxel cross-entropy.
 
-    Dice is computed per class with sums over the whole batch, then
-    averaged over foreground classes (class 0 is background).
+    Dice is computed per class with sums over the whole batch (axes 0
+    and 2-4 at once, one node for all classes), then averaged over
+    foreground classes (class 0 is background).
     """
     if logits.ndim != 5:
         raise ShapeError(f"dice_ce_loss expects logits (B,K,D,H,W), got {logits.shape}")
@@ -678,24 +655,17 @@ def dice_ce_loss(logits: Tensor, labels: np.ndarray, eps: float = EPS_DICE) -> L
     labels = np.asarray(labels)
     if labels.shape != (logits.shape[0],) + logits.shape[2:]:
         raise ShapeError(f"labels shape {labels.shape} does not match logits {logits.shape}")
-    onehot = one_hot(labels.astype(np.int64), n_classes, logits.dtype)
+    onehot = Tensor(one_hot(labels.astype(np.int64), n_classes, logits.dtype), dtype=logits.dtype)
 
     logp = log_softmax(logits, axis=1)
     ce = -(logp * onehot).sum(axis=1).mean()
 
     probs = exp(logp)
-    dice_terms = []
-    for c in range(1, n_classes):
-        p_c = probs.narrow(1, c, 1)
-        y_c = onehot[:, c:c + 1]
-        inter = (p_c * y_c).sum()
-        denom = p_c.sum() + float(y_c.sum())
-        dice_terms.append((inter * 2.0 + eps) / (denom + eps))
-    mean_dice = dice_terms[0]
-    for t in dice_terms[1:]:
-        mean_dice = mean_dice + t
-    mean_dice = mean_dice * (1.0 / len(dice_terms))
-    dice_loss = 1.0 - mean_dice
+    axes = (0, 2, 3, 4)
+    inter = (probs * onehot).sum(axis=axes)
+    denom = probs.sum(axis=axes) + Tensor(onehot.data.sum(axis=axes), dtype=logits.dtype)
+    dice = (inter * 2.0 + eps) / (denom + eps)
+    dice_loss = 1.0 - dice.narrow(0, 1, n_classes - 1).mean()
 
     total = dice_loss + ce
     return LossValue(total=total, dice_part=dice_loss, ce_part=ce)

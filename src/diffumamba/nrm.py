@@ -18,7 +18,7 @@ import numpy as np
 # conv3d, relu and adaptive_avg_pool3d stay bound here: perfbench/tracer.py wraps them by name
 from .nnops import ConvParams, adaptive_avg_pool3d, conv3d, init_conv, relu  # noqa: F401
 from .ssm import MambaBlockParams, init_mamba_block, mamba_block
-from .tensor import ShapeError, Tensor, _check_finite, make_op
+from .tensor import ShapeError, Tensor, _check_finite, concat, make_op
 
 DOWNSAMPLE_CHUNK = 512    # voxels per block of downsample_stage: a 128-row f32 block is 256 KB
 
@@ -134,19 +134,20 @@ def downsample_stage(f_i: Tensor, conv: ConvParams, target) -> Tensor:
 
 
 def aggregate(e_list, lambdas: Tensor) -> Tensor:
-    """Weighted sum e_hat = sum_i lambda_i e_i; gradients reach every term."""
+    """Weighted sum e_hat = sum_i lambda_i e_i; gradients reach every term.
+
+    The stages are stacked on a new leading axis, scaled once by lambda
+    broadcast along it, and summed over it: the same additions in the
+    same order as a running sum over i, in a fixed number of tape nodes.
+    """
     if len(e_list) != lambdas.shape[0]:
         raise ShapeError(f"{len(e_list)} stage features for {lambdas.shape[0]} lambdas")
     shape = e_list[0].shape
     for i, e in enumerate(e_list):
         if e.shape != shape:
             raise ShapeError(f"stage feature {i} has shape {e.shape}, expected {shape}")
-    out = None
-    for i, e in enumerate(e_list):
-        lam_i = lambdas.narrow(0, i, 1).reshape(())
-        term = e * lam_i
-        out = term if out is None else out + term
-    return out
+    stacked = concat([e.reshape((1,) + shape) for e in e_list], axis=0)
+    return (stacked * lambdas.reshape((len(e_list),) + (1,) * len(shape))).sum(axis=0)
 
 
 @dataclass

@@ -110,10 +110,13 @@ def selective_scan_t(x: Tensor, dt: Tensor, b_sel: Tensor, c_sel: Tensor, a: Ten
     about SCAN_BLOCK elements of (tokens, B, N, C): each block's inputs
     are laid out token-major, u, exp(u) and phi fill block buffers that
     are allocated once per call, and only the two-op recurrence loops
-    over tokens, carrying the state h from one block into the next.  The
-    tape keeps only the states h, one full-size array.  Backward walks
-    the blocks in reverse, carrying dh: it recomputes u, exp(u), phi and
-    phi' per block from dt and a, runs the adjoint recurrence
+    over tokens.  The state buffer starts with a row holding h_0 = 0, so
+    every token, the first included, reads its h_{t-1} from the row
+    before its own.  The tape keeps the states h_0..h_L, one full-size
+    array; without a tape the buffer holds one block of states, and its
+    row 0 carries the previous block's last state.  Backward walks the
+    blocks in reverse, carrying dh from zero: it recomputes u, exp(u),
+    phi and phi' per block from dt and a, runs the adjoint recurrence
     dh_t = g_t c_t + exp(u_{t+1}) dh_{t+1}, writes the block's slices of
     the x, dt, b and c gradients and sums a's gradient over the blocks.
 
@@ -135,39 +138,35 @@ def selective_scan_t(x: Tensor, dt: Tensor, b_sel: Tensor, c_sel: Tensor, a: Ten
     block = (min(step, length), bsz, n, ch)
     u_buf, e_buf = np.empty(block, dtype), np.empty(block, dtype)
     taped = T.records_tape((x, dt, b_sel, c_sel, a))
-    if taped:
-        hs = np.empty((length, bsz, n, ch), dtype)       # the tape's states
-    else:
-        h_buf, carry = np.empty(block, dtype), np.empty(block[1:], dtype)
+    # row 0 is h_0 = 0; without a tape, one block of states after it
+    hs = np.empty(((length if taped else block[0]) + 1,) + block[1:], dtype)
+    hs[0] = 0
     y = np.empty((bsz, length, ch), np.result_type(c_sel.data, dtype))
-    e_tok = list(e_buf)                                    # per-token views, made once
-    h_tok = list(hs) if taped else list(h_buf)
+    e_tok, h_tok = list(e_buf), list(hs)                  # per-token views, made once
     for t0, t1 in blocks:
         k = t1 - t0
+        r0 = t0 if taped else 0                            # the row of h_{t0}
         xs, ds, bs, cs = (_blc(v.data[:, t0:t1]) for v in (x, dt, b_sel, c_sel))
         u, e = u_buf[:k], e_buf[:k]
         np.multiply(ds[:, :, None, :], a_t, out=u)
         _exp_phi(u, e, u, zero_possible)                    # phi in u's buffer
-        h = hs[t0:t1] if taped else h_buf[:k]
+        h = hs[r0 + 1:r0 + k + 1]
         np.multiply(u, (ds * xs)[:, :, None, :], out=h)    # dt phi b x
         h *= bs[..., None]
-        h_blk = h_tok[t0:t1] if taped else h_tok[:k]
-        first = 0 if t0 else 1                             # h_0 = 0 before token 0
-        prev = h_blk[0] if not t0 else hs[t0 - 1] if taped else carry
-        for e_t, h_t in zip(e_tok[first:k], h_blk[first:]):
-            np.multiply(e_t, prev, out=e_t)
+        rows = h_tok[r0:r0 + k + 1]
+        for e_t, h_prev, h_t in zip(e_tok[:k], rows, rows[1:]):
+            np.multiply(e_t, h_prev, out=e_t)
             np.add(h_t, e_t, out=h_t)
-            prev = h_t
-        if not taped:
-            np.copyto(carry, h[-1])
         y[:, t0:t1] = np.matmul(cs[:, :, None, :], h)[:, :, 0].swapaxes(0, 1)
+        if not taped:
+            hs[0] = h[-1]
     if not taped:
         return T.make_op(y, (x, dt, b_sel, c_sel, a), "selective_scan", None)
 
     def backward(g):
         # the closure holds only hs; everything else is recomputed per block
         u_buf, e_buf, p_buf, d_buf = (np.empty(block, dtype) for _ in range(4))
-        carry = np.empty(block[1:], dtype)
+        carry = np.zeros(block[1:], dtype)                # dh from past the last token
         e_tok, dh_tok = list(e_buf), list(u_buf)          # dh takes u's buffer
         dx, ddt, db, dc = (np.empty(v.shape, v.dtype) if v.requires_grad else None
                            for v in (x, dt, b_sel, c_sel))
@@ -181,27 +180,20 @@ def selective_scan_t(x: Tensor, dt: Tensor, b_sel: Tensor, c_sel: Tensor, a: Ten
             _exp_phi(u, e, phi, zero_possible)
             _dphi(u, e, phi, du)
             dh = np.multiply(cs[..., None], gs[:, :, None, :], out=u)   # g_t c_t
-            if t1 < length:
-                dh[-1] += carry
+            dh[-1] += carry
             e_blk, dh_blk = e_tok[:k], dh_tok[:k]
             for t in range(k - 2, -1, -1):
                 np.multiply(e_blk[t + 1], dh_blk[t + 1], out=carry)
                 np.add(dh_blk[t], carry, out=dh_blk[t])
-            if t0:
-                np.multiply(e[0], dh[0], out=carry)        # into the block before
-            hb = hs[t0:t1]
+            np.multiply(e[0], dh[0], out=carry)            # into the block before
             if dc is not None:
-                dc[:, t0:t1] = np.matmul(hb, gs[..., None])[..., 0].swapaxes(0, 1)
+                dc[:, t0:t1] = np.matmul(hs[t0 + 1:t1 + 1], gs[..., None])[..., 0].swapaxes(0, 1)
             # du = dh (b dt x phi'(u) + exp(u_t) h_{t-1})
             dsx = ds * xs
             du *= dsx[:, :, None, :]
             du *= bs[..., None]
-            if t0:
-                np.multiply(e, hs[t0 - 1:t1 - 1], out=e)
-                du += e
-            else:
-                np.multiply(e[1:], hb[:-1], out=e[1:])
-                np.add(du[1:], e[1:], out=du[1:])
+            np.multiply(e, hs[t0:t1], out=e)
+            du += e
             du *= dh
             p = np.multiply(phi, dh, out=phi)              # dh phi
             if db is not None:

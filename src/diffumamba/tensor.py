@@ -613,9 +613,8 @@ def matmul(a, b):
 
 
 def log_softmax(a, axis):
-    """Numerically stable log-softmax along ``axis``."""
-    if not np.all(np.isfinite(a.data)):
-        raise NumericError("softmax requires finite inputs")
+    """Numerically stable log-softmax along ``axis``.  A non-finite input
+    gives a non-finite output, which ``make_op`` rejects."""
     shift = a.data - a.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shift).sum(axis=axis, keepdims=True))
     out_data = shift - lse

@@ -10,7 +10,7 @@ from diffumamba.analysis import (analyze_model, capture_latents,
                                  pearson, save_latent_dump, silhouette_samples)
 from diffumamba.data import PhantomConfig, gen_phantoms
 from diffumamba.network import ModelConfig, Network
-from diffumamba.tensor import Rng
+from diffumamba.tensor import Rng, set_default_dtype
 
 
 class TestPearson:
@@ -164,6 +164,12 @@ class TestLatentDumpAndAnalyze:
         latents = capture_latents(model, samples[0])
         assert {"m1", "m2", "e_hat", "e_1", "e_2"} <= set(latents.keys())
         assert latents["m1"].shape == latents["m2"].shape
+
+    def test_capture_keeps_model_dtype_under_f64_default(self):
+        model, samples = _model_and_samples()            # f32 weights
+        set_default_dtype("f64")
+        latents = capture_latents(model, samples[0])
+        assert {v.dtype for v in latents.values()} == {np.dtype(np.float32)}
 
     def test_capture_baseline_partial(self):
         model, samples = _model_and_samples(nrm=False)

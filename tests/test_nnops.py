@@ -602,6 +602,7 @@ class TestActivations:
         out = softmax(Tensor(rng.normal((4, 7)) * 10), axis=1)
         npt.assert_allclose(out.data.sum(axis=1), 1.0, rtol=1e-5)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_softmax_rejects_non_finite(self):
         x = Tensor([0.0, 1.0])
         x.data[0] = np.inf
@@ -676,13 +677,10 @@ class TestAdaptivePool:
         with pytest.raises(ShapeError, match="target"):
             adaptive_avg_pool3d(Tensor(rng.normal((1, 1, 2, 2, 2))), (3, 2, 2))
 
-    def test_uneven_partition_window_rule(self):
-        # size 5 -> 2: windows [0,3) and [2,5) per floor/ceil rule
-        vals = np.arange(5.0, dtype=np.float64)
-        x = Tensor(vals.reshape(1, 1, 1, 1, 5), dtype=np.float64)
-        out = adaptive_avg_pool3d(x, (1, 1, 2))
-        npt.assert_allclose(out.data.ravel(),
-                            [vals[0:3].mean(), vals[2:5].mean()], rtol=1e-12)
+    def test_non_dividing_target_raises(self):
+        x = Tensor(np.arange(5.0).reshape(1, 1, 1, 1, 5))
+        with pytest.raises(ShapeError, match="divide"):
+            adaptive_avg_pool3d(x, (1, 1, 2))
 
     @pytest.mark.parametrize("target", [(2, 2, 2), (3, 2, 4)])
     def test_gradients(self, f64_mode, target):
@@ -723,6 +721,27 @@ class TestDiceCeLoss:
         logits[0, 0][labels[0] == 0] = 30.0
         lv = dice_ce_loss(Tensor(logits), labels)
         assert lv.dice_part.item() < 1e-4   # dice of perfect match is 1 - O(eps)
+
+    def test_three_class_value_matches_numpy(self, rng):
+        labels = rng.integers(0, 3, (2, 4, 4, 4))
+        logits = rng.normal((2, 3, 4, 4, 4))
+        lv = dice_ce_loss(Tensor(logits), labels)
+        z = logits.astype(np.float64)
+        p = np.exp(z - z.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        y = np.stack([labels == c for c in range(3)], axis=1)
+        inter = (p * y).sum(axis=(0, 2, 3, 4))
+        denom = p.sum(axis=(0, 2, 3, 4)) + y.sum(axis=(0, 2, 3, 4))
+        dice = (2 * inter + nnops.EPS_DICE) / (denom + nnops.EPS_DICE)
+        ce = -np.log((p * y).sum(axis=1)).mean()
+        npt.assert_allclose(lv.dice_part.item(), 1 - dice[1:].mean(), rtol=1e-5)
+        npt.assert_allclose(lv.ce_part.item(), ce, rtol=1e-5)
+
+    def test_keeps_logits_dtype_under_f64_default(self, rng):
+        logits = Tensor(rng.normal((1, 2, 2, 2, 2)))
+        T.set_default_dtype("f64")
+        lv = dice_ce_loss(logits, np.zeros((1, 2, 2, 2), dtype=np.int64))
+        assert {lv.total.dtype, lv.dice_part.dtype, lv.ce_part.dtype} == {np.dtype(np.float32)}
 
     def test_out_of_range_label_raises(self, rng):
         labels = np.full((1, 2, 2, 2), 5, dtype=np.int64)
