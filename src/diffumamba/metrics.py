@@ -18,7 +18,7 @@ import numpy as np
 from scipy import ndimage
 
 from .data import NoiseSpec, noise_hook
-from .tensor import ShapeError, Tensor, no_grad
+from .tensor import ShapeError, Tensor, concat, no_grad
 from .util import write_csv, write_json
 
 
@@ -155,9 +155,9 @@ def model_input(model, sample) -> Tensor:
     return Tensor(sample.image[None], dtype=model_dtype(model))
 
 
-def label_map(logits) -> np.ndarray:
-    """Argmax class map of the first volume in a batch of logits."""
-    return np.argmax(logits.data[0], axis=0).astype(np.uint8)
+def label_map(logits, row=0) -> np.ndarray:
+    """Argmax class map of volume ``row`` in a batch of logits."""
+    return np.argmax(logits.data[row], axis=0).astype(np.uint8)
 
 
 def model_dtype(model):
@@ -189,20 +189,23 @@ def perturbation_grid(model, samples, families, levels, seed=0):
     """DSC per (family, level) with noise at the first residual block.
 
     The noise-free stem runs once per sample.  The clean prediction is
-    the rest of the network on that stem, the same arithmetic as
-    ``Network.forward``, so level 1 is bit-equal to the clean
-    evaluation; each noisy cell runs only the rest of the network on its
-    perturbed copy of the stem.  A cell is scored by its mean
+    the rest of the network on that stem at B = 1, the same arithmetic
+    as ``Network.forward``, so level 1 is bit-equal to the clean
+    evaluation.  Each distinct noisy level then runs the rest of the
+    network once, no grad, on the stacked (F, C, D, H, W) batch of the
+    sample's perturbed stems, one row per requested family; row i is
+    family i's cell.  A batch thus holds at most ``len(families)``
+    volumes, never the whole grid.  A cell is scored by its mean
     foreground DSC alone, the per-class ``dsc_iou`` values through
     ``np.mean`` as in ``SampleMetrics.mean_dsc``: no HD95 is computed.
     Each cell gets a deterministic seed derived from (seed, family,
     level, sample index).
     """
     n_classes = model.cfg.n_classes
-    noisy = [(family, level) for family in families for level in levels if level != 1]
+    noisy_levels = [level for level in dict.fromkeys(levels) if level != 1]
     clean_scores = []
-    scores = {cell: [] for cell in noisy}
-    mags = {cell: [] for cell in noisy}
+    scores = {(family, level): [] for family in families for level in noisy_levels}
+    mags = {cell: [] for cell in scores}
 
     def score(pred, s):
         # SampleMetrics.mean_dsc's arithmetic, without the HD95 the grid never reads
@@ -213,11 +216,16 @@ def perturbation_grid(model, samples, families, levels, seed=0):
         with no_grad():
             stem = model.forward_stem(model_input(model, s))
             clean_scores.append(score(label_map(model.forward_rest(stem)), s))
-            for family, level in noisy:
-                cell_seed = seed * 1_000_003 + hash_u32(f"{family}/{level}/{idx}")
-                h = noise_hook(NoiseSpec(family=family, level=level, seed=cell_seed))(stem)
-                mags[family, level].append(float(np.abs(h.data - stem.data).mean()))
-                scores[family, level].append(score(label_map(model.forward_rest(h)), s))
+            for level in noisy_levels:
+                hooked = []
+                for family in families:
+                    cell_seed = seed * 1_000_003 + hash_u32(f"{family}/{level}/{idx}")
+                    h = noise_hook(NoiseSpec(family=family, level=level, seed=cell_seed))(stem)
+                    mags[family, level].append(float(np.abs(h.data - stem.data).mean()))
+                    hooked.append(h)
+                logits = model.forward_rest(concat(hooked, axis=0))
+                for row, family in enumerate(families):
+                    scores[family, level].append(score(label_map(logits, row), s))
     clean_mean = float(np.mean(clean_scores))
 
     cells = []

@@ -41,7 +41,7 @@ from .nnops import (adaptive_avg_pool3d, conv3d, conv_transpose3d, init_conv,
                     init_conv_transpose, instance_norm, leaky_relu, relu)
 from .nrm import downsample_stage
 from .ssm import init_mamba_block, mamba_block, selective_scan_t
-from .tensor import Rng, ShapeError, Tensor, no_grad, set_default_dtype
+from .tensor import Rng, ShapeError, Tensor, concat, no_grad, set_default_dtype
 
 # ----------------------------------------------------------------------
 # finite-difference gradients
@@ -331,6 +331,25 @@ def nrm_off_gap(cfg: ModelConfig, inputs):
 
 
 # ----------------------------------------------------------------------
+# batch invariance
+
+
+def batch_invariance_gap(model, inputs):
+    """Max |logit difference| between one no-grad ``forward_rest`` on the
+    stacked stems of ``inputs`` and its B = 1 calls on each stem.
+
+    The perturbation grid scores a noise level's cells as the rows of
+    one batch, so its cells equal per-cell forwards only while this gap
+    is exactly zero under the local BLAS.
+    """
+    with no_grad():
+        stems = [model.forward_stem(x) for x in inputs]
+        batched = model.forward_rest(concat(stems, axis=0)).data
+        return max(float(np.abs(batched[i:i + 1] - model.forward_rest(h).data).max())
+                   for i, h in enumerate(stems))
+
+
+# ----------------------------------------------------------------------
 # metric and analysis oracles
 
 
@@ -415,6 +434,13 @@ def _nrm_off_check(seed):
                              for i in range(3)))
 
 
+def _batch_invariance_check(seed):
+    rng = Rng(seed, "selfcheck")
+    cfg = ModelConfig(channels=(4, 4, 8), strides=(1, 2, 1), n_stages=3, ssm_state=2, seed=seed)
+    return batch_invariance_gap(Network(cfg), [Tensor(rng.derive(f"bi{i}").normal((1, 1, 8, 8, 8)))
+                                               for i in range(3)])
+
+
 def _mask_pairs(seed, n, shape, density):
     r = Rng(seed, "selfcheck").derive(f"masks{shape}")
     return [(r.random(shape) < density, r.random(shape) < density) for _ in range(n)]
@@ -445,6 +471,7 @@ SELFCHECKS = [
     ("ssm: scan == kernel conv (10 seeds)", 1e-5, _scan_kernel_check),
     ("ssm: worked case y=[1,2,3]", 0.0, lambda seed: worked_case_gap()),
     ("equivalence: module-off == baseline", 1e-6, _nrm_off_check),
+    ("batch invariance: B=3 == 3 x B=1", 0.0, _batch_invariance_check),
     ("fused: downsample == conv+relu+pool", 1e-12, _in_f64(fused_downsample_gap)),
     ("fused: conv_transpose3d == per-tap", 1e-12, _in_f64(fused_conv_transpose_gap)),
     ("metrics: hd95 == brute force", 1e-6,

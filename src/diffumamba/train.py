@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .analysis import lambda_report
-from .metrics import evaluate_model
+from .metrics import evaluate_model, model_dtype
 from .network import ModelConfig, Network, save_checkpoint
 from .nnops import dice_ce_loss
 from .tensor import NumericError, Rng, Tensor
@@ -132,6 +132,7 @@ def train_run(model: Network, samples, tcfg: TrainConfig, out_dir,
     rng = Rng(tcfg.seed, name="train")
     opt = SGD(model.named_parameters(), momentum=tcfg.momentum, nesterov=tcfg.nesterov)
     epoch_log = []
+    dtype = model_dtype(model)
     best = (float("inf"), -1)
     final_path = os.path.join(out_dir, "final.ckpt")
     best_path = os.path.join(out_dir, "best.ckpt")
@@ -146,7 +147,7 @@ def train_run(model: Network, samples, tcfg: TrainConfig, out_dir,
         for images, labels in _batches(samples, tcfg.batch_size, order):
             opt.zero_grad()
             try:
-                logits = model.forward(Tensor(images))
+                logits = model.forward(Tensor(images, dtype=dtype))
                 loss = dice_ce_loss(logits, labels)
                 total = float(loss.total.item())
                 loss.total.backward()

@@ -259,6 +259,7 @@ def test_criterion_6_metric_oracles():
                   f"{wall:.0f}s (< 120s)")
 
 
+@pytest.mark.slow
 def test_criterion_7_overfit(overfit_run):
     """Desk config overfits 4 phantoms to DSC >= 0.95 in 100 epochs."""
     rep = evaluate_model(overfit_run["model"], overfit_run["samples"])
@@ -269,6 +270,7 @@ def test_criterion_7_overfit(overfit_run):
                   f"{wall:.0f}s (< 1800s)")
 
 
+@pytest.mark.slow
 def test_criterion_8_comparison_protocol(tmp_path):
     """5-seed paired comparison, module on vs off, with sanity gate."""
     t0 = time.monotonic()
@@ -290,6 +292,7 @@ def test_criterion_8_comparison_protocol(tmp_path):
                   f"{wall:.0f}s (< 10800s)")
 
 
+@pytest.mark.slow
 def test_criterion_9_perturbation_harness(overfit_run):
     """4 x 6 robustness grid; clean column bit-equal; magnitude monotone."""
     t0 = time.monotonic()
@@ -312,6 +315,7 @@ def test_criterion_9_perturbation_harness(overfit_run):
                   f"nondecreasing={monotone}; {wall:.0f}s (< 900s)")
 
 
+@pytest.mark.slow
 def test_criterion_10_latent_analysis(overfit_run, tmp_path):
     """Silhouette / Pearson hand values; trace report from the overfit run."""
     pts = np.vstack([Rng(1, "c1").normal((20, 2), dtype=np.float64) * 0.2,

@@ -146,6 +146,16 @@ def _tiny_model_and_samples():
     return model, samples
 
 
+def _longseq_model_and_samples():
+    # the long-sequence layout: strides (1, 2, 1) leave a 512-token bottleneck
+    from diffumamba.data import PhantomConfig
+    cfg = ModelConfig(channels=(4, 4, 8), strides=(1, 2, 1), n_stages=3, ssm_state=2, seed=3)
+    model = Network(cfg)
+    samples = gen_phantoms(2, 5, PhantomConfig(shape=(16, 16, 16), radius=(2.0, 3.5),
+                                               margin=0.5, min_separation=0.75))
+    return model, samples
+
+
 class TestEvaluateAndPerturb:
     def test_evaluate_model_row_count(self):
         model, samples = _tiny_model_and_samples()
@@ -165,15 +175,17 @@ class TestEvaluateAndPerturb:
 
     def test_one_stem_per_sample(self, monkeypatch):
         # the clean prediction reuses the stem the noisy cells start from,
-        # and its cell is bit-equal to the clean evaluation
+        # and its cell is bit-equal to the clean evaluation; the rest of
+        # the network runs once clean and once per distinct noisy level
         model, samples = _tiny_model_and_samples()
         calls = []
-        stem, forward = model.forward_stem, model.forward
+        stem, rest, forward = model.forward_stem, model.forward_rest, model.forward
         monkeypatch.setattr(model, "forward_stem", lambda x: calls.append("stem") or stem(x))
+        monkeypatch.setattr(model, "forward_rest", lambda h: calls.append("rest") or rest(h))
         monkeypatch.setattr(model, "forward", lambda *a, **k: calls.append("forward") or
                             forward(*a, **k))
-        cells = perturbation_grid(model, samples, ["uniform", "speckle"], [1, 3], seed=2)
-        assert calls == ["stem"] * len(samples)
+        cells = perturbation_grid(model, samples, ["uniform", "speckle"], [1, 3, 5], seed=2)
+        assert calls == ["stem", "rest", "rest", "rest"] * len(samples)
         monkeypatch.undo()
         report = evaluate_model(model, samples)
         clean = float(np.mean([sm.mean_dsc() for sm in report.samples]))
@@ -191,11 +203,14 @@ class TestEvaluateAndPerturb:
             evaluate_model(model, samples)
         assert perturbation_grid(model, samples, ["uniform"], [1, 3], seed=6) == want
 
-    def test_noisy_cells_match_hooked_forward(self):
-        # the grid runs one clean stem per sample; a full forward with the
-        # hook at the first block gives the same cells bit for bit
-        model, samples = _tiny_model_and_samples()
-        cells = perturbation_grid(model, samples, ["uniform", "speckle"], [1, 4], seed=5)
+    @pytest.mark.parametrize("build", [_tiny_model_and_samples, _longseq_model_and_samples],
+                             ids=["tiny", "longseq"])
+    def test_noisy_cells_match_hooked_forward(self, build):
+        # the grid runs one clean stem per sample and one batch per noisy
+        # level; a B = 1 forward with the hook at the first block gives
+        # the same cells bit for bit
+        model, samples = build()
+        cells = perturbation_grid(model, samples, ["uniform", "speckle"], [1, 4, 6], seed=5)
         for c in (c for c in cells if c.level != 1):
             scores, mags = [], []
             for idx, s in enumerate(samples):

@@ -10,7 +10,7 @@ from diffumamba.analysis import read_lambda_trace_csv
 from diffumamba.cli import main
 from diffumamba.data import PhantomConfig, gen_phantoms
 from diffumamba.network import ModelConfig, Network, load_checkpoint
-from diffumamba.tensor import NumericError
+from diffumamba.tensor import NumericError, set_default_dtype
 from diffumamba.train import (SGD, ExperimentConfig, TrainConfig, paired_comparison,
                               poly_lr, train_run)
 
@@ -106,6 +106,21 @@ class TestTrainRun:
         with pytest.raises(ValueError, match="empty sample list"):
             paired_comparison([], tiny_samples(1), tiny_model_cfg(), TrainConfig(epochs=2),
                               [0], tmp_path / "cmp")
+
+    def test_batch_keeps_model_dtype_under_f64_default(self, tmp_path, monkeypatch):
+        model = Network(tiny_model_cfg())                # f32 weights
+        seen = []
+        forward = model.forward
+
+        def spy(x):
+            logits = forward(x)
+            seen.append((x.dtype, logits.dtype))
+            return logits
+        monkeypatch.setattr(model, "forward", spy)
+        set_default_dtype("f64")
+        train_run(model, tiny_samples(2), TrainConfig(epochs=1, batch_size=2), tmp_path,
+                  quiet=True)
+        assert seen == [(np.dtype(np.float32), np.dtype(np.float32))]
 
     def test_same_seed_identical_loss_curves(self, tmp_path):
         def run(sub):
@@ -278,6 +293,8 @@ class TestCli:
         rc, lines, checks = _run_selfcheck(tmp_path, capsys, "--corrupt-adjoint")
         assert rc == 4
         assert [name for _, name in checks] == SELFCHECK_NAMES
+        # the fault scales matmul adjoints only, so the forward-only
+        # batch-invariance entry still passes (measured: gap 0)
         assert [name for status, name in checks if status == "FAIL"] == \
             ["grad: matmul", "grad: mamba block"]
         for i, line in enumerate(lines):
@@ -288,7 +305,7 @@ class TestCli:
 
 SELFCHECK_NAMES = ["grad: matmul", "grad: conv3d+instancenorm+lrelu", "grad: mamba block",
                    "ssm: scan == kernel conv (10 seeds)", "ssm: worked case y=[1,2,3]",
-                   "equivalence: module-off == baseline",
+                   "equivalence: module-off == baseline", "batch invariance: B=3 == 3 x B=1",
                    "fused: downsample == conv+relu+pool", "fused: conv_transpose3d == per-tap",
                    "metrics: hd95 == brute force",
                    "metrics: dsc == 2*iou/(1+iou)", "analysis: pearson hand case",
