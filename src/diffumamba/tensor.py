@@ -3,8 +3,9 @@
 Everything downstream (convolutions, state-space scans, the noise
 reduction module) is built from the primitives in this file.  Data lives
 in contiguous row-major numpy buffers; the autodiff tape is the implicit
-graph of parent links plus per-node backward closures, replayed in
-reverse topological order by ``Tensor.backward``.
+graph of parent links plus per-node backward closures, replayed once in
+reverse topological order by ``Tensor.backward``, which releases each
+interior node as it goes.
 
 Scalars default to float32.  A float64 mode (``set_default_dtype``)
 exists for tight finite-difference testing.  Any op that produces a
@@ -100,8 +101,9 @@ class Tensor:
     ``data`` is always a contiguous row-major ndarray.  ``grad`` is
     lazily allocated during ``backward`` and has the same shape as
     ``data``; after ``backward`` only leaves still hold one.  Tensors
-    are immutable after construction as far as the tape is concerned;
-    optimizers mutate ``data`` in place between forward passes, never
+    are immutable after construction as far as the tape is concerned:
+    an op never writes into ``data``, and the optimizer rebinds a
+    parameter's ``data`` to a new array between forward passes, never
     mid-graph.
     """
 
@@ -176,26 +178,39 @@ class Tensor:
         """Populate ``grad`` on every reachable leaf of the graph.
 
         The root must be a scalar produced under an active tape.  Each
-        node's closure runs exactly once, in reverse topological order,
-        and an intermediate node's ``grad`` is dropped (set to None) as
-        soon as its closure has passed it on, so only leaves keep one.
-        Calling backward twice on the same root is an error.
+        node's closure runs exactly once, in reverse topological order.
+        Backward consumes the tape: as soon as an interior node's closure
+        has run, the node drops its closure (and with it every buffer
+        the closure saved), its parent links and its ``grad``, and is
+        marked released.  After backward only leaves keep a ``grad``,
+        and the tape outlives it only in tensors the caller still holds.
+
+        A subgraph can therefore feed one backward only: calling
+        backward twice on the same root, or on a root whose graph
+        reaches a node an earlier backward released, raises
+        ``GradError`` before any closure runs.
         """
         if self.shape != ():
             raise GradError(f"backward root must be scalar, got shape {self.shape}")
-        if self._backward_fn is None and not self._parents:
-            raise GradError("backward called on a detached tensor (no tape)")
         if self._backward_ran:
             raise GradError("backward already ran for this root; rebuild the graph")
-        self._backward_ran = True
+        if self._backward_fn is None and not self._parents:
+            raise GradError("backward called on a detached tensor (no tape)")
 
         order = _toposort(self)
+        if any(node._backward_ran for node in order):
+            raise GradError("graph reaches a node an earlier backward released; "
+                            "rebuild the graph")
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward_fn is not None:
                 node._backward_fn(node.grad)
             if node._parents:
                 node.grad = None
+                node._backward_fn = None
+                node._parents = ()
+                node._backward_ran = True
 
     # ------------------------------------------------------------------
     # operator sugar
@@ -272,7 +287,11 @@ def _wrap_pair(a, b):
 
 
 def _toposort(root):
-    """Iterative DFS post-order over parent links; inputs precede users."""
+    """Iterative DFS post-order over parent links; inputs precede users.
+
+    Constants (tensors that need no gradient) are left out: backward has
+    nothing to run for them, and leaving them off the order lets a
+    constant that only a released closure held die with that closure."""
     order = []
     seen = set()
     stack = [(root, False)]
@@ -286,7 +305,7 @@ def _toposort(root):
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen:
+            if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
     return order
 

@@ -1,5 +1,6 @@
 import contextlib
 import threading
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -244,6 +245,68 @@ class TestBackward:
         npt.assert_allclose(x.grad, w.data * np.exp(x.data * w.data), rtol=1e-6)
         npt.assert_allclose(w.grad, x.data * np.exp(x.data * w.data), rtol=1e-6)
         assert hidden.grad is None and loss.grad is None
+
+
+def _probe(a, on_backward):
+    """Identity op whose backward calls ``on_backward`` before passing
+    the gradient on."""
+    def backward(g):
+        on_backward()
+        a._accumulate(g)
+
+    return T.make_op(a.data.copy(), (a,), "probe", backward)
+
+
+class TestTapeRelease:
+    """Backward consumes the tape: an interior node drops its closure,
+    parent links and grad once its closure has run."""
+
+    def test_interior_nodes_released_leaves_keep_grads(self, rng):
+        x = Tensor(rng.normal((3,)), requires_grad=True)
+        w = Tensor(rng.normal((3,)), requires_grad=True)
+        loss = T.exp(x * w).sum()
+        nodes = T._toposort(loss)
+        interior = [n for n in nodes if n._parents]
+        assert len(interior) == 3
+        loss.backward()
+        for n in interior:
+            assert n._backward_fn is None and n._parents == () and n.grad is None
+            assert n._backward_ran
+        for leaf in (x, w):
+            assert leaf.grad is not None and not leaf._backward_ran
+        npt.assert_allclose(x.grad, w.data * np.exp(x.data * w.data), rtol=1e-6)
+
+    def test_saved_buffer_dies_before_upstream_closure_runs(self, rng):
+        # chain x -> probe -> mul by a constant -> sum; the constant's
+        # buffer is saved by the mul closure and nothing else.  When the
+        # probe's closure runs, that closure and the buffer are gone
+        x = Tensor(rng.normal((4,)), requires_grad=True)
+        c = rng.normal((4,))
+        saved = weakref.ref(c)
+        seen = []
+        loss = (_probe(x, lambda: seen.append(saved() is None)) * Tensor(c)).sum()
+        expected = c.copy()
+        del c
+        assert saved() is not None
+        loss.backward()
+        assert seen == [True] and saved() is None
+        npt.assert_array_equal(x.grad, expected)
+
+    def test_shared_subgraph_feeds_one_backward(self, rng):
+        x = Tensor(rng.normal((3,)), requires_grad=True)
+        w = Tensor(rng.normal((3,)), requires_grad=True)
+        shared = x * w
+        first = T.exp(shared).sum()
+        second = (shared * 2.0).sum()
+        first.backward()
+        gx, gw = x.grad.copy(), w.grad.copy()
+        with pytest.raises(GradError, match="released"):
+            second.backward()
+        # no closure of the second graph ran: leaves and the shared node
+        # are as the first backward left them
+        npt.assert_array_equal(x.grad, gx)
+        npt.assert_array_equal(w.grad, gw)
+        assert shared.grad is None and not second._backward_ran
 
 
 class TestSoftplus:

@@ -1,6 +1,8 @@
+import gc
 import json
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -10,7 +12,8 @@ from diffumamba.analysis import read_lambda_trace_csv
 from diffumamba.cli import main
 from diffumamba.data import PhantomConfig, gen_phantoms
 from diffumamba.network import ModelConfig, Network, load_checkpoint
-from diffumamba.tensor import NumericError, set_default_dtype
+from diffumamba.nnops import dice_ce_loss
+from diffumamba.tensor import NumericError, Tensor, set_default_dtype
 from diffumamba.train import (SGD, ExperimentConfig, TrainConfig, paired_comparison,
                               poly_lr, train_run)
 
@@ -121,6 +124,32 @@ class TestTrainRun:
         train_run(model, tiny_samples(2), TrainConfig(epochs=1, batch_size=2), tmp_path,
                   quiet=True)
         assert seen == [(np.dtype(np.float32), np.dtype(np.float32))]
+
+    @pytest.mark.skipif(tracemalloc.is_tracing(), reason="tracemalloc already running")
+    def test_two_steps_hold_one_graph_at_a_time(self, tmp_path):
+        # backward releases step k's tape before step k + 1's forward, so
+        # two steps peak about as high as one forward + backward (the
+        # long-sequence layout: 3 stages, strides (1, 2, 1), 16^3, batch 2)
+        cfg = ModelConfig(n_stages=3, channels=(8, 16, 32), strides=(1, 2, 1))
+        samples = gen_phantoms(2, 5, PhantomConfig(shape=(16, 16, 16), radius=(2.0, 3.5),
+                                                   margin=0.5, min_separation=0.75))
+        images = Tensor(np.stack([s.image for s in samples]).astype(np.float32))
+        labels = np.stack([s.label for s in samples]).astype(np.int64)
+
+        def peak(run):
+            model = Network(cfg)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                run(model)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(lambda m: dice_ce_loss(m.forward(images), labels).total.backward())
+        two = peak(lambda m: train_run(m, samples, TrainConfig(epochs=2, batch_size=2),
+                                       tmp_path, quiet=True))
+        assert two <= 1.25 * one, (two, one)
 
     def test_same_seed_identical_loss_curves(self, tmp_path):
         def run(sub):
