@@ -14,7 +14,8 @@ import sys
 from dataclasses import replace
 
 from . import tensor as T
-from .analysis import DEFAULT_K_RANGE, analyze_model, write_analysis_csv
+from .analysis import (DEFAULT_K_RANGE, analyze_model, read_lambda_trace_csv,
+                       write_analysis_csv)
 from .data import (DataError, NOISE_FAMILIES, PhantomConfig, gen_phantoms,
                    load_dataset, save_dataset)
 from .metrics import evaluate_model, perturbation_grid, write_perturb_csv
@@ -192,7 +193,6 @@ def cmd_analyze(args):
     samples = load_dataset(args.manifest)
     trace = None
     if args.lambda_trace:
-        from .analysis import read_lambda_trace_csv
         trace = read_lambda_trace_csv(args.lambda_trace)
     _echo(args, {"checkpoint": args.checkpoint})
     meta = {"seed": args.seed, "build_id": build_id()}

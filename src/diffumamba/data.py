@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .recordio import _DTYPE_TAGS, _TAG_FOR_KIND
 from .tensor import Rng, Tensor
 from .util import atomic_write
 
@@ -211,7 +212,8 @@ def inject_noise(features, spec: NoiseSpec):
 
 
 def noise_hook(spec: NoiseSpec):
-    """Forward-pass hook for ``Network.forward(..., noise_hook=...)``."""
+    """The perturbation of ``spec`` as a function of one activation map,
+    applied between ``Network.forward_stem`` and ``forward_rest``."""
     def hook(t):
         return inject_noise(t, spec)
     return hook
@@ -222,8 +224,6 @@ def noise_hook(spec: NoiseSpec):
 
 SVOL_MAGIC = b"SVOL"
 SVOL_VERSION = 1
-_SVOL_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8"), 2: np.dtype("u1")}
-_SVOL_TAGS = {("f", 4): 0, ("f", 8): 1, ("u", 1): 2}
 
 
 def write_volume(path, array: np.ndarray, spacing):
@@ -232,12 +232,12 @@ def write_volume(path, array: np.ndarray, spacing):
     if array.ndim != 4:
         raise VolumeFormatError(f"volume payload must be (C,D,H,W), got {array.shape}")
     key = (array.dtype.kind, array.dtype.itemsize)
-    if key not in _SVOL_TAGS:
+    if key not in _TAG_FOR_KIND:
         raise VolumeFormatError(f"unsupported volume dtype {array.dtype}")
     with atomic_write(path, binary=True) as fh:
         fh.write(SVOL_MAGIC)
         fh.write(struct.pack("<I", SVOL_VERSION))
-        fh.write(struct.pack("<B", _SVOL_TAGS[key]))
+        fh.write(struct.pack("<B", _TAG_FOR_KIND[key]))
         fh.write(struct.pack("<4I", *array.shape))
         fh.write(struct.pack("<3f", *(float(s) for s in spacing)))
         fh.write(np.ascontiguousarray(array, dtype=array.dtype.newbyteorder("<")).tobytes())
@@ -259,11 +259,11 @@ def read_volume(path):
         if version != SVOL_VERSION:
             raise VolumeFormatError(f"unsupported volume version {version}")
         (tag,) = struct.unpack("<B", need(fh, 1))
-        if tag not in _SVOL_DTYPES:
+        if tag not in _DTYPE_TAGS:
             raise VolumeFormatError(f"unknown dtype tag {tag}")
         shape = struct.unpack("<4I", need(fh, 16))
         spacing = struct.unpack("<3f", need(fh, 12))
-        dtype = _SVOL_DTYPES[tag]
+        dtype = _DTYPE_TAGS[tag]
         count = int(np.prod(shape))
         payload = need(fh, count * dtype.itemsize)
         if fh.read(1):

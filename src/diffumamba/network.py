@@ -201,21 +201,19 @@ class Network:
 
     # -- forward ---------------------------------------------------------
 
-    def forward(self, x: Tensor, noise_hook=None, capture=None) -> Tensor:
+    def forward(self, x: Tensor, capture=None) -> Tensor:
         """Segmentation logits for a (B, C_in, D, H, W) input.
 
-        ``noise_hook``, when given, transforms the output activations of
-        the very first residual block (the inference-time perturbation
-        point).  ``capture`` (a dict) receives bottleneck intermediates.
+        ``capture`` (a dict) receives bottleneck intermediates.  To
+        perturb the output of the very first residual block (the
+        inference-time noise point), compose ``forward_rest`` with
+        ``forward_stem`` around the perturbation.
         """
-        h = self.forward_stem(x)
-        if noise_hook is not None:
-            h = noise_hook(h)
-        return self.forward_rest(h, capture)
+        return self.forward_rest(self.forward_stem(x), capture)
 
     def forward_stem(self, x: Tensor) -> Tensor:
         """The input checks and the first residual block: everything ahead
-        of the noise hook."""
+        of the noise point."""
         if x.ndim != 5:
             raise ShapeError(f"expected (B,C,D,H,W) input, got {x.shape}")
         if x.shape[1] != self.cfg.in_channels:

@@ -237,11 +237,11 @@ def _pointwise(x, p, out_spatial):
         if x.requires_grad:
             dxs = np.matmul(w.T, g_flat)
             if p.stride == (1, 1, 1):
-                x._accumulate(dxs.reshape(x.shape), owned=True)
+                x._accumulate(dxs.reshape(x.shape))
                 return
             dx = np.zeros_like(x.data)
             dx[:, :, ::sd, ::sh, ::sw] = dxs.reshape((b, c_in) + tuple(out_spatial))
-            x._accumulate(dx, owned=True)
+            x._accumulate(dx)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return make_op(out.reshape((b, c_out) + tuple(out_spatial)), parents, "conv3d", backward)
@@ -387,11 +387,11 @@ def conv3d(x: Tensor, p: ConvParams) -> Tensor:
                 _flipped_input_grad(gp, margin - last + first, xp[:, n, :, first:],
                                     weight.data[sub], grid, dx[src],
                                     None if dw is None else dw[sub])
-            x._accumulate(dx, owned=True)
+            x._accumulate(dx)
         elif dw is not None:
             _weight_grad(xp, g_at, terms, grid, dw, subs)
         if dw is not None:
-            weight._accumulate(dw, owned=True)
+            weight._accumulate(dw)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return make_op(out, parents, "conv3d", backward)
@@ -447,11 +447,11 @@ def conv_transpose3d(x: Tensor, p: ConvTransposeParams) -> Tensor:
             dw = x_mat[0] @ g_mat[0].T
             for i in range(1, b):
                 dw += x_mat[i] @ g_mat[i].T
-            weight._accumulate(dw.reshape(weight.shape), owned=True)
+            weight._accumulate(dw.reshape(weight.shape))
         if bias is not None and bias.requires_grad:
             bias._accumulate(g_mat.reshape(b, c_out, -1).sum(axis=(0, 2)))
         if x.requires_grad:
-            x._accumulate(np.matmul(w_mat, g_mat).reshape(x.shape), owned=True)
+            x._accumulate(np.matmul(w_mat, g_mat).reshape(x.shape))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return make_op(out, parents, "conv_transpose3d", backward)
@@ -532,7 +532,7 @@ def normalize(x: Tensor, axes, gamma: Tensor, beta: Tensor, eps: float,
         np.subtract(g, dx, out=dx)
         dx -= g_sum[..., None] * (1.0 / n)
         dx *= scale
-        x._accumulate(dx.reshape(shape), owned=True)
+        x._accumulate(dx.reshape(shape))
 
     return make_op(out.reshape(shape), (x, gamma, beta), "normalize", backward)
 
@@ -560,7 +560,7 @@ def leaky_relu(x: Tensor, alpha: float = LEAKY_SLOPE) -> Tensor:
         slope = (x.data >= 0).astype(g.dtype)
         np.maximum(slope, alpha, out=slope)
         slope *= g
-        x._accumulate(slope, owned=True)
+        x._accumulate(slope)
 
     return make_op(out, (x,), "leaky_relu", backward)
 
@@ -587,7 +587,7 @@ def silu(x: Tensor) -> Tensor:
         dx += 1.0
         dx *= sig
         dx *= g
-        x._accumulate(dx, owned=True)
+        x._accumulate(dx)
 
     return make_op(out, (x,), "silu", backward)
 
@@ -615,7 +615,7 @@ def adaptive_avg_pool3d(x: Tensor, target) -> Tensor:
         gg = g / (fd * fh * fw)
         gg = np.broadcast_to(gg[:, :, :, None, :, None, :, None],
                              (b, c, td, fd, th, fh, tw, fw))
-        x._accumulate(gg.reshape(b, c, d, h, w).astype(x.dtype, copy=False))
+        x._accumulate(gg.reshape(b, c, d, h, w))
 
     return make_op(out, (x,), "adaptive_avg_pool3d", backward)
 

@@ -127,7 +127,7 @@ def downsample_stage(f_i: Tensor, conv: ConvParams, target) -> Tensor:
             bias._accumulate(dw[:, c_in])
         if dx is not None:
             dx = dx.reshape(c_in, b, td, th, tw, fd, fh, fw).transpose(np.argsort(cell_order))
-            f_i._accumulate(dx.reshape(f_i.shape), owned=True)
+            f_i._accumulate(dx.reshape(f_i.shape))
 
     parents = (f_i, weight) if bias is None else (f_i, weight, bias)
     return make_op(out, parents, "downsample_stage", backward)

@@ -209,9 +209,9 @@ def selective_scan_t(x: Tensor, dt: Tensor, b_sel: Tensor, c_sel: Tensor, a: Ten
                 da += np.einsum("lbnc,lbc->nc", du, ds)
         for v, grad in ((x, dx), (dt, ddt), (b_sel, db), (c_sel, dc)):
             if grad is not None:
-                v._accumulate(grad, owned=True)
+                v._accumulate(grad)
         if da is not None:
-            a._accumulate(np.ascontiguousarray(da.T), owned=True)
+            a._accumulate(da.T)
 
     return T.make_op(y, (x, dt, b_sel, c_sel, a), "selective_scan", backward)
 
@@ -246,13 +246,13 @@ def causal_depthwise_conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             for k, s in taps:
                 seg = dx[:, :length - s]
                 seg += g[:, s:] * w[:, k]
-            x._accumulate(dx, owned=True)
+            x._accumulate(dx)
         if weight.requires_grad:
             dw = np.zeros(weight.shape, dtype=weight.dtype)
             dw[:, -1] = np.einsum("btc,btc->c", g, xd)
             for k, s in taps:
                 dw[:, k] = np.einsum("btc,btc->c", g[:, s:], xd[:, :length - s])
-            weight._accumulate(dw, owned=True)
+            weight._accumulate(dw)
         if bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 1)))
 

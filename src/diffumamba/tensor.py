@@ -98,13 +98,14 @@ def _unbroadcast(grad, shape):
 class Tensor:
     """A numpy-backed value that optionally participates in the grad tape.
 
-    ``data`` is always a contiguous row-major ndarray.  ``grad`` is
-    lazily allocated during ``backward`` and has the same shape as
-    ``data``; after ``backward`` only leaves still hold one.  Tensors
-    are immutable after construction as far as the tape is concerned:
-    an op never writes into ``data``, and the optimizer rebinds a
-    parameter's ``data`` to a new array between forward passes, never
-    mid-graph.
+    ``data`` is always a contiguous row-major ndarray.  ``grad`` is set
+    during ``backward`` with the shape and dtype of ``data``; after
+    ``backward`` only leaves still hold one.  It may be a read-only or
+    strided view, or share memory with another grad: read it only (see
+    ``_accumulate``).  Tensors are immutable after construction as far
+    as the tape is concerned: an op never writes into ``data``, and the
+    optimizer rebinds a parameter's ``data`` to a new array between
+    forward passes, never mid-graph.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn",
@@ -151,25 +152,22 @@ class Tensor:
     # ------------------------------------------------------------------
     # tape plumbing
 
-    def _accumulate(self, g, owned=False):
+    def _accumulate(self, g):
         """Add the adjoint ``g`` into ``grad``.
 
-        The first gradient is a fresh copy: ``g`` may be a read-only
-        broadcast view or a buffer that another node still owns.  A
-        hand-written backward that hands over a buffer it alone holds
-        passes ``owned=True``; when that buffer is a writeable,
-        C-contiguous array of the data's shape and dtype it becomes
-        ``grad`` without a copy.
+        The first gradient is kept as given, without a copy: broadcast to
+        the data's shape and cast only when its dtype differs.  A later
+        one rebinds ``grad`` to the sum, rounded to the data's dtype.  No
+        buffer is ever written in place, so ``g`` may be a read-only
+        view, or a buffer that a sibling parent also received; in turn
+        no backward may write into an adjoint it receives or hands on.
         """
-        if self.grad is not None:
-            self.grad += g
-        elif owned and isinstance(g, np.ndarray) and g.shape == self.data.shape \
-                and g.dtype == self.data.dtype and g.flags["C_CONTIGUOUS"] \
-                and g.flags["WRITEABLE"]:
-            self.grad = g
+        if self.grad is None:
+            if np.shape(g) != self.data.shape:
+                g = np.broadcast_to(g, self.data.shape)
+            self.grad = np.asarray(g, dtype=self.data.dtype)
         else:
-            self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=self.data.dtype,
-                                 order="C")
+            self.grad = np.asarray(self.grad + g, dtype=self.data.dtype)
 
     def zero_grad(self):
         self.grad = None
@@ -314,7 +312,8 @@ def make_op(data, parents, op, backward):
     """Construct a graph node for a custom primitive.
 
     ``backward`` receives the output adjoint (ndarray) and must
-    accumulate into the parents via ``Tensor._accumulate``.  Used by the
+    accumulate into the parents via ``Tensor._accumulate``, writing into
+    neither the adjoint it receives nor one it hands on.  Used by the
     NN layers for ops (conv, pooling) whose adjoints are hand-written.
     """
     _check_finite(data, op)
@@ -470,7 +469,7 @@ def softplus(a):
         sig = np.where(a.data >= 0, 1.0, z)
         sig /= 1.0 + z
         sig *= g
-        a._accumulate(sig, owned=True)
+        a._accumulate(sig)
 
     return make_op(out_data, (a,), "softplus", backward)
 
@@ -513,13 +512,12 @@ def tsum(a, axis=None, keepdims=False):
     out_data = a.data.sum(axis=axes, keepdims=keepdims)
 
     def backward(g):
-        gg = g
         if not keepdims:
             shape = list(a.shape)
             for ax in axes:
                 shape[ax] = 1
-            gg = g.reshape(shape)
-        a._accumulate(np.broadcast_to(gg, a.shape).astype(a.dtype, copy=False))
+            g = g.reshape(shape)
+        a._accumulate(g)
 
     return make_op(out_data, (a,), "sum", backward)
 
@@ -557,7 +555,8 @@ def permute(a, axes):
     inv = np.argsort(axes)
 
     def backward(g):
-        a._accumulate(g.transpose(inv))
+        # a transposed view would change the order of downstream sums
+        a._accumulate(np.ascontiguousarray(g.transpose(inv)))
 
     return make_op(out_data, (a,), "permute", backward)
 

@@ -70,8 +70,8 @@ class SGD:
     def grad_norm(self):
         total = 0.0
         for t in self.params.values():
-            if t.grad is not None:
-                total += float((t.grad.astype(np.float64) ** 2).sum())
+            if t.grad is not None:      # C order: a strided grad would sum in another order
+                total += float((np.ascontiguousarray(t.grad, dtype=np.float64) ** 2).sum())
         return math.sqrt(total)
 
     def step(self, lr, grad_clip=None):
@@ -103,7 +103,7 @@ def poly_lr(lr0, epoch, total_epochs, power=0.9):
 def _batches(samples, batch_size, order):
     for i in range(0, len(order), batch_size):
         chunk = [samples[j] for j in order[i:i + batch_size]]
-        images = np.stack([s.image for s in chunk]).astype(np.float32)
+        images = np.stack([s.image for s in chunk])
         labels = np.stack([s.label for s in chunk]).astype(np.int64)
         yield images, labels
 

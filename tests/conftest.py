@@ -20,3 +20,20 @@ def _reset_dtype():
 @pytest.fixture
 def rng():
     return T.Rng(1234, name="test")
+
+
+@pytest.fixture
+def frozen_grads(monkeypatch):
+    """Store every grad as a read-only view: a backward that writes into
+    the adjoint it receives, or a reader that writes into a grad, then
+    raises instead of silently corrupting a gradient that shares the
+    buffer."""
+    accumulate = T.Tensor._accumulate
+
+    def frozen(self, g):
+        accumulate(self, g)
+        view = self.grad.view()
+        view.flags.writeable = False
+        self.grad = view
+
+    monkeypatch.setattr(T.Tensor, "_accumulate", frozen)

@@ -1,4 +1,5 @@
 import os
+import struct
 
 import numpy as np
 import numpy.testing as npt
@@ -191,6 +192,21 @@ class TestVolumeIO:
         back, spacing = read_volume(path)
         npt.assert_array_equal(back, arr)
         assert spacing == (np.float32(0.9765625), np.float32(1.25), np.float32(3.0))
+
+    @pytest.mark.parametrize("dtype,tag", [("<f4", 0), (">f4", 0), ("<f8", 1), ("u1", 2)])
+    def test_bytes_match_the_format(self, tmp_path, dtype, tag):
+        # magic | u32 version | u8 dtype tag | u32 C,D,H,W | 3*f32 spacing |
+        # little-endian payload; the tags are the checkpoint records' tags
+        arr = np.arange(8).reshape(1, 2, 2, 2).astype(dtype)
+        path = tmp_path / "v.svol"
+        write_volume(path, arr, (1.0, 2.0, 0.5))
+        want = (b"SVOL" + struct.pack("<IB4I3f", 1, tag, 1, 2, 2, 2, 1.0, 2.0, 0.5)
+                + arr.astype(np.dtype(dtype).newbyteorder("<")).tobytes())
+        assert path.read_bytes() == want
+
+    def test_unsupported_dtype_rejected(self, tmp_path):
+        with pytest.raises(VolumeFormatError, match="unsupported volume dtype"):
+            write_volume(tmp_path / "v.svol", np.ones((1, 2, 2, 2), dtype=np.int32), (1, 1, 1))
 
     def test_spacing_full_float_precision(self, tmp_path):
         arr = np.zeros((1, 2, 2, 2), dtype="<f4")

@@ -16,6 +16,7 @@ from diffumamba.nnops import dice_ce_loss
 from diffumamba.recordio import (BadMagicError, ContainerError, TruncatedPayloadError,
                                  UnknownVersionError, write_container)
 from diffumamba.tensor import Rng, ShapeError, Tensor
+from diffumamba.train import SGD
 
 
 def tiny_config(**over):
@@ -97,7 +98,7 @@ class TestForward:
         x = Tensor(rng.normal((1, 1, 8, 8, 8)))
         with T.no_grad():
             clean = m.forward(x).data.copy()
-            bumped = m.forward(x, noise_hook=lambda t: t + 0.5).data
+            bumped = m.forward_rest(m.forward_stem(x) + 0.5).data
         assert np.abs(clean - bumped).max() > 1e-6
 
     def test_nrm_off_equivalence(self, rng):
@@ -172,6 +173,28 @@ class TestTapeSize:
         labels = (rng.random((2, side, side, side)) > 0.8).astype(np.int64)
         loss = dice_ce_loss(m.forward(x), labels).total
         assert sum(n._backward_fn is not None for n in T._toposort(loss)) == nodes
+
+
+class TestGradHandover:
+    """Backward hands adjoints over uncopied, so a closure that wrote
+    into the adjoint it receives would corrupt every gradient sharing
+    that buffer; ``frozen_grads`` makes such a write raise."""
+
+    @pytest.mark.parametrize("cfg,side", [
+        (desk_config(), 32),
+        (ModelConfig(n_stages=3, channels=(8, 16, 32), strides=(1, 2, 1)), 16),
+    ], ids=["desk", "longseq"])
+    def test_training_step_writes_into_no_adjoint(self, rng, frozen_grads, cfg, side):
+        m = Network(cfg)
+        x = Tensor(rng.normal((2, 1, side, side, side)))
+        labels = (rng.random((2, side, side, side)) > 0.8).astype(np.int64)
+        dice_ce_loss(m.forward(x), labels).total.backward()
+        params = m.named_parameters()
+        assert all(p.grad is not None and not p.grad.flags["WRITEABLE"]
+                   and np.isfinite(p.grad).all() for p in params.values())
+        # the optimizer only reads grads, and rebinds C-ordered data
+        SGD(params).step(0.01, grad_clip=1.0)
+        assert all(p.data.flags["C_CONTIGUOUS"] for p in params.values())
 
 
 class TestLambdaScale:

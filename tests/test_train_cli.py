@@ -65,6 +65,16 @@ class TestOptimizer:
         # buf = 1; update = g + mu*buf = 1.9; p = 1 - 0.19
         npt.assert_allclose(p.data, [0.81], rtol=1e-6)
 
+    def test_grad_norm_reads_any_grad_layout(self):
+        # a grad handed over as a transposed view gives the norm of its
+        # C-ordered copy bit for bit
+        data = np.random.default_rng(0).normal(size=(64, 8))
+        strided = Tensor(np.zeros((8, 64)), dtype=np.float64)
+        strided.grad = data.T
+        packed = Tensor(np.zeros((8, 64)), dtype=np.float64)
+        packed.grad = np.ascontiguousarray(data.T)
+        assert SGD({"w": strided}).grad_norm() == SGD({"w": packed}).grad_norm()
+
 
 class TestTrainRun:
     def test_loss_decreases_and_outputs_written(self, tmp_path):
@@ -124,6 +134,25 @@ class TestTrainRun:
         train_run(model, tiny_samples(2), TrainConfig(epochs=1, batch_size=2), tmp_path,
                   quiet=True)
         assert seen == [(np.dtype(np.float32), np.dtype(np.float32))]
+
+    def test_f64_model_trains_on_unrounded_f64_inputs(self, tmp_path, monkeypatch):
+        # an f64 model sees an f64 sample's values as they are, as
+        # metrics.model_input gives them to eval, not rounded to f32
+        set_default_dtype("f64")
+        model = Network(tiny_model_cfg())
+        sample = tiny_samples(1)[0]
+        sample.image = sample.image.astype(np.float64) + 1.0 / 3.0
+        assert not np.array_equal(sample.image.astype(np.float32), sample.image)
+        seen = []
+        forward = model.forward
+
+        def spy(x):
+            seen.append(x.data.copy())
+            return forward(x)
+        monkeypatch.setattr(model, "forward", spy)
+        train_run(model, [sample], TrainConfig(epochs=1, batch_size=1), tmp_path, quiet=True)
+        assert len(seen) == 1 and seen[0].dtype == np.float64
+        npt.assert_array_equal(seen[0], sample.image[None])
 
     @pytest.mark.skipif(tracemalloc.is_tracing(), reason="tracemalloc already running")
     def test_two_steps_hold_one_graph_at_a_time(self, tmp_path):
