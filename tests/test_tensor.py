@@ -170,11 +170,33 @@ class TestBackward:
         x._accumulate(g)
         assert x.grad is g
 
-    @pytest.mark.parametrize("g", [np.arange(6.0).reshape(2, 3),
-                                   np.broadcast_to(np.arange(3.0), (2, 3)),
+    @pytest.mark.parametrize("g", [np.arange(6.0).reshape(2, 3)], ids=["buffer"])
+    def test_first_gradient_is_a_fresh_copy(self, g):
+        # an f64 buffer into an f32 tensor is cast: the grad is its own
+        # buffer, and a later gradient adds to it without writing into g
+        x = Tensor(np.zeros((2, 3)), requires_grad=True)
+        before = g.copy()
+        x._accumulate(g)
+        assert x.grad.flags["WRITEABLE"] and x.grad.flags["C_CONTIGUOUS"]
+        assert not np.shares_memory(x.grad, g) and x.grad.dtype == np.float32
+        x._accumulate(g)
+        npt.assert_array_equal(x.grad, 2 * before)
+        npt.assert_array_equal(g, before)
+
+    @pytest.mark.parametrize("g", [np.arange(6.0).reshape(2, 3)], ids=["f64"])
+    def test_owned_buffer_of_another_layout_is_copied(self, g):
+        # an adjoint of another dtype cannot become the grad as it is: the
+        # first gradient is one fresh C-ordered f32 copy
+        x = Tensor(np.zeros((2, 3)), requires_grad=True)
+        x._accumulate(g)
+        assert not np.shares_memory(x.grad, g)
+        assert x.grad.flags["C_CONTIGUOUS"] and x.grad.dtype == np.float32
+        npt.assert_array_equal(x.grad, np.broadcast_to(g, (2, 3)))
+
+    @pytest.mark.parametrize("g", [np.broadcast_to(np.arange(3.0), (2, 3)),
                                    np.arange(3.0, dtype=np.float32),
                                    np.arange(3.0)],
-                             ids=["f64", "f64-view", "broadcast", "f64-broadcast"])
+                             ids=["f64-view", "broadcast", "f64-broadcast"])
     def test_first_gradient_is_broadcast_and_cast(self, g):
         # an f64 adjoint into an f32 tensor is cast; one of a broadcastable
         # shape is broadcast (a view of g when no cast is needed)
