@@ -95,7 +95,7 @@ def kmeans(points, k, seed=0, max_iter=100, reseed_retries=8):
     n = len(points)
     if k < 1 or k > n:
         raise ValueError(f"k={k} invalid for {n} points")
-    rng = Rng(seed, name=f"kmeans/k{k}")
+    rng = Rng(seed)
     centers = _kmeans_pp_init(points, k, rng)
     labels = np.zeros(n, dtype=int)
     history = []

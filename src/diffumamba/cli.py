@@ -152,7 +152,6 @@ def cmd_train(args):
     _echo(args, {"config": cfg.to_dict()})
     result = run_experiment(cfg, samples)
     print(f"final checkpoint: {result.final_path}")
-    print(f"best checkpoint:  {result.best_path} (loss {result.best_epoch_loss:.4f})")
     return EXIT_OK
 
 

@@ -93,8 +93,7 @@ def _smooth_texture(rng: Rng, shape, cells):
 def gen_phantom(seed: int, index: int, cfg: PhantomConfig | None = None) -> VolumeSample:
     """One deterministic phantom; same (seed, index) gives identical bits."""
     cfg = cfg or PhantomConfig()
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))
-    rng = Rng(seed, name=f"phantom/{index}", _ss=ss)
+    rng = Rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),)))
     d, h, w = cfg.shape
 
     image = np.full(cfg.shape, cfg.base_intensity, dtype=np.float64)
@@ -178,7 +177,7 @@ def _inject_array(arr: np.ndarray, spec: NoiseSpec) -> np.ndarray:
     p = spec.param
     if p == 0.0:
         return arr
-    rng = Rng(spec.seed, name=f"noise/{spec.family}/{spec.level}")
+    rng = Rng(spec.seed)
     if spec.family == "uniform":
         return arr + rng.uniform(-p, p, arr.shape, dtype=arr.dtype)
     if spec.family == "speckle":

@@ -143,7 +143,7 @@ class Network:
 
     def __init__(self, cfg: ModelConfig, rng: Rng | None = None):
         self.cfg = cfg
-        rng = rng or Rng(cfg.seed, "model-init")
+        rng = rng or Rng(cfg.seed)
         ch = cfg.channels
         self.encoder = []
         c_prev = cfg.in_channels
@@ -272,25 +272,24 @@ def copy_shared_weights(src: Network, dst: Network):
 # checkpoints
 
 
-def save_checkpoint(model: Network, path, optimizer_state=None, rng: Rng | None = None,
-                    step: int = 0, extra: dict | None = None):
-    """Write model weights plus config / optimizer / RNG / step blocks."""
+def save_checkpoint(model: Network, path, optimizer_state=None, step: int = 0,
+                    extra: dict | None = None):
+    """Write model weights plus config / meta (step, extra) / momentum blocks."""
     tensors = {name: t.data for name, t in model.named_parameters().items()}
     meta = {"config.json": json_record(model.cfg.to_dict()),
             "meta.json": json_record({"step": int(step), **(extra or {})})}
     if optimizer_state is not None:
         for name, buf in optimizer_state.items():
             meta[f"momentum/{name}"] = np.asarray(buf)
-    if rng is not None:
-        meta["rng.json"] = json_record(rng.state())
     write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, [tensors, meta])
 
 
 def load_checkpoint(path):
     """Rebuild the model from a checkpoint; returns (model, aux).
 
-    aux carries step, optimizer momentum buffers, RNG state and any
-    extra metadata saved alongside the weights.  Every stored tensor
+    aux carries step, optimizer momentum buffers and any extra
+    metadata saved alongside the weights; other meta records (older
+    files carry an RNG-state record) are ignored.  Every stored tensor
     must match the rebuilt model's name table and shapes exactly.
     The model is built without drawing an initialisation: the load
     replaces every tensor.
@@ -313,14 +312,12 @@ def load_checkpoint(path):
             raise CheckpointError(f"shape mismatch for {name}: "
                                   f"file {arr.shape} vs model {t.shape}")
         t.data = np.ascontiguousarray(arr)
-    aux = {"step": 0, "momentum": {}, "rng_state": None, "extra": {}}
+    aux = {"step": 0, "momentum": {}, "extra": {}}
     for name, arr in meta.items():
         if name == "meta.json":
             d = json_from_record(arr)
             aux["step"] = d.pop("step", 0)
             aux["extra"] = d
-        elif name == "rng.json":
-            aux["rng_state"] = json_from_record(arr)
         elif name.startswith("momentum/"):
             aux["momentum"][name[len("momentum/"):]] = arr
     return model, aux

@@ -65,7 +65,7 @@ def finite_difference_check(out_fn, wiggle, rel_tol, n_coords=4, seed=0):
     AssertionError when any coordinate exceeds ``rel_tol``; returns
     (max relative error, per-coordinate records) otherwise.
     """
-    rng = Rng(seed, name="gradcheck")
+    rng = Rng(seed)
     for t in wiggle:
         t.zero_grad()
     out = out_fn()
@@ -393,7 +393,7 @@ def pearson_hand_gap():
 def _grad_check(build):
     """Selfcheck fn: f32-tolerance FD check of the case ``build(rng)`` returns."""
     def fn(seed):
-        out_fn, wiggle = build(Rng(seed, "selfcheck"))
+        out_fn, wiggle = build(Rng(seed))
         return finite_difference_check(out_fn, wiggle, rel_tol=1e-3, seed=seed)[0]
     return fn
 
@@ -423,26 +423,26 @@ def _mamba_case(rng):
 
 
 def _scan_kernel_check(seed):
-    rng = Rng(seed, "selfcheck")
+    rng = Rng(seed)
     return scan_kernel_gap(rng.derive(f"lti{i}") for i in range(10))
 
 
 def _nrm_off_check(seed):
-    rng = Rng(seed, "selfcheck")
+    rng = Rng(seed)
     cfg = ModelConfig(channels=(4, 8), strides=(1, 2), n_stages=2, seed=seed)
     return nrm_off_gap(cfg, (Tensor(rng.derive(f"eq{i}").normal((1, 1, 8, 8, 8)))
                              for i in range(3)))
 
 
 def _batch_invariance_check(seed):
-    rng = Rng(seed, "selfcheck")
+    rng = Rng(seed)
     cfg = ModelConfig(channels=(4, 4, 8), strides=(1, 2, 1), n_stages=3, ssm_state=2, seed=seed)
     return batch_invariance_gap(Network(cfg), [Tensor(rng.derive(f"bi{i}").normal((1, 1, 8, 8, 8)))
                                                for i in range(3)])
 
 
 def _mask_pairs(seed, n, shape, density):
-    r = Rng(seed, "selfcheck").derive(f"masks{shape}")
+    r = Rng(seed).derive(f"masks{shape}")
     return [(r.random(shape) < density, r.random(shape) < density) for _ in range(n)]
 
 
@@ -453,13 +453,13 @@ def _silhouette_shortfall(seed):
 
 
 def _in_f64(check):
-    """Selfcheck fn: ``check(Rng(seed, "selfcheck"))`` with float64 as the
+    """Selfcheck fn: ``check(Rng(seed))`` with float64 as the
     default dtype in a copy of the current context, so the caller's default
     stays as it was."""
     def fn(seed):
         def run():
             set_default_dtype("f64")
-            return check(Rng(seed, "selfcheck"))
+            return check(Rng(seed))
         return contextvars.copy_context().run(run)
     return fn
 

@@ -14,7 +14,7 @@ Layout (all integers little-endian):
             dims: rank * u32
             payload: raw little-endian buffer
 
-Checkpoints use two sections (model tensors, then config/optimizer/RNG
+Checkpoints use two sections (model tensors, then config/meta/momentum
 blocks encoded as records); latent dumps use the same scheme, and JSON
 blocks travel as u8 records (``json_record``).  Readers consume exact
 byte counts and reject bytes after the last section, so corruption

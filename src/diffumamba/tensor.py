@@ -671,24 +671,24 @@ def _stable_tag(tag) -> int:
 
 
 class Rng:
-    """Named, seedable counter-based generator (Philox) owned per run.
+    """Seedable counter-based generator (Philox) owned per run.
 
     No global state: every consumer receives an ``Rng`` or spawns a
-    child stream with ``derive``; identical (seed, tag path) pairs give
-    identical streams across threads and platforms.
+    child stream with ``derive``.  A stream depends only on its seed
+    and its tag path: identical (seed, tags) pairs give identical
+    streams across threads and platforms.  ``seed`` is an integer or a
+    ``np.random.SeedSequence``.
     """
 
-    def __init__(self, seed, name="run", _ss=None):
-        self.seed = int(seed)
-        self.name = str(name)
-        self._ss = _ss if _ss is not None else np.random.SeedSequence(self.seed)
+    def __init__(self, seed):
+        self._ss = (seed if isinstance(seed, np.random.SeedSequence)
+                    else np.random.SeedSequence(int(seed)))
         self._gen = np.random.Generator(np.random.Philox(self._ss))
 
     def derive(self, tag) -> "Rng":
         """Independent child stream keyed by a stable tag."""
-        child = np.random.SeedSequence(entropy=self._ss.entropy,
-                                       spawn_key=self._ss.spawn_key + (_stable_tag(tag),))
-        return Rng(self.seed, name=f"{self.name}/{tag}", _ss=child)
+        return Rng(np.random.SeedSequence(entropy=self._ss.entropy,
+                                          spawn_key=self._ss.spawn_key + (_stable_tag(tag),)))
 
     def normal(self, shape=(), std=1.0, mean=0.0, dtype=None):
         arr = self._gen.normal(mean, std, size=shape)
@@ -706,32 +706,6 @@ class Rng:
 
     def random(self, shape=()):
         return self._gen.random(size=shape)
-
-    def state(self) -> dict:
-        """JSON-serializable bit-generator state (for checkpoints)."""
-        st = self._gen.bit_generator.state
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "counter": [int(v) for v in st["state"]["counter"]],
-            "key": [int(v) for v in st["state"]["key"]],
-            "buffer": [int(v) for v in st["buffer"]],
-            "buffer_pos": int(st["buffer_pos"]),
-            "has_uint32": int(st["has_uint32"]),
-            "uinteger": int(st["uinteger"]),
-        }
-
-    def set_state(self, payload: dict):
-        st = self._gen.bit_generator.state
-        st["state"]["counter"] = np.array(payload["counter"], dtype=np.uint64)
-        st["state"]["key"] = np.array(payload["key"], dtype=np.uint64)
-        st["buffer"] = np.array(payload["buffer"], dtype=np.uint64)
-        st["buffer_pos"] = payload["buffer_pos"]
-        st["has_uint32"] = payload["has_uint32"]
-        st["uinteger"] = payload["uinteger"]
-        self._gen.bit_generator.state = st
-        self.name = payload.get("name", self.name)
-        self.seed = payload.get("seed", self.seed)
 
 
 class ZeroRng:

@@ -4,7 +4,10 @@ paired small-data comparison protocol.
 
 Optimizer defaults follow the framework this architecture extends:
 lr 0.01, momentum 0.99 (Nesterov), poly decay power 0.9, gradient-norm
-clipping at 12.
+clipping at 12.  A run writes ``final.ckpt`` (weights, momentum
+buffers, step), ``train_log.csv`` and, with the NRM on,
+``lambda_trace.csv``; a non-finite loss or gradient aborts it before
+the update with a diagnostic snapshot of the pre-step weights.
 """
 
 from __future__ import annotations
@@ -75,11 +78,17 @@ class SGD:
         return math.sqrt(total)
 
     def step(self, lr, grad_clip=None):
+        """One update.  A non-finite gradient norm raises NumericError
+        before any parameter or momentum buffer is written."""
+        norm = self.grad_norm()
+        if not math.isfinite(norm):
+            bad = [name for name, t in self.params.items()
+                   if t.grad is not None and not np.all(np.isfinite(t.grad))]
+            raise NumericError(f"gradient norm {norm}; non-finite grads in {len(bad)} "
+                               f"parameter(s): {', '.join(bad[:8])}")
         scale = 1.0
-        if grad_clip is not None and grad_clip > 0:
-            norm = self.grad_norm()
-            if norm > grad_clip:
-                scale = grad_clip / norm
+        if grad_clip is not None and grad_clip > 0 and norm > grad_clip:
+            scale = grad_clip / norm
         for name, t in self.params.items():
             if t.grad is None:
                 continue
@@ -113,29 +122,27 @@ class TrainResult:
     epoch_log: list
     lambda_trace: np.ndarray | None
     final_path: str
-    best_path: str | None        # None when no epoch ran
-    best_epoch_loss: float
     steps: int
 
 
 def train_run(model: Network, samples, tcfg: TrainConfig, out_dir,
               log_every=10, quiet=False) -> TrainResult:
-    """Train ``model`` on ``samples``; write logs and checkpoints to out_dir.
+    """Train ``model`` on ``samples``; write ``final.ckpt`` and the logs to out_dir.
 
-    On a non-finite loss the run aborts with NumericError after writing
-    a diagnostic snapshot (checkpoint + context JSON).  An empty sample
-    list with epochs to run raises ValueError before anything is written.
+    On a non-finite loss or gradient the run aborts with NumericError
+    before the step's update, after writing a diagnostic snapshot of the
+    pre-step weights (``diagnostic.ckpt``) and its context
+    (``diagnostic.json``).  An empty sample list with epochs to run
+    raises ValueError before anything is written.
     """
     if tcfg.epochs > 0 and len(samples) == 0:
         raise ValueError(f"train_run got an empty sample list for {tcfg.epochs} epoch(s)")
     os.makedirs(out_dir, exist_ok=True)
-    rng = Rng(tcfg.seed, name="train")
+    rng = Rng(tcfg.seed)                 # only derives the per-epoch orders
     opt = SGD(model.named_parameters(), momentum=tcfg.momentum, nesterov=tcfg.nesterov)
     epoch_log = []
     dtype = model_dtype(model)
-    best = (float("inf"), -1)
     final_path = os.path.join(out_dir, "final.ckpt")
-    best_path = os.path.join(out_dir, "best.ckpt")
     lambda_rows = []                 # this run's lambda values after each step
     steps = 0
     t_start = time.time()
@@ -151,15 +158,15 @@ def train_run(model: Network, samples, tcfg: TrainConfig, out_dir,
                 loss = dice_ce_loss(logits, labels)
                 total = float(loss.total.item())
                 loss.total.backward()
+                opt.step(lr, tcfg.grad_clip)
             except NumericError as err:
                 snap = os.path.join(out_dir, "diagnostic.ckpt")
-                save_checkpoint(model, snap, rng=rng, step=steps,
+                save_checkpoint(model, snap, step=steps,
                                 extra={"abort_epoch": epoch, "abort_error": str(err)})
                 write_json(os.path.join(out_dir, "diagnostic.json"),
                            {"error": str(err), "epoch": epoch, "step": steps,
                             "snapshot": snap})
                 raise
-            opt.step(lr, tcfg.grad_clip)
             if model.nrm is not None:
                 lambda_rows.append([float(v) for v in model.nrm.lambdas.data])
             steps += 1
@@ -170,16 +177,11 @@ def train_run(model: Network, samples, tcfg: TrainConfig, out_dir,
         row = {"epoch": epoch, "lr": lr, "loss": ep_total / n_batches,
                "dice_loss": ep_dice / n_batches, "ce_loss": ep_ce / n_batches}
         epoch_log.append(row)
-        if row["loss"] < best[0]:
-            best = (row["loss"], epoch)
-            save_checkpoint(model, best_path, rng=rng, step=steps,
-                            extra={"epoch": epoch, "build_id": build_id(),
-                                   "seed": tcfg.seed})
         if not quiet and (epoch % log_every == 0 or epoch == tcfg.epochs - 1):
             print(f"epoch {epoch:4d}  lr {lr:.5f}  loss {row['loss']:.4f}  "
                   f"(dice {row['dice_loss']:.4f} ce {row['ce_loss']:.4f})", flush=True)
 
-    save_checkpoint(model, final_path, optimizer_state=opt.buffers, rng=rng, step=steps,
+    save_checkpoint(model, final_path, optimizer_state=opt.buffers, step=steps,
                     extra={"epochs": tcfg.epochs, "build_id": build_id(),
                            "seed": tcfg.seed, "wall_seconds": time.time() - t_start})
     trace = None
@@ -194,8 +196,7 @@ def train_run(model: Network, samples, tcfg: TrainConfig, out_dir,
     if trace is not None and len(trace):
         lambda_report(trace).write_csv(os.path.join(out_dir, "lambda_trace.csv"), meta=meta)
     return TrainResult(epoch_log=epoch_log, lambda_trace=trace, final_path=final_path,
-                       best_path=best_path if best[1] >= 0 else None,
-                       best_epoch_loss=best[0], steps=steps)
+                       steps=steps)
 
 
 def run_experiment(cfg: ExperimentConfig, samples, quiet=False) -> TrainResult:

@@ -19,7 +19,7 @@ def _reset_dtype():
 
 @pytest.fixture
 def rng():
-    return T.Rng(1234, name="test")
+    return T.Rng(1234)
 
 
 @pytest.fixture

@@ -93,16 +93,16 @@ def test_criterion_1_gradient_suite():
     for mode, rel_tol, seeds in (("f32", 1e-3, (0, 1)), ("f64", 1e-6, (2, 3))):
         T.set_default_dtype(mode)
         try:
-            for name, (fn, uses_y) in prim_ops.items():
+            for fn, uses_y in prim_ops.values():
                 for seed in seeds:
-                    r = Rng(seed, name)
+                    r = Rng(seed)
                     x = Tensor(r.normal((4, 5)), requires_grad=True)
                     y = Tensor(r.normal((4, 5)) + 0.1, requires_grad=True)
                     run(mode, rel_tol, lambda: fn(x, y),
                         [x, y] if uses_y else [x], seed)
 
             for seed in seeds:
-                r = Rng(seed, "layers")
+                r = Rng(seed)
                 # conv3d (strided) and transposed conv
                 x = Tensor(r.normal((1, 2, 4, 4, 4)), requires_grad=True)
                 p = init_conv(r.derive("c"), 2, 3, (3, 3, 3), stride=(2, 2, 2))
@@ -124,7 +124,7 @@ def test_criterion_1_gradient_suite():
                 run(mode, rel_tol, lambda: dice_ce_loss(xl, labels).total, [xl], seed)
 
             for seed in seeds:
-                r = Rng(seed, "composites")
+                r = Rng(seed)
                 # residual block
                 from diffumamba.network import init_residual_block, residual_block
                 rb = init_residual_block(r.derive("rb"), 2, 3, stride=2)
@@ -154,7 +154,7 @@ def test_criterion_1_gradient_suite():
             cfg = ModelConfig(channels=(2, 3, 4, 5), strides=(1, 2, 2, 2),
                               n_stages=4, ssm_state=2, seed=seed)
             model = Network(cfg)
-            xf = Tensor(Rng(seed, "fm").normal((1, 1, 16, 16, 16)), requires_grad=True)
+            xf = Tensor(Rng(seed).normal((1, 1, 16, 16, 16)), requires_grad=True)
             params = model.named_parameters()
             run(mode, rel_tol, lambda: model.forward(xf),
                 [xf, params["enc.s1.b1.conv.weight"], params["m1.a_log"],
@@ -172,7 +172,7 @@ def test_criterion_2_ssm_oracle():
     """The fused selective scan, run on LTI systems, agrees with the
     global-convolution kernel; worked case exact."""
     t0 = time.monotonic()
-    worst = scan_kernel_gap(Rng(seed, "lti") for seed in range(50))
+    worst = scan_kernel_gap(Rng(seed) for seed in range(50))
     exact = worked_case_gap() == 0.0
     wall = time.monotonic() - t0
     ok = worst < 1e-5 and exact and wall < 60
@@ -183,7 +183,7 @@ def test_criterion_2_ssm_oracle():
 def test_criterion_3_nrm_off_equivalence():
     """Zeroed module reproduces the baseline bit-for-bit (to 1e-6)."""
     t0 = time.monotonic()
-    r = Rng(7, "eq")
+    r = Rng(7)
     worst = nrm_off_gap(desk_config(seed=33),
                         (Tensor(r.derive(i).normal((1, 1, 32, 32, 32))) for i in range(10)))
     wall = time.monotonic() - t0
@@ -198,7 +198,7 @@ def test_criterion_4_shape_contract():
     model = Network(desk_config(seed=4))
     cap = {}
     with T.no_grad():
-        model.forward(Tensor(Rng(4, "sc").normal((1, 1, 32, 32, 32))), capture=cap)
+        model.forward(Tensor(Rng(4).normal((1, 1, 32, 32, 32))), capture=cap)
     bshape = cap["m1"].shape
     shapes = {f"e_{i + 1}": e.shape for i, e in enumerate(cap["e_list"])}
     shapes.update(m1=cap["m1"].shape, m2=cap["m2"].shape,
@@ -230,7 +230,7 @@ def test_criterion_6_metric_oracles():
     t0 = time.monotonic()
     pairs = []
     for seed in range(60):
-        r = Rng(seed, "masks")
+        r = Rng(seed)
         shape = tuple(int(r.integers(3, 9)) for _ in range(3))
         density = float(r.uniform(0.05, 0.6))
         a = r.random(shape) < density
@@ -318,8 +318,8 @@ def test_criterion_9_perturbation_harness(overfit_run):
 @pytest.mark.slow
 def test_criterion_10_latent_analysis(overfit_run, tmp_path):
     """Silhouette / Pearson hand values; trace report from the overfit run."""
-    pts = np.vstack([Rng(1, "c1").normal((20, 2), dtype=np.float64) * 0.2,
-                     Rng(2, "c2").normal((20, 2), dtype=np.float64) * 0.2 + 8.0])
+    pts = np.vstack([Rng(1).normal((20, 2), dtype=np.float64) * 0.2,
+                     Rng(2).normal((20, 2), dtype=np.float64) * 0.2 + 8.0])
     best_k, _, mean_s = kmeans_silhouette(pts, k_range=range(2, 6), seed=0)
 
     fixture = np.array([[0.0], [0.1], [10.0], [10.1]])

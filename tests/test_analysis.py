@@ -34,7 +34,7 @@ class TestPearson:
 
     def test_bounded(self, rng):
         for seed in range(10):
-            r = Rng(seed, "p")
+            r = Rng(seed)
             v = pearson(r.normal((15,)), r.normal((15,)))
             assert -1.0 <= v <= 1.0
 
@@ -55,7 +55,7 @@ class TestKmeans:
             assert lo <= hi + 1e-9
 
     def test_two_blob_fixture(self):
-        r = Rng(3, "blobs")
+        r = Rng(3)
         a = r.normal((20, 2), dtype=np.float64) * 0.2
         b = r.normal((20, 2), dtype=np.float64) * 0.2 + 10.0
         pts = np.vstack([a, b])

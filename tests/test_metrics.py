@@ -44,7 +44,7 @@ class TestDscIou:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_dsc_iou_identity(self, seed):
-        r = Rng(seed, "masks")
+        r = Rng(seed)
         a = r.random((5, 5, 5)) < 0.4
         b = r.random((5, 5, 5)) < 0.4
         d, i = dsc_iou(a, b)
@@ -81,7 +81,7 @@ class TestHd95:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_brute_force(self, seed):
-        r = Rng(seed, "hd")
+        r = Rng(seed)
         shape = [int(r.integers(3, 9)) for _ in range(3)]
         a = r.random(tuple(shape)) < 0.25
         b = r.random(tuple(shape)) < 0.25
@@ -91,7 +91,7 @@ class TestHd95:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_symmetric_under_swap(self, seed):
-        r = Rng(seed, "hd-sym")
+        r = Rng(seed)
         a = r.random((6, 6, 6)) < 0.3
         b = r.random((6, 6, 6)) < 0.3
         if not a.any() or not b.any():

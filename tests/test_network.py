@@ -14,7 +14,7 @@ from diffumamba.network import (CHECKPOINT_MAGIC, ModelConfig, Network,
                                 residual_block, save_checkpoint)
 from diffumamba.nnops import dice_ce_loss
 from diffumamba.recordio import (BadMagicError, ContainerError, TruncatedPayloadError,
-                                 UnknownVersionError, write_container)
+                                 UnknownVersionError, json_record, write_container)
 from diffumamba.tensor import Rng, ShapeError, Tensor
 from diffumamba.train import SGD
 
@@ -44,7 +44,7 @@ class TestResidualBlock:
         assert out.shape == (1, 4, 3, 3, 3)
 
     def test_gradients(self, f64_mode):
-        r = Rng(8, "res")
+        r = Rng(8)
         p = init_residual_block(r, 2, 3, stride=2)
         x = Tensor(r.normal((1, 2, 4, 4, 4)), requires_grad=True)
         wiggle = [x, p.conv.weight, p.gamma, p.proj.weight]
@@ -110,7 +110,7 @@ class TestForward:
         # no-grad desk forwards of one model on their own inputs, over and
         # over, give the serial logits bit for bit
         m = Network(desk_config(seed=6))
-        inputs = [Tensor(Rng(40 + i, "thread").normal((1, 1, 32, 32, 32))) for i in range(2)]
+        inputs = [Tensor(Rng(40 + i).normal((1, 1, 32, 32, 32))) for i in range(2)]
         with T.no_grad():
             serial = [m.forward(x).data for x in inputs]
         assert not np.array_equal(serial[0], serial[1])
@@ -136,7 +136,7 @@ class TestForward:
         cfg = ModelConfig(channels=(2, 3), strides=(1, 2), n_stages=2,
                           ssm_state=2, seed=4)
         m = Network(cfg)
-        x = Tensor(Rng(5, "in").normal((1, 1, 4, 4, 4)), requires_grad=True)
+        x = Tensor(Rng(5).normal((1, 1, 4, 4, 4)), requires_grad=True)
         params = m.named_parameters()
         wiggle = [x, params["enc.s1.b1.conv.weight"], params["m1.a_log"],
                   params["nrm.lambdas"], params["dec.s1.up.weight"],
@@ -210,7 +210,7 @@ class TestLambdaScale:
     @pytest.mark.parametrize("scale", [2.0, 10.0])
     def test_common_scale_leaves_logits(self, f64_mode, monkeypatch, scale):
         m = Network(tiny_config())
-        x = Tensor(Rng(5, "lam").normal((2, 1, 8, 8, 8)))
+        x = Tensor(Rng(5).normal((2, 1, 8, 8, 8)))
         lam = m.nrm.lambdas.data.copy()
         base = self._logits(m, x, lam)
         npt.assert_allclose(self._logits(m, x, lam * scale), base, rtol=0, atol=1e-4)
@@ -221,7 +221,7 @@ class TestLambdaScale:
 
     def test_sign_flip_changes_logits(self, f64_mode):
         m = Network(tiny_config())
-        x = Tensor(Rng(5, "lam").normal((2, 1, 8, 8, 8)))
+        x = Tensor(Rng(5).normal((2, 1, 8, 8, 8)))
         lam = m.nrm.lambdas.data.copy()
         base = self._logits(m, x, lam)
         lam[-1] = -lam[-1]
@@ -253,14 +253,13 @@ class TestCheckpoint:
         with T.no_grad():
             before = m.forward(x).data.copy()
         path = tmp_path / "m.ckpt"
-        save_checkpoint(m, path, step=17, rng=Rng(3, "run"),
+        save_checkpoint(m, path, step=17,
                         optimizer_state={"head.weight": np.ones((2, 3, 1, 1, 1))})
         m2, aux = load_checkpoint(path)
         with T.no_grad():
             after = m2.forward(x).data
         npt.assert_array_equal(before, after)
         assert aux["step"] == 17
-        assert aux["rng_state"]["seed"] == 3
         npt.assert_array_equal(aux["momentum"]["head.weight"], np.ones((2, 3, 1, 1, 1)))
 
     def test_load_draws_no_initialisation(self, tmp_path, rng, monkeypatch):
@@ -345,6 +344,28 @@ class TestCheckpoint:
         assert aux["step"] == 3
         for name, t in m.named_parameters().items():
             npt.assert_array_equal(m2.named_parameters()[name].data, t.data)
+
+    def test_loads_older_file_with_rng_record(self, tmp_path):
+        # files written before the rng.json meta record was dropped still load
+        m = Network(tiny_config(seed=4))
+        params = m.named_parameters()
+        momentum = {name: np.full_like(t.data, 0.5) for name, t in params.items()}
+        rng_state = {"name": "train", "seed": 4, "counter": [0, 0, 0, 0], "key": [1, 2],
+                     "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        meta = {"config.json": json_record(m.cfg.to_dict()),
+                "meta.json": json_record({"step": 9, "seed": 4}),
+                **{f"momentum/{name}": buf for name, buf in momentum.items()},
+                "rng.json": json_record(rng_state)}
+        path = tmp_path / "old.ckpt"
+        write_container(path, CHECKPOINT_MAGIC, 1,
+                        [{name: t.data for name, t in params.items()}, meta])
+        m2, aux = load_checkpoint(path)
+        assert set(aux) == {"step", "momentum", "extra"}
+        assert aux["step"] == 9 and aux["extra"] == {"seed": 4}
+        assert aux["momentum"].keys() == momentum.keys()
+        for name, t in params.items():
+            npt.assert_array_equal(m2.named_parameters()[name].data, t.data, err_msg=name)
+            npt.assert_array_equal(aux["momentum"][name], momentum[name], err_msg=name)
 
     def test_save_load_dtype_preserved_f64(self, tmp_path, f64_mode):
         m = Network(tiny_config())

@@ -128,7 +128,7 @@ class TestConv3d:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_gradients_f32(self, seed):
-        r = Rng(seed, "conv")
+        r = Rng(seed)
         x = Tensor(r.normal((1, 2, 4, 4, 4)), requires_grad=True)
         p = init_conv(r, 2, 3, (3, 3, 3), stride=(2, 2, 2))
         rel, _ = finite_difference_check(lambda: conv3d(x, p),
@@ -136,7 +136,7 @@ class TestConv3d:
         assert rel < 1e-3
 
     def test_gradients_f64(self, f64_mode):
-        r = Rng(3, "conv64")
+        r = Rng(3)
         x = Tensor(r.normal((1, 2, 4, 4, 4)), requires_grad=True)
         p = init_conv(r, 2, 2, (3, 3, 3))
         rel, _ = finite_difference_check(lambda: conv3d(x, p),
@@ -215,7 +215,7 @@ class TestConv3dAgainstIm2col:
     @classmethod
     def _check(cls, case, tol, x_grad=True):
         b, c_in, spatial, c_out, k, stride, padding = case
-        r = Rng(sum(spatial) + sum(cls._axes(k)) // 3 + stride, "conv-taps")
+        r = Rng(sum(spatial) + sum(cls._axes(k)) // 3 + stride)
         x = r.normal((b, c_in) + spatial)
         w = r.normal((c_out, c_in) + cls._axes(k))
         bias = r.normal((c_out,))
@@ -310,7 +310,7 @@ class TestConv3dAgainstIm2col:
         assert seen == b * anchors and start + n + k - 1 == length
 
     def test_gradients_f64_reducing_multi_chunk(self, f64_mode):
-        r = Rng(9, "conv64outside")
+        r = Rng(9)
         x = Tensor(r.normal((1, 4, 11, 40, 40)), requires_grad=True)
         p = init_conv(r, 4, 2, (3, 3, 3))      # 36 gathered rows: 7281 + 7281 + 3929 anchors
         rel, _ = finite_difference_check(lambda: conv3d(x, p),
@@ -318,7 +318,7 @@ class TestConv3dAgainstIm2col:
         assert rel < 1e-6
 
     def test_gradients_f64_multi_chunk(self, f64_mode):
-        r = Rng(6, "conv64chunks")
+        r = Rng(6)
         x = Tensor(r.normal((1, 2, 10, 40, 40)), requires_grad=True)
         p = init_conv(r, 2, 2, (3, 3, 3))      # 14563 + 2247 anchors, both passes
         rel, _ = finite_difference_check(lambda: conv3d(x, p),
@@ -329,7 +329,7 @@ class TestConv3dAgainstIm2col:
         # x and W both need gradients: dW comes from the dx gather, here
         # of a widening conv's 8-channel gradient buffer in 3640 + 3640 +
         # 1369-anchor chunks
-        r = Rng(10, "conv64shared")
+        r = Rng(10)
         x = Tensor(r.normal((1, 3, 9, 30, 30)), requires_grad=True)
         p = init_conv(r, 3, 8, (3, 3, 3))
         rel, _ = finite_difference_check(lambda: conv3d(x, p),
@@ -339,7 +339,7 @@ class TestConv3dAgainstIm2col:
     def test_gradients_f64_weight_only_multi_chunk(self, f64_mode):
         # x needs no gradient (the stem on the image): dW comes from x's
         # own partial gather, in 10922 + 2526-anchor chunks
-        r = Rng(11, "conv64stem")
+        r = Rng(11)
         x = Tensor(r.normal((1, 1, 8, 40, 40)))
         p = init_conv(r, 1, 8, (3, 3, 3))
         rel, _ = finite_difference_check(lambda: conv3d(x, p),
@@ -348,7 +348,7 @@ class TestConv3dAgainstIm2col:
 
     def test_no_gather_buffer_on_tape(self, f64_mode):
         # the tape keeps the padded input and the output, not the gather
-        r = Rng(8, "conv-tape")
+        r = Rng(8)
         x = Tensor(r.normal((1, 4, 16, 16, 16)), requires_grad=True)
         p = init_conv(r, 4, 4, (3, 3, 3))
         tracemalloc.start()
@@ -379,7 +379,7 @@ class TestConv3dAgainstIm2col:
         assert x.grad is None and p.weight.grad is not None
 
     def test_gradients_f64_strided_batch(self, f64_mode):
-        r = Rng(4, "conv64s2")
+        r = Rng(4)
         x = Tensor(r.normal((2, 2, 5, 6, 7)), requires_grad=True)
         p = init_conv(r, 2, 3, (3, 3, 3), stride=(2, 2, 2))
         rel, _ = finite_difference_check(lambda: conv3d(x, p),
@@ -415,7 +415,7 @@ class TestConvTranspose3d:
         ((2, 5, 2, 3, 4), 3, (1, 1, 1)),     # pointwise
     ], ids=["aniso", "wide", "pointwise"])
     def test_matches_per_tap_oracle(self, f64_mode, shape, c_out, stride, with_bias):
-        r = Rng(13, "up-oracle")
+        r = Rng(13)
         p = init_conv_transpose(r.derive("w"), shape[1], c_out, stride)
         if with_bias:
             p.bias.data = r.derive("b").normal((c_out,))
@@ -441,7 +441,7 @@ class TestConvTranspose3d:
             conv_transpose3d(Tensor(rng.normal((1, 2, 2, 2, 2))), p)
 
     def test_gradients(self, f64_mode):
-        r = Rng(9, "up")
+        r = Rng(9)
         x = Tensor(r.normal((1, 3, 2, 2, 2)), requires_grad=True)
         p = init_conv_transpose(r, 3, 2, (2, 2, 2))
         rel, _ = finite_difference_check(lambda: conv_transpose3d(x, p),
@@ -505,7 +505,7 @@ class TestInstanceNorm:
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
     def test_matches_composition(self, shape, dtype, tol):
         T.set_default_dtype(dtype)
-        r = Rng(sum(shape), "in-oracle")
+        r = Rng(sum(shape))
         x = r.normal(shape) * 3 + 1
         gamma, beta = r.normal(shape[1:2]), r.normal(shape[1:2])
         g = r.normal(shape)
@@ -520,7 +520,7 @@ class TestInstanceNorm:
             assert err <= tol * np.abs(e).max(), f"{name}: error {err:.2e}"
 
     def test_gradients(self, f64_mode):
-        r = Rng(5, "in")
+        r = Rng(5)
         x = Tensor(r.normal((1, 2, 3, 3, 3)), requires_grad=True)
         g = Tensor(np.ones(2) * 1.3, requires_grad=True)
         b = Tensor(np.full(2, 0.2), requires_grad=True)
@@ -539,7 +539,7 @@ class TestActivations:
     def test_leaky_relu_bit_equals_where(self, dtype, alpha):
         # max(x, alpha x) and the slope max(x >= 0, alpha) against the
         # select, on +-0.0, negative and positive inputs
-        r = Rng(14, "lrelu-where")
+        r = Rng(14)
         x = np.concatenate([[0.0, -0.0, -1e-30, 1e-30, -3.5, 2.0],
                             r.normal((64,), dtype=np.float64)]).astype(dtype)
         g = np.concatenate([[1.5, -2.0, -0.0, 0.0, 0.7, -0.3],
@@ -569,9 +569,9 @@ class TestActivations:
     def test_silu_matches_composition(self, dtype, tol):
         # the one-node silu against its oracle, x * sigmoid(x) on the tape,
         # out to where e^-x overflows
-        v = Rng(14, "silu").normal((4, 50), dtype=np.float64) * 8
+        v = Rng(14).normal((4, 50), dtype=np.float64) * 8
         v[0, :4] = [-120.0, -800.0, 120.0, 0.0]
-        g = Rng(15, "silu-g").normal(v.shape, dtype=np.float64)
+        g = Rng(15).normal(v.shape, dtype=np.float64)
         results = []
         for act in (silu, lambda t: T.mul(t, T.sigmoid(t))):
             x = Tensor(v, requires_grad=True, dtype=dtype)
@@ -590,7 +590,7 @@ class TestActivations:
         assert sum(n._backward_fn is not None for n in T._toposort(y)) == 1
 
     def test_silu_gradients_f64(self, f64_mode):
-        x = Tensor(Rng(16, "silu64").normal((2, 3, 4, 5)) * 3, requires_grad=True)
+        x = Tensor(Rng(16).normal((2, 3, 4, 5)) * 3, requires_grad=True)
         rel, _ = finite_difference_check(lambda: silu(x), [x], rel_tol=1e-6, seed=11)
         assert rel < 1e-6
 
@@ -637,7 +637,7 @@ class TestActivations:
     @pytest.mark.parametrize("act", [relu, lambda x: leaky_relu(x, 0.01),
                                      lambda x: leaky_relu(x, 0.3)])
     def test_gradients_f64(self, f64_mode, act):
-        r = Rng(12, "act64")
+        r = Rng(12)
         v = r.normal((2, 3, 3, 3, 3))
         # keep every input at least 0.1 away from the kink at 0
         x = Tensor(np.where(v >= 0, v + 0.1, v - 0.1), requires_grad=True)
@@ -647,7 +647,7 @@ class TestActivations:
 
     def test_gradients_f64_negative_side(self, f64_mode):
         # every coordinate on the alpha branch, so the slope itself is checked
-        r = Rng(13, "act64neg")
+        r = Rng(13)
         x = Tensor(-np.abs(r.normal((2, 4, 3))) - 0.1, requires_grad=True)
         rel, _ = finite_difference_check(lambda: leaky_relu(x, 0.2), [x], rel_tol=1e-6,
                                          seed=10)
@@ -684,7 +684,7 @@ class TestAdaptivePool:
 
     @pytest.mark.parametrize("target", [(2, 2, 2), (3, 2, 4)])
     def test_gradients(self, f64_mode, target):
-        r = Rng(6, "pool")
+        r = Rng(6)
         x = Tensor(r.normal((1, 2, 6, 4, 4)), requires_grad=True)
         rel, _ = finite_difference_check(lambda: adaptive_avg_pool3d(x, target),
                                          [x], rel_tol=1e-6, seed=3)
@@ -750,7 +750,7 @@ class TestDiceCeLoss:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_gradients_f32(self, seed):
-        r = Rng(seed, "loss")
+        r = Rng(seed)
         labels = (r.random((1, 3, 3, 3)) > 0.6).astype(np.int64)
         x = Tensor(r.normal((1, 2, 3, 3, 3)), requires_grad=True)
         rel, _ = finite_difference_check(lambda: dice_ce_loss(x, labels).total,
@@ -758,7 +758,7 @@ class TestDiceCeLoss:
         assert rel < 1e-3
 
     def test_gradients_f64(self, f64_mode):
-        r = Rng(11, "loss64")
+        r = Rng(11)
         labels = (r.random((1, 3, 3, 3)) > 0.6).astype(np.int64)
         x = Tensor(r.normal((1, 3, 3, 3, 3)), requires_grad=True)
         rel, _ = finite_difference_check(lambda: dice_ce_loss(x, labels).total,

@@ -25,7 +25,7 @@ def _fused_and_reference(x, conv, target):
     x/W(/b) gradients of sum(out * one fixed projection)."""
     wiggle = [x, conv.weight] + ([] if conv.bias is None else [conv.bias])
     shape = (x.shape[0], conv.weight.shape[0]) + tuple(target)
-    proj = Rng(9, "proj").normal(shape, dtype=np.result_type(x.data, conv.weight.data))
+    proj = Rng(9).normal(shape, dtype=np.result_type(x.data, conv.weight.data))
     return [_value_and_grads(lambda: fn(x, conv, target), wiggle, proj)
             for fn in (downsample_stage, downsample_reference)]
 
@@ -87,7 +87,7 @@ class TestFusedDownsample:
             "split"])
     def test_matches_reference(self, shape, c_out, target, dtype, tol):
         T.set_default_dtype(dtype)
-        r = Rng(4, "fused")
+        r = Rng(4)
         conv = init_conv(r.derive("c"), shape[1], c_out, (1, 1, 1))
         x = Tensor(r.normal(shape), requires_grad=True)
         fused, ref = _fused_and_reference(x, conv, target)
@@ -105,7 +105,7 @@ class TestFusedDownsample:
     ], ids=["desk1", "split", "chunks", "factor1"])
     def test_without_bias_matches_reference(self, shape, c_out, target, dtype, tol):
         T.set_default_dtype(dtype)
-        r = Rng(8, "fused")
+        r = Rng(8)
         conv = init_conv(r.derive("c"), shape[1], c_out, (1, 1, 1), bias=False)
         x = Tensor(r.normal(shape), requires_grad=True)
         fused, ref = _fused_and_reference(x, conv, target)
@@ -122,7 +122,7 @@ class TestFusedDownsample:
     ], ids=["noncubic", "voxel", "wide"])
     def test_pool_factor_one_matches_reference(self, shape, c_out, dtype, tol):
         T.set_default_dtype(dtype)
-        r = Rng(10, "fused")
+        r = Rng(10)
         conv = init_conv(r.derive("c"), shape[1], c_out, (1, 1, 1))
         conv.bias.data = r.derive("b").normal((c_out,))
         x = Tensor(r.normal(shape), requires_grad=True)
@@ -132,7 +132,7 @@ class TestFusedDownsample:
             assert _rel_gap(got, want) < tol
 
     def test_input_without_grad(self, f64_mode):
-        r = Rng(5, "fused")
+        r = Rng(5)
         conv = init_conv(r.derive("c"), 4, 3, (1, 1, 1))
         x = Tensor(r.normal((2, 4, 4, 4, 4)))
         fused, ref = _fused_and_reference(x, conv, (2, 2, 2))
@@ -142,7 +142,7 @@ class TestFusedDownsample:
 
     def test_relu_slope_at_zero_matches_reference(self, f64_mode):
         # zero weights and bias make every pre-activation exactly 0
-        r = Rng(7, "fused")
+        r = Rng(7)
         conv = init_conv(r.derive("c"), 3, 2, (1, 1, 1))
         conv.weight.data[...] = 0.0
         conv.bias.data[...] = 0.0
@@ -153,7 +153,7 @@ class TestFusedDownsample:
             npt.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_gradients_fd(self, f64_mode):
-        r = Rng(6, "fused-fd")
+        r = Rng(6)
         conv = init_conv(r.derive("c"), 3, 4, (1, 1, 1))
         x = Tensor(r.normal((2, 3, 4, 6, 2)), requires_grad=True)
         rel, _ = finite_difference_check(lambda: downsample_stage(x, conv, (2, 3, 1)),
@@ -321,7 +321,7 @@ class TestNrmForward:
         assert np.all(np.abs(p.lambdas.grad) > 0)
 
     def test_gradients_fd(self, f64_mode):
-        r = Rng(3, "nrm-fd")
+        r = Rng(3)
         p = _tiny_nrm(r)
         feats = [Tensor(r.normal((1, 2, 4, 4, 4)), requires_grad=True),
                  Tensor(r.normal((1, 3, 2, 2, 2)), requires_grad=True)]

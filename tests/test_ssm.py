@@ -219,7 +219,7 @@ class TestSsmKernel:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_lti_equivalence_random(self, seed):
-        r = Rng(seed, "lti")
+        r = Rng(seed)
         n, ch, L = 4, 3, 48
         a = -np.exp(r.normal((ch, n), dtype=np.float64))
         b = r.normal((n,), dtype=np.float64)
@@ -248,7 +248,7 @@ class TestSelectiveScanTape:
             npt.assert_allclose(y[bi:bi + 1], scan64(*row, a), rtol=1e-12)
 
     def test_gradients(self, f64_mode):
-        r = Rng(4, "scan-grad")
+        r = Rng(4)
         bsz, L, C, N = 1, 4, 2, 2
         a = Tensor(-np.exp(r.normal((C, N), dtype=np.float64)), requires_grad=True)
         dt = Tensor(np.exp(r.normal((bsz, L, C), dtype=np.float64) - 1), requires_grad=True)
@@ -261,7 +261,7 @@ class TestSelectiveScanTape:
 
     def test_gradients_series_branch(self, f64_mode):
         # every |dt * a| below the cutoff: checks the phi' = 1/2 adjoint
-        r = Rng(5, "scan-grad-series")
+        r = Rng(5)
         bsz, L, C, N = 1, 4, 2, 2
         a = Tensor(-np.exp(r.normal((C, N), dtype=np.float64)), requires_grad=True)
         dt = Tensor(r.uniform(2e-6, 1e-5, (bsz, L, C), dtype=np.float64), requires_grad=True)
@@ -315,7 +315,7 @@ class TestSelectiveScanFused:
     @staticmethod
     def _inputs(shape, dtype, seed):
         bsz, L, C, N = shape
-        r = Rng(seed, "scan-fused")
+        r = Rng(seed)
         a = -np.exp(r.normal((C, N), dtype=np.float64))
         # log-uniform dt over [1e-7, 1]: both sides of the phi series cutoff
         dt = np.exp(r.uniform(np.log(1e-7), 0.0, (bsz, L, C), dtype=np.float64))
@@ -338,7 +338,7 @@ class TestSelectiveScanFused:
         y = selective_scan_t(*fused_in)
         y_ref = taped_selective_scan(*taped_in)
         assert y.dtype == y_ref.dtype == dtype
-        proj = Rng(seed, "proj").normal(y.shape, dtype=dtype)
+        proj = Rng(seed).normal(y.shape, dtype=dtype)
         (y * Tensor(proj, dtype=dtype)).sum().backward()
         (y_ref * Tensor(proj, dtype=dtype)).sum().backward()
         assert self._rel(y.data, y_ref.data) < tol
@@ -458,7 +458,7 @@ class TestSelectiveScanFused:
         bsz, L, C, N = 2, 512, 64, 8
         inputs = self._inputs((bsz, L, C, N), np.float32, seed=6)
         y = selective_scan_t(*inputs)
-        g = Rng(6, "g").normal(y.shape, dtype=np.float32)
+        g = Rng(6).normal(y.shape, dtype=np.float32)
         full = bsz * L * C * N * np.dtype(np.float32).itemsize
         grads = sum(t.data.nbytes for t in inputs)
         tracemalloc.start()
@@ -535,7 +535,7 @@ class TestCausalConv1d:
     @pytest.mark.parametrize("width, length", [(1, 5), (2, 5), (3, 7), (4, 6), (3, 2),
                                                (4, 1), (4, 3)])
     def test_matches_taped_oracle(self, width, length):
-        r = Rng(10 * width + length, "conv1d")
+        r = Rng(10 * width + length)
         arrays = [r.normal((2, length, 3), dtype=np.float64),
                   r.normal((3, width), dtype=np.float64), r.normal((3,), dtype=np.float64)]
         fused_in = [Tensor(v, requires_grad=True, dtype=np.float64) for v in arrays]
@@ -584,7 +584,7 @@ class TestTokenLayerNorm:
                              ids=lambda s: "x".join(map(str, s)))
     def test_matches_composition(self, shape, dtype, tol):
         T.set_default_dtype(dtype)
-        r = Rng(sum(shape), "ln-oracle")
+        r = Rng(sum(shape))
         x = r.normal(shape) * 3 + 1
         gamma, beta = r.normal(shape[2:]), r.normal(shape[2:])
         g = r.normal(shape)
@@ -605,7 +605,7 @@ class TestTokenLayerNorm:
         assert y._parents == (x, g, b) and _tape_nodes(y) == 1
 
     def test_gradients(self, f64_mode):
-        r = Rng(6, "ln")
+        r = Rng(6)
         x = Tensor(r.normal((2, 3, 5)), requires_grad=True)
         g = Tensor(r.normal((5,)), requires_grad=True)
         b = Tensor(r.normal((5,)), requires_grad=True)
@@ -678,7 +678,7 @@ class TestMambaBlock:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_gradients_f32(self, seed):
-        r = Rng(seed, "mamba")
+        r = Rng(seed)
         p = init_mamba_block(r, channels=3, n_state=2)
         x = Tensor(r.normal((1, 3, 2, 2, 2)), requires_grad=True)
         wiggle = [x, p.in_x_w, p.a_log, p.dt_bias, p.out_w, p.conv_w, p.norm_gamma]
@@ -687,7 +687,7 @@ class TestMambaBlock:
         assert rel < 1e-3
 
     def test_gradients_f64(self, f64_mode):
-        r = Rng(2, "mamba64")
+        r = Rng(2)
         p = init_mamba_block(r, channels=3, n_state=2)
         x = Tensor(r.normal((1, 3, 2, 2, 2)), requires_grad=True)
         wiggle = [x, p.in_x_w, p.in_z_b, p.a_log, p.dt_bias, p.x_proj_w, p.dt_w]

@@ -13,7 +13,7 @@ from diffumamba.cli import main
 from diffumamba.data import PhantomConfig, gen_phantoms
 from diffumamba.network import ModelConfig, Network, load_checkpoint
 from diffumamba.nnops import dice_ce_loss
-from diffumamba.tensor import NumericError, Tensor, set_default_dtype
+from diffumamba.tensor import NumericError, Tensor, set_default_dtype, set_gradient_fault
 from diffumamba.train import (SGD, ExperimentConfig, TrainConfig, paired_comparison,
                               poly_lr, train_run)
 
@@ -75,6 +75,23 @@ class TestOptimizer:
         packed.grad = np.ascontiguousarray(data.T)
         assert SGD({"w": strided}).grad_norm() == SGD({"w": packed}).grad_norm()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_grad_raises_before_any_write(self, bad):
+        model = Network(tiny_model_cfg())
+        params = model.named_parameters()
+        opt = SGD(params)
+        for t in params.values():
+            t.grad = np.full_like(t.data, 0.01)
+        opt.step(lr=0.1)                     # momentum buffers hold nonzero values
+        before = {k: v.data.copy() for k, v in params.items()}
+        buffers = {k: b.copy() for k, b in opt.buffers.items()}
+        params["head.bias"].grad[0] = bad
+        with pytest.raises(NumericError, match=r"non-finite grads in 1 parameter\(s\): head.bias"):
+            opt.step(lr=0.1, grad_clip=None)
+        for k, v in params.items():
+            npt.assert_array_equal(v.data, before[k], err_msg=k)
+            npt.assert_array_equal(opt.buffers[k], buffers[k], err_msg=k)
+
 
 class TestTrainRun:
     def test_loss_decreases_and_outputs_written(self, tmp_path):
@@ -82,10 +99,9 @@ class TestTrainRun:
         res = train_run(model, tiny_samples(), TrainConfig(epochs=8, seed=1),
                         tmp_path, quiet=True)
         assert res.epoch_log[-1]["loss"] < res.epoch_log[0]["loss"]
-        assert os.path.exists(res.final_path)
-        assert os.path.exists(res.best_path)
-        assert os.path.exists(tmp_path / "train_log.csv")
-        assert os.path.exists(tmp_path / "lambda_trace.csv")
+        assert res.final_path == str(tmp_path / "final.ckpt")
+        assert sorted(os.listdir(tmp_path)) == ["final.ckpt", "lambda_trace.csv",
+                                                "train_log.csv"]
         assert res.lambda_trace.shape == (res.steps, 2)
         npt.assert_allclose(read_lambda_trace_csv(tmp_path / "lambda_trace.csv"),
                             res.lambda_trace, rtol=0, atol=1e-8)
@@ -106,7 +122,6 @@ class TestTrainRun:
                         tmp_path, quiet=True)
         assert res.steps == 0
         assert res.lambda_trace.shape == (0, 2)
-        assert res.best_path is None
         assert not os.path.exists(tmp_path / "best.ckpt")
         assert os.path.exists(res.final_path)
 
@@ -204,8 +219,31 @@ class TestTrainRun:
         with pytest.raises(NumericError):
             train_run(model, tiny_samples(), TrainConfig(epochs=2, seed=0),
                       tmp_path, quiet=True)
-        assert os.path.exists(tmp_path / "diagnostic.ckpt")
-        assert os.path.exists(tmp_path / "diagnostic.json")
+        diag = json.loads((tmp_path / "diagnostic.json").read_text())
+        assert (diag["step"], diag["epoch"]) == (0, 0)
+        _, aux = load_checkpoint(tmp_path / "diagnostic.ckpt")
+        assert aux["step"] == 0 and aux["extra"]["abort_epoch"] == 0
+
+    def test_nonfinite_gradient_aborts_before_the_update(self, tmp_path):
+        # a NaN adjoint gives a NaN grad norm; the run stops at the step that
+        # made it, and the snapshot holds the untouched initial weights
+        cfg = ModelConfig(n_stages=3, channels=(8, 16, 32), strides=(1, 2, 1), seed=0)
+        model = Network(cfg)
+        initial = {k: v.data.copy() for k, v in model.named_parameters().items()}
+        samples = gen_phantoms(4, 0, PhantomConfig(shape=(16, 16, 16), radius=(2.0, 3.5),
+                                                   margin=0.5, min_separation=0.75))
+        set_gradient_fault(float("nan"))
+        try:
+            with pytest.raises(NumericError, match="non-finite grads"):
+                train_run(model, samples, TrainConfig(epochs=2, seed=0), tmp_path, quiet=True)
+        finally:
+            set_gradient_fault(None)
+        diag = json.loads((tmp_path / "diagnostic.json").read_text())
+        assert (diag["step"], diag["epoch"]) == (0, 0)
+        snap, aux = load_checkpoint(tmp_path / "diagnostic.ckpt")
+        assert aux["step"] == 0
+        for name, t in snap.named_parameters().items():
+            npt.assert_array_equal(t.data, initial[name], err_msg=name)
 
     def test_checkpoint_loadable_and_config_echoed(self, tmp_path):
         model = Network(tiny_model_cfg())
@@ -214,7 +252,6 @@ class TestTrainRun:
         loaded, aux = load_checkpoint(res.final_path)
         assert loaded.cfg == model.cfg
         assert aux["extra"]["seed"] == 4
-        assert aux["rng_state"] is not None
 
 
 class TestExperimentConfig:
@@ -309,6 +346,20 @@ class TestCli:
     def test_usage_error_exit_code(self):
         assert main(["train"]) == 1          # missing required --out
         assert main(["no-such-command"]) == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_numeric_failure_exit_code(self, cli_dataset, tmp_path, capsys):
+        # a huge lr blows the weights up; the next forward is non-finite
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": {"channels": [4, 8], "strides": [1, 2],
+                                                  "n_stages": 2, "ssm_state": 2},
+                                        "train": {"epochs": 2, "lr": 1e30}}))
+        out = tmp_path / "run"
+        rc = main(["train", "--config", str(cfg_path), "--out", str(out),
+                   "--train-manifest", str(cli_dataset / "manifest.tsv")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("numeric failure: ")
+        assert json.loads((out / "diagnostic.json").read_text())["step"] > 0
 
     def test_data_error_exit_code(self, tmp_path):
         rc = main(["train", "--train-manifest", str(tmp_path / "missing.tsv"),
