@@ -22,6 +22,8 @@ from .util import write_csv
 LATENT_MAGIC = b"DUML"
 LATENT_VERSION = 1
 DEFAULT_K_RANGE = tuple(range(2, 9))
+KMEANS_MAX_ITER = 100   # Lloyd iterations
+KMEANS_RESEEDS = 8      # empty-cluster reseeds before k-means gives up
 
 
 def pearson(x, y) -> float:
@@ -84,7 +86,7 @@ def _kmeans_pp_init(points, k, rng: Rng):
     return centers
 
 
-def kmeans(points, k, seed=0, max_iter=100, reseed_retries=8):
+def kmeans(points, k, seed=0):
     """Lloyd's algorithm with k-means++ seeding.
 
     Returns (labels, centers, inertia_history); the objective is
@@ -100,15 +102,15 @@ def kmeans(points, k, seed=0, max_iter=100, reseed_retries=8):
     labels = np.zeros(n, dtype=int)
     history = []
     retries = 0
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = d2.argmin(axis=1)
         history.append(float(d2[np.arange(n), new_labels].sum()))
         empty = [j for j in range(k) if not np.any(new_labels == j)]
         if empty:
-            if retries >= reseed_retries:
+            if retries >= KMEANS_RESEEDS:
                 raise RuntimeError(f"k-means could not fill {len(empty)} clusters "
-                                   f"after {reseed_retries} reseeds")
+                                   f"after {KMEANS_RESEEDS} reseeds")
             retries += 1
             worst = np.argsort(-d2[np.arange(n), new_labels])
             for j, idx in zip(empty, worst):

@@ -16,14 +16,14 @@ from dataclasses import replace
 from . import tensor as T
 from .analysis import (DEFAULT_K_RANGE, analyze_model, read_lambda_trace_csv,
                        write_analysis_csv)
-from .data import (DataError, NOISE_FAMILIES, PhantomConfig, gen_phantoms,
-                   load_dataset, save_dataset)
+from .data import (DataError, NOISE_FAMILIES, PhantomConfig, check_label_classes,
+                   gen_phantoms, load_dataset, save_dataset)
 from .metrics import evaluate_model, perturbation_grid, write_perturb_csv
-from .network import CheckpointError, load_checkpoint
+from .network import Network, load_checkpoint
 from .oracles import SELFCHECKS
 from .recordio import ContainerError
 from .tensor import NumericError
-from .train import ExperimentConfig, run_experiment
+from .train import ExperimentConfig, train_run
 from .util import atomic_write, build_id, read_json, write_json
 
 EXIT_OK = 0
@@ -145,12 +145,13 @@ def cmd_train(args):
         cfg.model = replace(cfg.model, nrm_enabled=False)
     cfg.train.seed = args.seed
     cfg.model = replace(cfg.model, seed=args.seed)
-    cfg.out_dir = args.out
     if not cfg.train_manifest:
         raise DataError("no training manifest given (--train-manifest or config)")
     samples = load_dataset(cfg.train_manifest)
+    check_label_classes(samples, cfg.model.n_classes)
     _echo(args, {"config": cfg.to_dict()})
-    result = run_experiment(cfg, samples)
+    write_json(os.path.join(args.out, "config.json"), {**cfg.to_dict(), "build_id": build_id()})
+    result = train_run(Network(cfg.model), samples, cfg.train, args.out)
     print(f"final checkpoint: {result.final_path}")
     return EXIT_OK
 
@@ -158,6 +159,7 @@ def cmd_train(args):
 def cmd_eval(args):
     model, aux = load_checkpoint(args.checkpoint)
     samples = load_dataset(args.manifest)
+    check_label_classes(samples, model.cfg.n_classes)
     meta = {"seed": args.seed, "build_id": build_id(), "checkpoint": args.checkpoint,
             "step": aux.get("step", 0)}
     report = evaluate_model(model, samples, meta=meta)
@@ -173,6 +175,7 @@ def cmd_eval(args):
 def cmd_perturb(args):
     model, _ = load_checkpoint(args.checkpoint)
     samples = load_dataset(args.manifest)
+    check_label_classes(samples, model.cfg.n_classes)
     for lv in args.levels:
         if not 1 <= lv <= 6:
             raise DataError(f"noise level {lv} outside 1..6")
@@ -265,7 +268,7 @@ def main(argv=None) -> int:
         T.set_default_dtype("f64")
     try:
         return args.func(args)
-    except (DataError, ContainerError, CheckpointError, FileNotFoundError) as err:
+    except (DataError, ContainerError, FileNotFoundError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as err:

@@ -281,6 +281,9 @@ def load_sample(sample_id, image_path, label_path) -> VolumeSample:
     label, lbl_spacing = read_volume(label_path)
     if label.shape[0] != 1:
         raise VolumeFormatError(f"label volume must have one channel, got {label.shape[0]}")
+    if lbl_spacing != spacing:
+        raise VolumeFormatError(f"label spacing {lbl_spacing} of {label_path} differs from "
+                                f"image spacing {spacing}")
     return VolumeSample(image=image, label=label[0], spacing=spacing, id=sample_id)
 
 
@@ -323,7 +326,16 @@ def load_dataset(manifest_path):
     return [load_sample(sid, img, lbl) for sid, img, lbl in read_manifest(manifest_path)]
 
 
-def save_dataset(samples, out_dir, manifest_name="manifest.tsv"):
+def check_label_classes(samples, n_classes):
+    """Raise DataError unless every label voxel is a class in [0, n_classes)."""
+    for s in samples:
+        lo, hi = s.label.min(), s.label.max()
+        if lo < 0 or hi >= n_classes:
+            raise DataError(f"sample {s.id}: label classes span [{lo}, {hi}], outside "
+                            f"[0, {n_classes}) for a {n_classes}-class model")
+
+
+def save_dataset(samples, out_dir):
     """Write every sample under ``out_dir`` and return the manifest path."""
     img_dir = os.path.join(out_dir, "images")
     lbl_dir = os.path.join(out_dir, "labels")
@@ -335,6 +347,6 @@ def save_dataset(samples, out_dir, manifest_name="manifest.tsv"):
         lbl = os.path.join("labels", f"{s.id}.svol")
         save_sample(s, os.path.join(out_dir, img), os.path.join(out_dir, lbl))
         entries.append((s.id, img, lbl))
-    manifest = os.path.join(out_dir, manifest_name)
+    manifest = os.path.join(out_dir, "manifest.tsv")
     write_manifest(manifest, entries)
     return manifest

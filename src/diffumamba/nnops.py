@@ -41,11 +41,11 @@ CONV_CHUNK = 1 << 18  # elements of one conv3d gather buffer, about 1 MB in f32
 class ConvParams:
     """Weights for a 3D convolution.
 
-    weight: (C_out, C_in, kd, kh, kw); bias: (C_out,) or None.
+    weight: (C_out, C_in, kd, kh, kw); bias: (C_out,).
     Output extent per axis is floor((in + 2*pad - k) / stride) + 1.
     """
     weight: Tensor
-    bias: Tensor | None
+    bias: Tensor
     stride: tuple[int, int, int] = (1, 1, 1)
     padding: tuple[int, int, int] = (0, 0, 0)
 
@@ -222,8 +222,7 @@ def _pointwise(x, p, out_spatial):
         return x.data[:, :, ::sd, ::sh, ::sw].reshape(b, c_in, -1)
 
     out = np.matmul(w, cols())
-    if bias is not None:
-        out += bias.data[:, None]
+    out += bias.data[:, None]
 
     def backward(g):
         g_flat = g.reshape(b, c_out, -1)
@@ -232,7 +231,7 @@ def _pointwise(x, p, out_spatial):
             # dWᵀ = x @ gᵀ: BLAS runs this shape about twice as fast as g @ xᵀ
             dw_t = sum(xs[bi] @ g_flat[bi].T for bi in range(b))
             weight._accumulate(dw_t.T.reshape(weight.shape))
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias._accumulate(g_flat.sum(axis=(0, 2)))
         if x.requires_grad:
             dxs = np.matmul(w.T, g_flat)
@@ -243,8 +242,8 @@ def _pointwise(x, p, out_spatial):
             dx[:, :, ::sd, ::sh, ::sw] = dxs.reshape((b, c_in) + tuple(out_spatial))
             x._accumulate(dx)
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return make_op(out.reshape((b, c_out) + tuple(out_spatial)), parents, "conv3d", backward)
+    return make_op(out.reshape((b, c_out) + tuple(out_spatial)), (x, weight, bias), "conv3d",
+                   backward)
 
 
 def _weight_grad(xp, g_at, terms, grid, dw, subs):
@@ -357,8 +356,7 @@ def conv3d(x: Tensor, p: ConvParams) -> Tensor:
     terms = [(n, 0, taps) for n, (_, taps) in enumerate(phases)]
     weight, bias = p.weight, p.bias
     out = np.empty((b, c_out) + out_spatial, dtype=np.result_type(xp, weight.data))
-    _correlate(xp, terms, [_stacked(weight.data[sub]) for sub in subs], grid, out,
-               None if bias is None else bias.data)
+    _correlate(xp, terms, [_stacked(weight.data[sub]) for sub in subs], grid, out, bias.data)
 
     def backward(g):
         # per phase, the flat offsets of its first held voxel and of its
@@ -375,7 +373,7 @@ def conv3d(x: Tensor, p: ConvParams) -> Tensor:
         gp = np.zeros((b, 1, c_out, length), dtype=g.dtype)
         g_at = gp[:, 0, :, margin:margin + do * plane]       # g at the forward anchors
         g_at.reshape(b, c_out, do, grid[1], pitch)[:, :, :, :ho, :wo] = g
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2, 3, 4)))
         dw = np.empty(weight.shape, dtype=g.dtype) if weight.requires_grad else None
         if x.requires_grad:
@@ -393,27 +391,27 @@ def conv3d(x: Tensor, p: ConvParams) -> Tensor:
         if dw is not None:
             weight._accumulate(dw)
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return make_op(out, parents, "conv3d", backward)
+    return make_op(out, (x, weight, bias), "conv3d", backward)
 
 
 @dataclass
 class ConvTransposeParams:
     """Transposed 3D conv used for decoder upsampling.
 
-    weight: (C_in, C_out, kd, kh, kw).  Only the kernel == stride,
-    zero-padding case is supported: each input voxel expands into a
-    disjoint k-sized output block, so output extent is in * stride.
+    weight: (C_in, C_out, kd, kh, kw); bias: (C_out,).  Only the
+    kernel == stride, zero-padding case is supported: each input voxel
+    expands into a disjoint k-sized output block, so output extent is
+    in * stride.
     """
     weight: Tensor
-    bias: Tensor | None
+    bias: Tensor
     stride: tuple[int, int, int]
 
 
 def conv_transpose3d(x: Tensor, p: ConvTransposeParams) -> Tensor:
     """Transposed conv with kernel == stride: input voxel v of sample b
     paints the disjoint block out[b, :, v * k : (v + 1) * k] with
-    sum_c x[b, c, v] * weight[c] (+ bias).
+    sum_c x[b, c, v] * weight[c] + bias.
 
     Forward is one GEMM per sample in the input's own (C_in, D*H*W)
     layout, w_mat^T @ x_b with w_mat = weight as (C_in, C_out*k^3); its
@@ -437,8 +435,7 @@ def conv_transpose3d(x: Tensor, p: ConvTransposeParams) -> Tensor:
     out = np.empty((b, c_out, d * kd, h * kh, w * kw), dtype=prod.dtype)
     # out[b, o, d*kd + i, h*kh + j, w*kw + l] as [b, o, i, j, l, d, h, w]
     blocks = out.reshape(b, c_out, d, kd, h, kh, w, kw).transpose(0, 1, 3, 5, 7, 2, 4, 6)
-    b_vec = np.zeros(1, prod.dtype) if bias is None else bias.data
-    np.add(prod, b_vec.reshape(-1, 1, 1, 1, 1, 1, 1), out=blocks)
+    np.add(prod, bias.data.reshape(-1, 1, 1, 1, 1, 1, 1), out=blocks)
 
     def backward(g):
         g_mat = g.reshape(b, c_out, d, kd, h, kh, w, kw).transpose(0, 1, 3, 5, 7, 2, 4, 6)
@@ -448,13 +445,12 @@ def conv_transpose3d(x: Tensor, p: ConvTransposeParams) -> Tensor:
             for i in range(1, b):
                 dw += x_mat[i] @ g_mat[i].T
             weight._accumulate(dw.reshape(weight.shape))
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias._accumulate(g_mat.reshape(b, c_out, -1).sum(axis=(0, 2)))
         if x.requires_grad:
             x._accumulate(np.matmul(w_mat, g_mat).reshape(x.shape))
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return make_op(out, parents, "conv_transpose3d", backward)
+    return make_op(out, (x, weight, bias), "conv_transpose3d", backward)
 
 
 def normalize(x: Tensor, axes, gamma: Tensor, beta: Tensor, eps: float,
@@ -675,7 +671,7 @@ def dice_ce_loss(logits: Tensor, labels: np.ndarray, eps: float = EPS_DICE) -> L
 # parameter initialization helpers
 
 
-def init_conv(rng, c_in, c_out, kernel, stride=(1, 1, 1), padding=None, bias=True,
+def init_conv(rng, c_in, c_out, kernel, stride=(1, 1, 1), padding=None,
               gain=2.0) -> ConvParams:
     # gain 2 (He) ahead of rectifiers; gain 1 for linear paths
     # (shortcut projections, logit heads), which must not amplify
@@ -687,7 +683,7 @@ def init_conv(rng, c_in, c_out, kernel, stride=(1, 1, 1), padding=None, bias=Tru
     fan_in = c_in * int(np.prod(kernel))
     weight = Tensor(rng.normal((c_out, c_in) + kernel, std=float(np.sqrt(gain / fan_in))),
                     requires_grad=True)
-    b = Tensor(np.zeros(c_out), requires_grad=True) if bias else None
+    b = Tensor(np.zeros(c_out), requires_grad=True)
     return ConvParams(weight=weight, bias=b, stride=tuple(stride), padding=tuple(padding))
 
 
@@ -699,8 +695,7 @@ def init_conv_transpose(rng, c_in, c_out, stride) -> ConvTransposeParams:
     return ConvTransposeParams(weight=weight, bias=b, stride=stride)
 
 
-def init_linear(rng, n_in, n_out, bias=True, std=None):
-    w = Tensor(rng.normal((n_in, n_out), std=std if std is not None else float(np.sqrt(1.0 / n_in))),
-               requires_grad=True)
+def init_linear(rng, n_in, n_out, bias=True):
+    w = Tensor(rng.normal((n_in, n_out), std=float(np.sqrt(1.0 / n_in))), requires_grad=True)
     b = Tensor(np.zeros(n_out), requires_grad=True) if bias else None
     return w, b

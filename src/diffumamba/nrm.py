@@ -31,11 +31,11 @@ def downsample_stage(f_i: Tensor, conv: ConvParams, target) -> Tensor:
     divide the stage extent.  A cell is one pooling window of one
     sample (n voxels).  The input is written once, cell by cell, into a
     (C + 1, cells * n) buffer whose last row is ones, so the bias is the
-    last column of the (C', C + 1) weight matrix (zero without a bias)
-    and each block's conv is one GEMM.  The conv, ReLU and sum run over
-    blocks of at most ``DOWNSAMPLE_CHUNK`` voxels, in one reused (C',
-    block) pre-activation buffer: a block holds whole cells when n is at
-    most that, and consecutive parts of one cell otherwise.  A block's
+    last column of the (C', C + 1) weight matrix and each block's conv
+    is one GEMM.  The conv, ReLU and sum run over blocks of at most
+    ``DOWNSAMPLE_CHUNK`` voxels, in one reused (C', block)
+    pre-activation buffer: a block holds whole cells when n is at most
+    that, and consecutive parts of one cell otherwise.  A block's
     per-cell sums are a matrix-vector product with ones, added into its
     cells' sums, and the pool is sum / n, so the C' x D x H x W
     activation never exists.  At n = 1 the activation is the output: one
@@ -70,7 +70,7 @@ def downsample_stage(f_i: Tensor, conv: ConvParams, target) -> Tensor:
     x_aug[c_in] = 1
     w_aug = np.empty((c_out, c_in + 1), dtype=dtype)
     w_aug[:, :c_in] = weight.data.reshape(c_out, c_in)
-    w_aug[:, c_in] = 0 if bias is None else bias.data
+    w_aug[:, c_in] = bias.data
     chunk = n_cols if n == 1 else DOWNSAMPLE_CHUNK  # one-voxel cells: one block, the output's size
     group = max(1, chunk // n) * n                 # columns of whole cells
     # [s, e) per block; min(n, e - s) columns of each of its cells
@@ -123,22 +123,22 @@ def downsample_stage(f_i: Tensor, conv: ConvParams, target) -> Tensor:
                 np.matmul(w_aug[:, :c_in].T, gy, out=dx[:, s:e])
         if weight.requires_grad:
             weight._accumulate(dw[:, :c_in].reshape(weight.shape))
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias._accumulate(dw[:, c_in])
         if dx is not None:
             dx = dx.reshape(c_in, b, td, th, tw, fd, fh, fw).transpose(np.argsort(cell_order))
             f_i._accumulate(dx.reshape(f_i.shape))
 
-    parents = (f_i, weight) if bias is None else (f_i, weight, bias)
-    return make_op(out, parents, "downsample_stage", backward)
+    return make_op(out, (f_i, weight, bias), "downsample_stage", backward)
 
 
 def aggregate(e_list, lambdas: Tensor) -> Tensor:
     """Weighted sum e_hat = sum_i lambda_i e_i; gradients reach every term.
 
-    The stages are stacked on a new leading axis, scaled once by lambda
-    broadcast along it, and summed over it: the same additions in the
-    same order as a running sum over i, in a fixed number of tape nodes.
+    The stages are stacked on a new leading axis (one concat along the
+    batch axis, one reshape), scaled once by lambda broadcast along it,
+    and summed over it: the same additions in the same order as a
+    running sum over i, in a fixed number of tape nodes.
     """
     if len(e_list) != lambdas.shape[0]:
         raise ShapeError(f"{len(e_list)} stage features for {lambdas.shape[0]} lambdas")
@@ -146,7 +146,7 @@ def aggregate(e_list, lambdas: Tensor) -> Tensor:
     for i, e in enumerate(e_list):
         if e.shape != shape:
             raise ShapeError(f"stage feature {i} has shape {e.shape}, expected {shape}")
-    stacked = concat([e.reshape((1,) + shape) for e in e_list], axis=0)
+    stacked = concat(e_list, axis=0).reshape((len(e_list),) + shape)
     return (stacked * lambdas.reshape((len(e_list),) + (1,) * len(shape))).sum(axis=0)
 
 

@@ -240,8 +240,7 @@ def conv_transpose_taps(x, weight, bias, g):
 
     Tap (i, j, l) of ``weight`` (C_in, C_out, kd, kh, kw) writes
     out[:, :, i::kd, j::kh, l::kw] = einsum(x, weight[..., i, j, l]).
-    Returns (out, dx, dW, db) for the output adjoint ``g``; ``bias`` may
-    be None (db is then None).
+    Returns (out, dx, dW, db) for the output adjoint ``g``.
     """
     _, c_out, kd, kh, kw = weight.shape
     b, _, d, h, w = x.shape
@@ -254,8 +253,6 @@ def conv_transpose_taps(x, weight, bias, g):
         out[tap] = np.einsum("bcdhw,co->bodhw", x, weight[:, :, i, j, l])
         dx += np.einsum("bodhw,co->bcdhw", g[tap], weight[:, :, i, j, l])
         dw[:, :, i, j, l] = np.einsum("bcdhw,bodhw->co", x, g[tap])
-    if bias is None:
-        return out, dx, dw, None
     return out + bias.reshape(1, -1, 1, 1, 1), dx, dw, g.sum(axis=(0, 2, 3, 4))
 
 

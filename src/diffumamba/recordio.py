@@ -118,8 +118,8 @@ def write_container(path, magic: bytes, version: int, sections):
                 _write_record(fh, name, np.asarray(arr))
 
 
-def read_container(path, magic: bytes, versions=(1,), n_sections=2):
-    """Read back ``n_sections`` record tables; strict about every byte."""
+def read_container(path, magic: bytes, versions=(1,)):
+    """Read back the two record tables; strict about every byte."""
     with open(path, "rb") as fh:
         got = fh.read(len(magic))
         if got != magic:
@@ -129,7 +129,7 @@ def read_container(path, magic: bytes, versions=(1,), n_sections=2):
             raise UnknownVersionError(f"unknown container version {version} "
                                       f"(supported: {list(versions)})")
         sections = []
-        for _ in range(n_sections):
+        for _ in range(2):
             (count,) = struct.unpack("<Q", _read_exact(fh, 8))
             table = {}
             for _ in range(count):

@@ -26,6 +26,8 @@ from .nnops import dice_ce_loss
 from .tensor import NumericError, Rng, Tensor
 from .util import build_id, write_csv, write_json
 
+LOG_EVERY = 10    # epochs between progress lines
+
 
 @dataclass
 class TrainConfig:
@@ -47,18 +49,16 @@ class ExperimentConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     train_manifest: str = ""
-    out_dir: str = "out"
 
     def to_dict(self):
         return {"model": self.model.to_dict(), "train": self.train.to_dict(),
-                "train_manifest": self.train_manifest, "out_dir": self.out_dir}
+                "train_manifest": self.train_manifest}
 
     @classmethod
     def from_dict(cls, d):
         return cls(model=ModelConfig.from_dict(d.get("model", {})),
                    train=TrainConfig(**d.get("train", {})),
-                   train_manifest=d.get("train_manifest", ""),
-                   out_dir=d.get("out_dir", "out"))
+                   train_manifest=d.get("train_manifest", ""))
 
 
 class SGD:
@@ -126,7 +126,7 @@ class TrainResult:
 
 
 def train_run(model: Network, samples, tcfg: TrainConfig, out_dir,
-              log_every=10, quiet=False) -> TrainResult:
+              quiet=False) -> TrainResult:
     """Train ``model`` on ``samples``; write ``final.ckpt`` and the logs to out_dir.
 
     On a non-finite loss or gradient the run aborts with NumericError
@@ -177,7 +177,7 @@ def train_run(model: Network, samples, tcfg: TrainConfig, out_dir,
         row = {"epoch": epoch, "lr": lr, "loss": ep_total / n_batches,
                "dice_loss": ep_dice / n_batches, "ce_loss": ep_ce / n_batches}
         epoch_log.append(row)
-        if not quiet and (epoch % log_every == 0 or epoch == tcfg.epochs - 1):
+        if not quiet and (epoch % LOG_EVERY == 0 or epoch == tcfg.epochs - 1):
             print(f"epoch {epoch:4d}  lr {lr:.5f}  loss {row['loss']:.4f}  "
                   f"(dice {row['dice_loss']:.4f} ce {row['ce_loss']:.4f})", flush=True)
 
@@ -197,14 +197,6 @@ def train_run(model: Network, samples, tcfg: TrainConfig, out_dir,
         lambda_report(trace).write_csv(os.path.join(out_dir, "lambda_trace.csv"), meta=meta)
     return TrainResult(epoch_log=epoch_log, lambda_trace=trace, final_path=final_path,
                        steps=steps)
-
-
-def run_experiment(cfg: ExperimentConfig, samples, quiet=False) -> TrainResult:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    write_json(os.path.join(cfg.out_dir, "config.json"),
-               {**cfg.to_dict(), "build_id": build_id()})
-    model = Network(cfg.model)
-    return train_run(model, samples, cfg.train, cfg.out_dir, quiet=quiet)
 
 
 # ----------------------------------------------------------------------

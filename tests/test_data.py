@@ -225,6 +225,15 @@ class TestVolumeIO:
         npt.assert_array_equal(back.label, s.label)
         assert back.label.dtype == np.uint8
 
+    def test_label_spacing_must_match_image(self, tmp_path):
+        s = gen_phantom(3, 1)
+        img, lbl = tmp_path / "i.svol", tmp_path / "l.svol"
+        save_sample(s, img, lbl)
+        write_volume(lbl, s.label[None], (2.0, 2.0, 2.0))
+        with pytest.raises(VolumeFormatError, match=r"label spacing \(2.0, 2.0, 2.0\) .* "
+                                                     r"image spacing \(1.0, 1.0, 1.0\)"):
+            load_sample(s.id, img, lbl)
+
     def test_short_payload_detected(self, tmp_path):
         path = tmp_path / "v.svol"
         write_volume(path, np.ones((1, 2, 2, 2), dtype="<f4"), (1, 1, 1))

@@ -191,6 +191,25 @@ class TestEvaluateAndPerturb:
         clean = float(np.mean([sm.mean_dsc() for sm in report.samples]))
         assert all(c.mean_dsc == clean for c in cells if c.level == 1)
 
+    def test_three_class_level1_cells_match_evaluation_bitwise(self):
+        # with two foreground classes the grid's score and
+        # SampleMetrics.mean_dsc each average two DSCs, and level 1 still
+        # reads the clean evaluation's mean to the last bit
+        from diffumamba.data import PhantomConfig
+        model = Network(ModelConfig(channels=(4, 8), strides=(1, 2), n_stages=2, ssm_state=2,
+                                    n_classes=3, seed=2))
+        samples = gen_phantoms(3, 3, PhantomConfig(shape=(8, 8, 8), n_blobs=(1, 1),
+                                                   radius=(2.0, 3.0)))
+        for s in samples:
+            top = s.label[:4]
+            top[top == 1] = 2                   # the blob's upper half is class 2
+        report = evaluate_model(model, samples)
+        assert all(set(sm.per_class) == {1, 2} for sm in report.samples)
+        assert any(0.0 < sm.per_class[2]["dsc"] < 1.0 for sm in report.samples)
+        clean = float(np.mean([sm.mean_dsc() for sm in report.samples]))
+        cells = perturbation_grid(model, samples, ["uniform", "speckle"], [1, 2], seed=1)
+        assert [c.mean_dsc.hex() for c in cells if c.level == 1] == [clean.hex()] * 2
+
     def test_grid_computes_no_hd95(self, monkeypatch):
         # a cell reads only DSC, so the grid never calls hd95
         model, samples = _tiny_model_and_samples()

@@ -31,16 +31,14 @@ def im2col_conv3d(x, p):
         b * do * ho * wo, c_in * kd * kh * kw)
     w_mat = p.weight.data.reshape(c_out, -1)
     out = cols @ w_mat.T
-    if p.bias is not None:
-        out += p.bias.data
+    out += p.bias.data
     out = out.reshape(b, do, ho, wo, c_out).transpose(0, 4, 1, 2, 3)
     weight, bias = p.weight, p.bias
 
     def backward(g):
         g_mat = g.transpose(0, 2, 3, 4, 1).reshape(-1, c_out)
         weight._accumulate((g_mat.T @ cols).reshape(weight.shape))
-        if bias is not None:
-            bias._accumulate(g_mat.sum(axis=0))
+        bias._accumulate(g_mat.sum(axis=0))
         dcols = (g_mat @ w_mat).reshape(b, do, ho, wo, c_in, kd, kh, kw)
         dxp = np.zeros_like(xp)
         for i in range(kd):
@@ -50,8 +48,7 @@ def im2col_conv3d(x, p):
                         dcols[:, :, :, :, :, i, j, k].transpose(0, 4, 1, 2, 3)
         x._accumulate(dxp[:, :, pd:pd + spatial[0], ph:ph + spatial[1], pw:pw + spatial[2]])
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return make_op(out, parents, "im2col_conv3d", backward)
+    return make_op(out, (x, weight, bias), "im2col_conv3d", backward)
 
 
 def instance_norm_reference(x, gamma, beta, eps=nnops.EPS_NORM):
@@ -66,10 +63,11 @@ def instance_norm_reference(x, gamma, beta, eps=nnops.EPS_NORM):
     return xhat * gamma.reshape((1, c, 1, 1, 1)) + beta.reshape((1, c, 1, 1, 1))
 
 
-def _conv(weight, bias=None, stride=(1, 1, 1), padding=(0, 0, 0)):
+def _conv(weight, padding=(0, 0, 0)):
+    """A stride-1 conv with ``weight`` and a zero bias."""
     return ConvParams(weight=Tensor(weight, requires_grad=True),
-                      bias=None if bias is None else Tensor(bias, requires_grad=True),
-                      stride=stride, padding=padding)
+                      bias=Tensor(np.zeros(weight.shape[0]), requires_grad=True),
+                      padding=padding)
 
 
 class TestConv3d:
@@ -79,7 +77,7 @@ class TestConv3d:
         for i in range(c):
             w[i, i, 0, 0, 0] = 1.0
         x = Tensor(rng.normal((2, c, 4, 4, 4)))
-        out = conv3d(x, _conv(w, np.zeros(c)))
+        out = conv3d(x, _conv(w))
         npt.assert_array_equal(out.data, x.data)
 
     def test_all_ones_kernel_interior_sum(self):
@@ -96,7 +94,7 @@ class TestConv3d:
         x = rng.normal((1, 2, 4, 4, 4), dtype=np.float64)
         w = rng.normal((3, 2, 3, 3, 3), dtype=np.float64)
         out = conv3d(Tensor(x, dtype=np.float64),
-                     ConvParams(Tensor(w, dtype=np.float64), None,
+                     ConvParams(Tensor(w, dtype=np.float64), Tensor(np.zeros(3), dtype=np.float64),
                                 stride=(1, 1, 1), padding=(1, 1, 1)))
         xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1), (1, 1)))
         expect = np.zeros((1, 3, 4, 4, 4))
@@ -397,7 +395,8 @@ class TestConvTranspose3d:
         # kernel == stride: each input voxel paints a disjoint 2^3 block
         x = rng.normal((1, 2, 2, 2, 2), dtype=np.float64)
         w = rng.normal((2, 3, 2, 2, 2), dtype=np.float64)
-        p = ConvTransposeParams(Tensor(w, dtype=np.float64), None, stride=(2, 2, 2))
+        p = ConvTransposeParams(Tensor(w, dtype=np.float64), Tensor(np.zeros(3), dtype=np.float64),
+                                stride=(2, 2, 2))
         out = conv_transpose3d(Tensor(x, dtype=np.float64), p)
         for o in range(3):
             for d in range(2):
@@ -408,35 +407,28 @@ class TestConvTranspose3d:
                             out.data[0, o, 2 * d:2 * d + 2, 2 * h:2 * h + 2,
                                      2 * wi:2 * wi + 2], block, rtol=1e-12)
 
-    @pytest.mark.parametrize("with_bias", [True, False], ids=["bias", "nobias"])
     @pytest.mark.parametrize("shape,c_out,stride", [
         ((2, 3, 3, 4, 2), 4, (2, 1, 2)),     # anisotropic kernel, non-cubic extents
         ((2, 4, 2, 3, 1), 16, (1, 2, 2)),    # rows of one voxel, more channels than voxels
         ((2, 5, 2, 3, 4), 3, (1, 1, 1)),     # pointwise
     ], ids=["aniso", "wide", "pointwise"])
-    def test_matches_per_tap_oracle(self, f64_mode, shape, c_out, stride, with_bias):
+    def test_matches_per_tap_oracle(self, f64_mode, shape, c_out, stride):
         r = Rng(13)
         p = init_conv_transpose(r.derive("w"), shape[1], c_out, stride)
-        if with_bias:
-            p.bias.data = r.derive("b").normal((c_out,))
-        else:
-            p = ConvTransposeParams(p.weight, None, stride)
+        p.bias.data = r.derive("b").normal((c_out,))
         x = Tensor(r.derive("x").normal(shape), requires_grad=True)
         out = conv_transpose3d(x, p)
         g = r.derive("g").normal(out.shape)
         (out * Tensor(g)).sum().backward()
-        bias = None if p.bias is None else p.bias.data
-        want = conv_transpose_taps(x.data, p.weight.data, bias, g)
-        got = [out.data, x.grad, p.weight.grad, None if p.bias is None else p.bias.grad]
+        want = conv_transpose_taps(x.data, p.weight.data, p.bias.data, g)
+        got = [out.data, x.grad, p.weight.grad, p.bias.grad]
         assert out.shape == (shape[0], c_out) + tuple(s * k for s, k in zip(shape[2:], stride))
         for a, b in zip(got, want):
-            if b is None:
-                assert a is None
-            else:
-                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
     def test_kernel_must_equal_stride(self, rng):
-        p = ConvTransposeParams(Tensor(rng.normal((2, 2, 3, 3, 3))), None, stride=(2, 2, 2))
+        p = ConvTransposeParams(Tensor(rng.normal((2, 2, 3, 3, 3))), Tensor(np.zeros(2)),
+                                stride=(2, 2, 2))
         with pytest.raises(ShapeError, match="kernel == stride"):
             conv_transpose3d(Tensor(rng.normal((1, 2, 2, 2, 2))), p)
 

@@ -10,7 +10,7 @@ import pytest
 
 from diffumamba.analysis import read_lambda_trace_csv
 from diffumamba.cli import main
-from diffumamba.data import PhantomConfig, gen_phantoms
+from diffumamba.data import PhantomConfig, gen_phantoms, save_dataset
 from diffumamba.network import ModelConfig, Network, load_checkpoint
 from diffumamba.nnops import dice_ce_loss
 from diffumamba.tensor import NumericError, Tensor, set_default_dtype, set_gradient_fault
@@ -257,18 +257,18 @@ class TestTrainRun:
 class TestExperimentConfig:
     def test_round_trip(self):
         cfg = ExperimentConfig(model=tiny_model_cfg(), train=TrainConfig(epochs=3, seed=2),
-                               train_manifest="m.tsv", out_dir="o")
+                               train_manifest="m.tsv")
         assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_loads_config_with_dropped_eval_manifest(self):
-        # config.json files written before eval_manifest was dropped still load
+        # config.json files written before eval_manifest and out_dir were dropped still load
         old = {"model": {"channels": [4, 8], "strides": [1, 2], "n_stages": 2},
                "train": {"epochs": 3}, "train_manifest": "train.tsv",
                "eval_manifest": "eval.tsv", "out_dir": "o", "build_id": "0123456789ab"}
         cfg = ExperimentConfig.from_dict(old)
-        assert cfg.train_manifest == "train.tsv" and cfg.out_dir == "o"
+        assert cfg.train_manifest == "train.tsv"
         assert cfg.train.epochs == 3 and cfg.model.channels == (4, 8)
-        assert "eval_manifest" not in cfg.to_dict()
+        assert "eval_manifest" not in cfg.to_dict() and "out_dir" not in cfg.to_dict()
 
 
 @pytest.fixture(scope="module")
@@ -294,6 +294,14 @@ def cli_run(cli_dataset, tmp_path_factory):
                "--out", str(out)])
     assert rc == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def bad_label_manifest(tmp_path_factory):
+    """A manifest whose first label holds class 2, past a 2-class model's."""
+    samples = tiny_samples(n=2)
+    samples[0].label[0, 0, 0] = 2
+    return save_dataset(samples, str(tmp_path_factory.mktemp("bad-label")))
 
 
 class TestCli:
@@ -376,6 +384,20 @@ class TestCli:
                    "--train-manifest", str(cli_dataset / "manifest.tsv")])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"data error: bad config {cfg_path}")
+
+    @pytest.mark.parametrize("command", ["train", "eval", "perturb"])
+    def test_label_class_past_the_model_is_data_error(self, cli_run, bad_label_manifest,
+                                                      tmp_path, capsys, command):
+        if command == "train":
+            args = ["--config", str(cli_run / "cfg.json"), "--epochs", "1",
+                    "--train-manifest", bad_label_manifest]
+        else:
+            args = ["--checkpoint", str(cli_run / "final.ckpt"), "--manifest", bad_label_manifest]
+        out = tmp_path / "out"
+        rc = main([command, *args, "--out", str(out)])
+        assert rc == 2
+        assert "label classes span [0, 2], outside [0, 2)" in capsys.readouterr().err
+        assert not out.exists()             # rejected before any output is written
 
     def test_empty_manifest_is_data_error(self, tmp_path):
         manifest = tmp_path / "empty.tsv"
