@@ -45,6 +45,8 @@ def pearson(x, y) -> float:
 def mean_pearson(m1, m2):
     """Mean |matched-channel| correlation between two (C, ...) feature maps.
 
+    A channel with zero variance or with fewer than two positions (a
+    1^3 bottleneck) has no correlation and counts as undefined.
     Returns (mean over defined pairs, n_defined, n_undefined).
     """
     m1 = np.asarray(m1)
@@ -54,7 +56,7 @@ def mean_pearson(m1, m2):
     vals = []
     undefined = 0
     for c in range(m1.shape[0]):
-        r = pearson(m1[c].ravel(), m2[c].ravel())
+        r = pearson(m1[c], m2[c]) if m1[c].size >= 2 else float("nan")
         if math.isnan(r):
             undefined += 1
         else:

@@ -1,7 +1,10 @@
 """Command-line front end.
 
-Subcommands: gen-data, train, eval, perturb, analyze, selfcheck.
-Common flags: --config PATH, --seed N, --out DIR, --f64.
+Subcommands and the run flags each takes (``--help`` lists the rest):
+gen-data, perturb, analyze: --seed N, --out DIR;
+train: --seed N, --out DIR, --config PATH, --f64;
+eval: --out DIR;
+selfcheck: --seed N, --out DIR (optional), --f64.
 Exit codes: 0 ok, 1 usage, 2 data error, 3 numeric failure,
 4 selfcheck failure.
 """
@@ -33,20 +36,14 @@ EXIT_NUMERIC = 3
 EXIT_SELFCHECK = 4
 
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=0, help="run seed (u64)")
-    p.add_argument("--out", type=str, required=True, help="output directory")
-    p.add_argument("--config", type=str, default=None, help="JSON config file")
-    p.add_argument("--f64", action="store_true", help="64-bit float test mode")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(prog="diffumamba",
                                      description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate synthetic phantom volumes")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="run seed (u64)")
+    p.add_argument("--out", type=str, required=True, help="output directory")
     p.add_argument("--n", type=int, default=8, help="number of samples")
     p.add_argument("--size", type=int, nargs=3, default=[32, 32, 32],
                    metavar=("D", "H", "W"))
@@ -55,7 +52,12 @@ def build_parser():
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train a model")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=None,
+                   help="overrides train.seed and model.seed (default: the config's, else 0)")
+    p.add_argument("--out", type=str, required=True, help="output directory")
+    p.add_argument("--config", type=str, default=None,
+                   help="JSON config file, e.g. a run's config.json")
+    p.add_argument("--f64", action="store_true", help="64-bit float test mode")
     p.add_argument("--train-manifest", type=str, default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
@@ -65,13 +67,14 @@ def build_parser():
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a manifest")
-    _add_common(p)
+    p.add_argument("--out", type=str, required=True, help="output directory")
     p.add_argument("--checkpoint", type=str, required=True)
     p.add_argument("--manifest", type=str, required=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("perturb", help="noise-robustness grid on a checkpoint")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="run seed (u64)")
+    p.add_argument("--out", type=str, required=True, help="output directory")
     p.add_argument("--checkpoint", type=str, required=True)
     p.add_argument("--manifest", type=str, required=True)
     p.add_argument("--families", type=str, nargs="+", default=list(NOISE_FAMILIES),
@@ -80,7 +83,8 @@ def build_parser():
     p.set_defaults(func=cmd_perturb)
 
     p = sub.add_parser("analyze", help="latent-space analysis of a checkpoint")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="run seed (u64)")
+    p.add_argument("--out", type=str, required=True, help="output directory")
     p.add_argument("--checkpoint", type=str, required=True)
     p.add_argument("--manifest", type=str, required=True)
     p.add_argument("--lambda-trace", type=str, default=None,
@@ -102,12 +106,11 @@ def build_parser():
 # commands
 
 
-def _echo(args, extra=None):
+def _echo(args, **fields):
+    """Write ``run.json``: the command, the build id and ``fields``."""
     os.makedirs(args.out, exist_ok=True)
-    info = {"command": args.command, "seed": args.seed, "build_id": build_id(),
-            **(extra or {})}
-    write_json(os.path.join(args.out, "run.json"), info)
-    return info
+    write_json(os.path.join(args.out, "run.json"),
+               {"command": args.command, "build_id": build_id(), **fields})
 
 
 def cmd_gen_data(args):
@@ -118,39 +121,35 @@ def cmd_gen_data(args):
         cfg.radius = tuple(args.radius)
     samples = gen_phantoms(args.n, args.seed, cfg)
     manifest = save_dataset(samples, args.out)
-    _echo(args, {"n": args.n, "manifest": manifest,
-                 "shape": list(cfg.shape), "n_blobs": list(cfg.n_blobs)})
+    _echo(args, seed=args.seed, n=args.n, manifest=manifest, shape=list(cfg.shape),
+          n_blobs=list(cfg.n_blobs))
     print(f"wrote {args.n} samples; manifest: {manifest}")
     return EXIT_OK
 
 
 def cmd_train(args):
-    if args.config:
-        try:
-            cfg = ExperimentConfig.from_dict(read_json(args.config))
-        except (AttributeError, TypeError, ValueError) as err:   # incl. JSONDecodeError
-            raise DataError(f"bad config {args.config}: {err}") from err
-    else:
-        cfg = ExperimentConfig()
-    # flags win over the config file
-    if args.train_manifest:
-        cfg.train_manifest = args.train_manifest
-    if args.epochs is not None:
-        cfg.train.epochs = args.epochs
-    if args.lr is not None:
-        cfg.train.lr = args.lr
-    if args.batch_size is not None:
-        cfg.train.batch_size = args.batch_size
+    try:
+        cfg = ExperimentConfig.from_dict(read_json(args.config) if args.config else {})
+    except (AttributeError, TypeError, ValueError) as err:   # incl. JSONDecodeError
+        raise DataError(f"bad config {args.config}: {err}") from err
+    # the flags given win over the config file
+    train = {k: v for k, v in [("epochs", args.epochs), ("lr", args.lr),
+                               ("batch_size", args.batch_size), ("seed", args.seed)]
+             if v is not None}
+    model = {"seed": args.seed} if args.seed is not None else {}
     if args.no_nrm:
-        cfg.model = replace(cfg.model, nrm_enabled=False)
-    cfg.train.seed = args.seed
-    cfg.model = replace(cfg.model, seed=args.seed)
+        model["nrm_enabled"] = False
+    try:
+        cfg = replace(cfg, model=replace(cfg.model, **model), train=replace(cfg.train, **train),
+                      train_manifest=args.train_manifest or cfg.train_manifest)
+    except ValueError as err:
+        raise DataError(f"bad flag value: {err}") from err
     if not cfg.train_manifest:
         raise DataError("no training manifest given (--train-manifest or config)")
     samples = load_dataset(cfg.train_manifest)
     check_label_classes(samples, cfg.model.n_classes)
-    _echo(args, {"config": cfg.to_dict()})
-    write_json(os.path.join(args.out, "config.json"), {**cfg.to_dict(), "build_id": build_id()})
+    _echo(args, seed=cfg.train.seed)
+    write_json(os.path.join(args.out, "config.json"), cfg.to_dict())
     result = train_run(Network(cfg.model), samples, cfg.train, args.out)
     print(f"final checkpoint: {result.final_path}")
     return EXIT_OK
@@ -160,10 +159,9 @@ def cmd_eval(args):
     model, aux = load_checkpoint(args.checkpoint)
     samples = load_dataset(args.manifest)
     check_label_classes(samples, model.cfg.n_classes)
-    meta = {"seed": args.seed, "build_id": build_id(), "checkpoint": args.checkpoint,
-            "step": aux.get("step", 0)}
+    meta = {"build_id": build_id(), "checkpoint": args.checkpoint, "step": aux.get("step", 0)}
     report = evaluate_model(model, samples, meta=meta)
-    _echo(args, {"checkpoint": args.checkpoint, "n_samples": len(samples)})
+    _echo(args, checkpoint=args.checkpoint, n_samples=len(samples))
     report.write_csv(os.path.join(args.out, "metrics.csv"))
     report.write_json(os.path.join(args.out, "metrics.json"))
     s = report.summary()
@@ -180,8 +178,8 @@ def cmd_perturb(args):
         if not 1 <= lv <= 6:
             raise DataError(f"noise level {lv} outside 1..6")
     cells = perturbation_grid(model, samples, args.families, args.levels, seed=args.seed)
-    _echo(args, {"checkpoint": args.checkpoint, "families": args.families,
-                 "levels": args.levels})
+    _echo(args, seed=args.seed, checkpoint=args.checkpoint, families=args.families,
+          levels=args.levels)
     write_perturb_csv(cells, os.path.join(args.out, "perturbation.csv"),
                       meta={"seed": args.seed, "build_id": build_id()})
     for c in cells:
@@ -196,7 +194,7 @@ def cmd_analyze(args):
     trace = None
     if args.lambda_trace:
         trace = read_lambda_trace_csv(args.lambda_trace)
-    _echo(args, {"checkpoint": args.checkpoint})
+    _echo(args, seed=args.seed, checkpoint=args.checkpoint)
     meta = {"seed": args.seed, "build_id": build_id()}
     rows, summary = analyze_model(model, samples, k_range=DEFAULT_K_RANGE,
                                   seed=args.seed, out_dir=args.out,
@@ -206,7 +204,7 @@ def cmd_analyze(args):
     mp = summary.get("mean_pearson_m1_m2")
     print(f"samples {summary['n_samples']}  mean silhouette "
           f"{summary['mean_silhouette']:.4f}  mean pearson(m1,m2) "
-          f"{mp if mp is not None else 'n/a (baseline checkpoint)'}")
+          f"{mp if mp is not None else 'n/a'}")
     return EXIT_OK
 
 

@@ -40,6 +40,12 @@ class TrainConfig:
     batch_size: int = 2
     seed: int = 0
 
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+
     def to_dict(self):
         return asdict(self)
 

@@ -9,7 +9,7 @@ import numpy.testing as npt
 import pytest
 
 from diffumamba.analysis import read_lambda_trace_csv
-from diffumamba.cli import main
+from diffumamba.cli import build_parser, main
 from diffumamba.data import PhantomConfig, gen_phantoms, save_dataset
 from diffumamba.network import ModelConfig, Network, load_checkpoint
 from diffumamba.nnops import dice_ce_loss
@@ -312,10 +312,46 @@ class TestCli:
 
     def test_train_outputs(self, cli_run):
         assert (cli_run / "final.ckpt").exists()
-        assert (cli_run / "config.json").exists()
+        # config.json is the resolved config and nothing else; run.json
+        # carries the provenance only
         cfg = json.loads((cli_run / "config.json").read_text())
-        assert cfg["train"]["epochs"] == 4          # flag override recorded
-        assert "build_id" in cfg
+        assert set(cfg) == {"model", "train", "train_manifest"}
+        assert cfg["train"]["epochs"] == 4
+        assert cfg["train"]["seed"] == cfg["model"]["seed"] == 1     # --seed recorded
+        run = json.loads((cli_run / "run.json").read_text())
+        assert set(run) == {"command", "seed", "build_id"} and run["seed"] == 1
+
+    def test_run_retrains_bitwise_from_its_config(self, cli_run, tmp_path):
+        out = tmp_path / "again"
+        assert main(["train", "--config", str(cli_run / "config.json"), "--out", str(out)]) == 0
+        first, _ = load_checkpoint(cli_run / "final.ckpt")
+        again, _ = load_checkpoint(out / "final.ckpt")
+        for name, t in first.named_parameters().items():
+            assert t.data.tobytes() == again.named_parameters()[name].data.tobytes(), name
+
+    @pytest.mark.parametrize("flag", [["--batch-size", "0"], ["--epochs", "-3"]],
+                             ids=["zero-batch", "negative-epochs"])
+    def test_bad_train_flag_is_data_error(self, cli_dataset, cli_run, tmp_path, capsys, flag):
+        out = tmp_path / "out"
+        rc = main(["train", "--config", str(cli_run / "cfg.json"), *flag,
+                   "--train-manifest", str(cli_dataset / "manifest.tsv"), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("data error: bad flag value: ")
+        assert not out.exists()             # rejected before any output is written
+
+    def test_f64_checkpoint_keeps_its_dtype_under_f32_default(self, cli_dataset, cli_run,
+                                                              tmp_path):
+        manifest = str(cli_dataset / "manifest.tsv")
+        run = tmp_path / "run"
+        assert main(["train", "--f64", "--config", str(cli_run / "cfg.json"), "--epochs", "1",
+                     "--train-manifest", manifest, "--out", str(run)]) == 0
+        set_default_dtype("f32")
+        model, _ = load_checkpoint(run / "final.ckpt")
+        assert {t.dtype for t in model.named_parameters().values()} == {np.dtype(np.float64)}
+        x = Tensor(np.zeros((1, 1, 8, 8, 8)), dtype=np.float64)
+        assert model.forward(x).dtype == np.float64
+        assert main(["eval", "--checkpoint", str(run / "final.ckpt"), "--manifest", manifest,
+                     "--out", str(tmp_path / "eval")]) == 0
 
     def test_eval_command(self, cli_dataset, cli_run, tmp_path):
         rc = main(["eval", "--checkpoint", str(cli_run / "final.ckpt"),
@@ -351,6 +387,53 @@ class TestCli:
         dumps = list(tmp_path.glob("latent_*.dump"))
         assert len(dumps) == 4
 
+    def test_analyze_on_a_one_voxel_bottleneck(self, cli_dataset, tmp_path):
+        # 8^3 phantoms through strides (1, 2, 2, 2): the bottleneck is 1^3,
+        # so no channel has the two positions a correlation needs
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": {"channels": [4, 4, 8, 8], "n_stages": 4,
+                                                  "strides": [1, 2, 2, 2], "ssm_state": 2},
+                                        "train": {"epochs": 0}}))
+        manifest = str(cli_dataset / "manifest.tsv")
+        assert main(["train", "--config", str(cfg_path), "--train-manifest", manifest,
+                     "--out", str(tmp_path / "run")]) == 0
+        rc = main(["analyze", "--checkpoint", str(tmp_path / "run" / "final.ckpt"),
+                   "--manifest", manifest, "--out", str(tmp_path / "latent")])
+        assert rc == 0
+        summary = json.loads((tmp_path / "latent" / "analysis.json").read_text())
+        assert summary["nrm_present"] is True
+        assert summary["mean_pearson_m1_m2"] is None
+
+    def test_each_command_takes_only_its_flags(self):
+        expected = {
+            "gen-data": "--seed --out --n --size --blobs --radius",
+            "train": "--seed --out --config --f64 --train-manifest --epochs --lr "
+                     "--batch-size --no-nrm",
+            "eval": "--out --checkpoint --manifest",
+            "perturb": "--seed --out --checkpoint --manifest --families --levels",
+            "analyze": "--seed --out --checkpoint --manifest --lambda-trace",
+            "selfcheck": "--seed --out --f64 --corrupt-adjoint",
+        }
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        flags = {name: " ".join(a.option_strings[0] for a in p._actions
+                                if a.option_strings[0] != "-h")
+                 for name, p in sub.choices.items()}
+        assert flags == expected
+
+    @pytest.mark.parametrize("command,flag", [
+        ("gen-data", "--config"), ("gen-data", "--f64"), ("eval", "--config"), ("eval", "--f64"),
+        ("eval", "--seed"), ("perturb", "--config"), ("perturb", "--f64"),
+        ("analyze", "--config"), ("analyze", "--f64")])
+    def test_dropped_flag_is_usage_error(self, tmp_path, command, flag):
+        value = {"--config": ["c.json"], "--seed": ["3"]}.get(flag, [])
+        if command == "gen-data":
+            args = ["--n", "1", "--size", "8", "8", "8"]
+        else:
+            args = ["--checkpoint", "nope.ckpt", "--manifest", "nope.tsv"]
+        out = tmp_path / "out"
+        assert main([command, flag, *value, *args, "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_usage_error_exit_code(self):
         assert main(["train"]) == 1          # missing required --out
         assert main(["no-such-command"]) == 1
@@ -375,8 +458,8 @@ class TestCli:
         assert rc == 2
 
     @pytest.mark.parametrize("text", ['{"train": {"epochz": 3}}', '{"model": {"n_stages": 1}}',
-                                      '{"train": '], ids=["unknown-field", "bad-value",
-                                                          "not-json"])
+                                      '{"train": {"batch_size": 0}}', '{"train": '],
+                             ids=["unknown-field", "bad-value", "zero-batch", "not-json"])
     def test_malformed_config_is_data_error(self, cli_dataset, tmp_path, capsys, text):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(text)
