@@ -4,7 +4,7 @@ Subcommands and the run flags each takes (``--help`` lists the rest):
 gen-data, perturb, analyze: --seed N, --out DIR;
 train: --seed N, --out DIR, --config PATH, --f64;
 eval: --out DIR;
-selfcheck: --seed N, --out DIR (optional), --f64.
+selfcheck: --seed N, --out DIR (optional).
 Exit codes: 0 ok, 1 usage, 2 data error, 3 numeric failure,
 4 selfcheck failure.
 """
@@ -12,6 +12,7 @@ Exit codes: 0 ok, 1 usage, 2 data error, 3 numeric failure,
 from __future__ import annotations
 
 import argparse
+import contextvars
 import os
 import sys
 from dataclasses import replace
@@ -25,7 +26,7 @@ from .metrics import evaluate_model, perturbation_grid, write_perturb_csv
 from .network import Network, load_checkpoint
 from .oracles import SELFCHECKS
 from .recordio import ContainerError
-from .tensor import NumericError
+from .tensor import NumericError, ShapeError
 from .train import ExperimentConfig, train_run
 from .util import atomic_write, build_id, read_json, write_json
 
@@ -95,7 +96,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=None,
                    help="optional directory for the written report")
-    p.add_argument("--f64", action="store_true")
     p.add_argument("--corrupt-adjoint", action="store_true",
                    help="testing hook: inject a matmul adjoint fault")
     p.set_defaults(func=cmd_selfcheck)
@@ -113,12 +113,18 @@ def _echo(args, **fields):
                {"command": args.command, "build_id": build_id(), **fields})
 
 
+def _check_volumes(samples, cfg):
+    """Raise DataError unless every sample's volume fits ``cfg``'s model."""
+    for s in samples:
+        try:
+            cfg.check_volume_shape(s.image.shape)
+        except ShapeError as err:
+            raise DataError(f"sample {s.id}: {err}") from err
+
+
 def cmd_gen_data(args):
-    cfg = PhantomConfig(shape=tuple(args.size))
-    if args.blobs:
-        cfg.n_blobs = tuple(args.blobs)
-    if args.radius:
-        cfg.radius = tuple(args.radius)
+    given = {"n_blobs": args.blobs, "radius": args.radius}
+    cfg = PhantomConfig(shape=tuple(args.size), **{k: tuple(v) for k, v in given.items() if v})
     samples = gen_phantoms(args.n, args.seed, cfg)
     manifest = save_dataset(samples, args.out)
     _echo(args, seed=args.seed, n=args.n, manifest=manifest, shape=list(cfg.shape),
@@ -128,6 +134,8 @@ def cmd_gen_data(args):
 
 
 def cmd_train(args):
+    if args.f64:        # main runs each command in its own context, so this ends with it
+        T.set_default_dtype("f64")
     try:
         cfg = ExperimentConfig.from_dict(read_json(args.config) if args.config else {})
     except (AttributeError, TypeError, ValueError) as err:   # incl. JSONDecodeError
@@ -148,6 +156,7 @@ def cmd_train(args):
         raise DataError("no training manifest given (--train-manifest or config)")
     samples = load_dataset(cfg.train_manifest)
     check_label_classes(samples, cfg.model.n_classes)
+    _check_volumes(samples, cfg.model)
     _echo(args, seed=cfg.train.seed)
     write_json(os.path.join(args.out, "config.json"), cfg.to_dict())
     result = train_run(Network(cfg.model), samples, cfg.train, args.out)
@@ -159,6 +168,7 @@ def cmd_eval(args):
     model, aux = load_checkpoint(args.checkpoint)
     samples = load_dataset(args.manifest)
     check_label_classes(samples, model.cfg.n_classes)
+    _check_volumes(samples, model.cfg)
     meta = {"build_id": build_id(), "checkpoint": args.checkpoint, "step": aux.get("step", 0)}
     report = evaluate_model(model, samples, meta=meta)
     _echo(args, checkpoint=args.checkpoint, n_samples=len(samples))
@@ -174,6 +184,7 @@ def cmd_perturb(args):
     model, _ = load_checkpoint(args.checkpoint)
     samples = load_dataset(args.manifest)
     check_label_classes(samples, model.cfg.n_classes)
+    _check_volumes(samples, model.cfg)
     for lv in args.levels:
         if not 1 <= lv <= 6:
             raise DataError(f"noise level {lv} outside 1..6")
@@ -191,6 +202,7 @@ def cmd_perturb(args):
 def cmd_analyze(args):
     model, _ = load_checkpoint(args.checkpoint)
     samples = load_dataset(args.manifest)
+    _check_volumes(samples, model.cfg)
     trace = None
     if args.lambda_trace:
         trace = read_lambda_trace_csv(args.lambda_trace)
@@ -262,10 +274,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
-    if getattr(args, "f64", False):
-        T.set_default_dtype("f64")
     try:
-        return args.func(args)
+        return contextvars.copy_context().run(args.func, args)
     except (DataError, ContainerError, FileNotFoundError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA

@@ -66,6 +66,14 @@ class PhantomConfig:
     margin: float = 1.0              # gap kept from the volume border
     min_separation: float = 1.5      # gap between blob bounding spheres, voxels
 
+    def __post_init__(self):
+        if any(s < 1 for s in self.shape):
+            raise DataError(f"phantom shape must be at least 1 on every axis, got {self.shape}")
+        if not 0 <= self.n_blobs[0] <= self.n_blobs[1]:
+            raise DataError(f"n_blobs must satisfy 0 <= min <= max, got {self.n_blobs}")
+        if not 0 < self.radius[0] <= self.radius[1]:
+            raise DataError(f"radius must satisfy 0 < min <= max, got {self.radius}")
+
 
 def _lerp_axis(arr, new_size, axis):
     old = arr.shape[axis]

@@ -15,10 +15,10 @@ import numpy as np
 
 from .nnops import (ConvParams, ConvTransposeParams, conv3d, conv_transpose3d,
                     init_conv, init_conv_transpose, instance_norm, leaky_relu)
-from .nrm import NRMParams, init_nrm, nrm_forward, nrm_param_count
+from .nrm import LAMBDA_INIT, NRMParams, init_nrm, nrm_forward, nrm_param_count
 from .recordio import (ContainerError, json_from_record, json_record, read_container,
                        write_container)
-from .ssm import init_mamba_block, mamba_block
+from .ssm import SSM_CONV_WIDTH, SSM_EXPAND, init_mamba_block, mamba_block
 from .tensor import Rng, ShapeError, Tensor, ZeroRng, concat
 
 CHECKPOINT_MAGIC = b"DUMC"
@@ -27,6 +27,14 @@ CHECKPOINT_VERSION = 1
 
 class CheckpointError(ContainerError):
     """Checkpoint content is inconsistent with the model being loaded."""
+
+
+def without_retired(d, retired):
+    """``d`` less ``retired``'s keys, each accepted only at the constant it maps to."""
+    for key in retired.keys() & d.keys():
+        if d[key] != retired[key]:
+            raise ValueError(f"{key} = {d[key]!r} is no longer settable, only {retired[key]!r}")
+    return {k: v for k, v in d.items() if k not in retired}
 
 
 @dataclass
@@ -38,9 +46,6 @@ class ModelConfig:
     channels: tuple = (8, 16, 32, 64, 128)
     strides: tuple = (1, 2, 2, 2, 2)
     ssm_state: int = 8
-    ssm_expand: int = 2
-    ssm_conv_width: int = 3
-    lambda_init: float = 0.5
     nrm_enabled: bool = True
     seed: int = 0
 
@@ -58,12 +63,24 @@ class ModelConfig:
     def total_stride(self):
         return int(np.prod(self.strides))
 
+    def check_volume_shape(self, shape):
+        """Raise ShapeError unless a (C, D, H, W) volume fits the model: C
+        input channels and each spatial extent divisible by the total stride."""
+        if shape[0] != self.in_channels:
+            raise ShapeError(f"expected {self.in_channels} input channels, got {shape[0]}")
+        ts = self.total_stride
+        for ax, s in enumerate(shape[1:]):
+            if s % ts != 0:
+                raise ShapeError(f"spatial dim {s} (axis {ax}) not divisible by "
+                                 f"total stride {ts}")
+
     def to_dict(self):
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        return cls(**d)
+        return cls(**without_retired(d, {"ssm_expand": SSM_EXPAND, "lambda_init": LAMBDA_INIT,
+                                         "ssm_conv_width": SSM_CONV_WIDTH}))
 
 
 def desk_config(**overrides) -> ModelConfig:
@@ -153,13 +170,9 @@ class Network:
                 b1=init_residual_block(r.derive("b1"), c_prev, ch[i], cfg.strides[i]),
                 b2=init_residual_block(r.derive("b2"), ch[i], ch[i], 1)))
             c_prev = ch[i]
-        self.m1 = init_mamba_block(rng.derive("m1"), ch[-1], n_state=cfg.ssm_state,
-                                   expand=cfg.ssm_expand, conv_width=cfg.ssm_conv_width)
-        self.nrm: NRMParams | None = None
-        if cfg.nrm_enabled:
-            self.nrm = init_nrm(rng.derive("nrm"), ch, ch[-1],
-                                lambda_init=cfg.lambda_init, n_state=cfg.ssm_state,
-                                expand=cfg.ssm_expand, conv_width=cfg.ssm_conv_width)
+        self.m1 = init_mamba_block(rng.derive("m1"), ch[-1], n_state=cfg.ssm_state)
+        self.nrm: NRMParams | None = (init_nrm(rng.derive("nrm"), ch, ch[-1], n_state=cfg.ssm_state)
+                                      if cfg.nrm_enabled else None)
         self.decoder = []
         for i in range(cfg.n_stages - 2, -1, -1):
             r = rng.derive(f"dec{i}")
@@ -216,14 +229,7 @@ class Network:
         of the noise point."""
         if x.ndim != 5:
             raise ShapeError(f"expected (B,C,D,H,W) input, got {x.shape}")
-        if x.shape[1] != self.cfg.in_channels:
-            raise ShapeError(f"expected {self.cfg.in_channels} input channels, "
-                             f"got {x.shape[1]}")
-        ts = self.cfg.total_stride
-        for ax, s in enumerate(x.shape[2:]):
-            if s % ts != 0:
-                raise ShapeError(f"spatial dim {s} (axis {ax}) not divisible by "
-                                 f"total stride {ts}")
+        self.cfg.check_volume_shape(x.shape[1:])
         return residual_block(x, self.encoder[0].b1)
 
     def forward_rest(self, h: Tensor, capture=None) -> Tensor:
@@ -298,7 +304,10 @@ def load_checkpoint(path):
                                         versions=(CHECKPOINT_VERSION,))
     if "config.json" not in meta:
         raise CheckpointError("checkpoint is missing its config block")
-    cfg = ModelConfig.from_dict(json_from_record(meta["config.json"]))
+    try:
+        cfg = ModelConfig.from_dict(json_from_record(meta["config.json"]))
+    except (TypeError, ValueError) as err:
+        raise CheckpointError(f"bad config record: {err}") from err
     model = Network(cfg, ZeroRng())
     params = model.named_parameters()
     if set(params.keys()) != set(tensors.keys()):

@@ -21,6 +21,7 @@ from .ssm import MambaBlockParams, init_mamba_block, mamba_block
 from .tensor import ShapeError, Tensor, _check_finite, concat, make_op
 
 DOWNSAMPLE_CHUNK = 512    # voxels per block of downsample_stage: a 128-row f32 block is 256 KB
+LAMBDA_INIT = 0.5         # initial aggregation weight of every stage
 
 
 def downsample_stage(f_i: Tensor, conv: ConvParams, target) -> Tensor:
@@ -164,13 +165,11 @@ class NRMParams:
         yield from self.m2.named(f"{prefix}.m2")
 
 
-def init_nrm(rng, stage_channels, bottleneck_channels, lambda_init=0.5,
-             n_state=8, expand=2, conv_width=3) -> NRMParams:
+def init_nrm(rng, stage_channels, bottleneck_channels, n_state=8) -> NRMParams:
     downsample = [init_conv(rng.derive(f"nrm.ds{i}"), c, bottleneck_channels, (1, 1, 1))
                   for i, c in enumerate(stage_channels)]
-    lambdas = Tensor(np.full(len(stage_channels), lambda_init), requires_grad=True)
-    m2 = init_mamba_block(rng.derive("nrm.m2"), bottleneck_channels,
-                          n_state=n_state, expand=expand, conv_width=conv_width)
+    lambdas = Tensor(np.full(len(stage_channels), LAMBDA_INIT), requires_grad=True)
+    m2 = init_mamba_block(rng.derive("nrm.m2"), bottleneck_channels, n_state=n_state)
     return NRMParams(downsample=downsample, lambdas=lambdas, m2=m2)
 
 

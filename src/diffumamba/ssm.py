@@ -39,6 +39,8 @@ from .tensor import Tensor, ShapeError, exp, softplus
 
 PHI_SERIES_CUTOFF = 2e-2   # |u| below which phi' is a Taylor series
 SCAN_BLOCK = 1 << 15       # elements of (tokens, B, N, C) in one scan block buffer
+SSM_EXPAND = 2             # mamba block inner width per token channel
+SSM_CONV_WIDTH = 3         # taps of the causal depthwise conv ahead of the scan
 
 
 # ----------------------------------------------------------------------
@@ -298,14 +300,14 @@ class MambaBlockParams:
             yield f"{prefix}.{f}", getattr(self, f)
 
 
-def init_mamba_block(rng, channels, n_state=8, expand=2, conv_width=3) -> MambaBlockParams:
-    inner = expand * channels
+def init_mamba_block(rng, channels, n_state=8) -> MambaBlockParams:
+    inner = SSM_EXPAND * channels
     dt_rank = max(1, int(np.ceil(channels / 16)))
     norm_gamma = Tensor(np.ones(channels), requires_grad=True)
     norm_beta = Tensor(np.zeros(channels), requires_grad=True)
     in_x_w, in_x_b = init_linear(rng, channels, inner)
     in_z_w, in_z_b = init_linear(rng, channels, inner)
-    conv_w = Tensor(rng.normal((inner, conv_width), std=float(np.sqrt(1.0 / conv_width))),
+    conv_w = Tensor(rng.normal((inner, SSM_CONV_WIDTH), std=float(np.sqrt(1 / SSM_CONV_WIDTH))),
                     requires_grad=True)
     conv_b = Tensor(np.zeros(inner), requires_grad=True)
     x_proj_w, _ = init_linear(rng, inner, dt_rank + 2 * n_state, bias=False)

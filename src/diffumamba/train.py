@@ -2,12 +2,12 @@
 Dice + cross-entropy loss, per-step aggregation-weight tracing, and the
 paired small-data comparison protocol.
 
-Optimizer defaults follow the framework this architecture extends:
-lr 0.01, momentum 0.99 (Nesterov), poly decay power 0.9, gradient-norm
-clipping at 12.  A run writes ``final.ckpt`` (weights, momentum
-buffers, step), ``train_log.csv`` and, with the NRM on,
-``lambda_trace.csv``; a non-finite loss or gradient aborts it before
-the update with a diagnostic snapshot of the pre-step weights.
+The optimizer settings are fixed, as in the framework this architecture
+extends: Nesterov momentum 0.99, poly decay power 0.9, gradient-norm
+clipping at 12; only the lr (default 0.01) is set.  A run writes
+``final.ckpt`` (weights, momentum buffers, step), ``train_log.csv`` and,
+with the NRM on, ``lambda_trace.csv``; a non-finite loss or gradient
+aborts it before the update with a snapshot of the pre-step weights.
 """
 
 from __future__ import annotations
@@ -21,26 +21,27 @@ import numpy as np
 
 from .analysis import lambda_report
 from .metrics import evaluate_model, model_dtype
-from .network import ModelConfig, Network, save_checkpoint
+from .network import ModelConfig, Network, save_checkpoint, without_retired
 from .nnops import dice_ce_loss
 from .tensor import NumericError, Rng, Tensor
 from .util import build_id, write_csv, write_json
 
 LOG_EVERY = 10    # epochs between progress lines
+MOMENTUM = 0.99   # Nesterov momentum
+POLY_POWER = 0.9  # lr decay: lr0 * (1 - epoch / epochs) ** POLY_POWER
+GRAD_CLIP = 12.0  # gradient-norm clip
 
 
 @dataclass
 class TrainConfig:
     lr: float = 0.01
-    momentum: float = 0.99
-    nesterov: bool = True
-    poly_power: float = 0.9
-    grad_clip: float = 12.0
     epochs: int = 100
     batch_size: int = 2
     seed: int = 0
 
     def __post_init__(self):
+        if not 0 <= self.lr < math.inf:
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
@@ -63,17 +64,16 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d):
         return cls(model=ModelConfig.from_dict(d.get("model", {})),
-                   train=TrainConfig(**d.get("train", {})),
+                   train=TrainConfig(**without_retired(d.get("train", {}), {"momentum": MOMENTUM,
+                       "nesterov": True, "poly_power": POLY_POWER, "grad_clip": GRAD_CLIP})),
                    train_manifest=d.get("train_manifest", ""))
 
 
 class SGD:
-    """SGD with (Nesterov) momentum over a named parameter table."""
+    """SGD with Nesterov momentum over a named parameter table."""
 
-    def __init__(self, params: dict, momentum=0.99, nesterov=True):
+    def __init__(self, params: dict):
         self.params = params
-        self.momentum = momentum
-        self.nesterov = nesterov
         self.buffers = {name: np.zeros_like(t.data) for name, t in params.items()}
 
     def grad_norm(self):
@@ -83,36 +83,32 @@ class SGD:
                 total += float((np.ascontiguousarray(t.grad, dtype=np.float64) ** 2).sum())
         return math.sqrt(total)
 
-    def step(self, lr, grad_clip=None):
-        """One update.  A non-finite gradient norm raises NumericError
-        before any parameter or momentum buffer is written."""
+    def step(self, lr):
+        """One update, the grad norm clipped at GRAD_CLIP.  A non-finite norm
+        raises NumericError before any parameter or momentum buffer is written."""
         norm = self.grad_norm()
         if not math.isfinite(norm):
             bad = [name for name, t in self.params.items()
                    if t.grad is not None and not np.all(np.isfinite(t.grad))]
             raise NumericError(f"gradient norm {norm}; non-finite grads in {len(bad)} "
                                f"parameter(s): {', '.join(bad[:8])}")
-        scale = 1.0
-        if grad_clip is not None and grad_clip > 0 and norm > grad_clip:
-            scale = grad_clip / norm
         for name, t in self.params.items():
             if t.grad is None:
                 continue
-            g = t.grad * scale if scale != 1.0 else t.grad
+            g = t.grad * (GRAD_CLIP / norm) if norm > GRAD_CLIP else t.grad
             buf = self.buffers[name]
-            buf *= self.momentum
+            buf *= MOMENTUM
             buf += g
-            update = g + self.momentum * buf if self.nesterov else buf
-            if lr != 0.0:
-                t.data = t.data - (lr * update).astype(t.dtype, copy=False)
+            if lr != 0.0:     # Nesterov: the update is g + MOMENTUM * buf
+                t.data = t.data - (lr * (g + MOMENTUM * buf)).astype(t.dtype, copy=False)
 
     def zero_grad(self):
         for t in self.params.values():
             t.zero_grad()
 
 
-def poly_lr(lr0, epoch, total_epochs, power=0.9):
-    return lr0 * (1.0 - epoch / max(1, total_epochs)) ** power
+def poly_lr(lr0, epoch, total_epochs):
+    return lr0 * (1.0 - epoch / max(1, total_epochs)) ** POLY_POWER
 
 
 def _batches(samples, batch_size, order):
@@ -145,7 +141,7 @@ def train_run(model: Network, samples, tcfg: TrainConfig, out_dir,
         raise ValueError(f"train_run got an empty sample list for {tcfg.epochs} epoch(s)")
     os.makedirs(out_dir, exist_ok=True)
     rng = Rng(tcfg.seed)                 # only derives the per-epoch orders
-    opt = SGD(model.named_parameters(), momentum=tcfg.momentum, nesterov=tcfg.nesterov)
+    opt = SGD(model.named_parameters())
     epoch_log = []
     dtype = model_dtype(model)
     final_path = os.path.join(out_dir, "final.ckpt")
@@ -153,7 +149,7 @@ def train_run(model: Network, samples, tcfg: TrainConfig, out_dir,
     steps = 0
     t_start = time.time()
     for epoch in range(tcfg.epochs):
-        lr = poly_lr(tcfg.lr, epoch, tcfg.epochs, tcfg.poly_power)
+        lr = poly_lr(tcfg.lr, epoch, tcfg.epochs)
         order = rng.derive(f"epoch{epoch}").permutation(len(samples))
         ep_total = ep_dice = ep_ce = 0.0
         n_batches = 0
@@ -164,7 +160,7 @@ def train_run(model: Network, samples, tcfg: TrainConfig, out_dir,
                 loss = dice_ce_loss(logits, labels)
                 total = float(loss.total.item())
                 loss.total.backward()
-                opt.step(lr, tcfg.grad_clip)
+                opt.step(lr)
             except NumericError as err:
                 snap = os.path.join(out_dir, "diagnostic.ckpt")
                 save_checkpoint(model, snap, step=steps,

@@ -8,7 +8,7 @@ import pytest
 from diffumamba import ssm
 from diffumamba import tensor as T
 from diffumamba.oracles import finite_difference_check, nrm_off_gap
-from diffumamba.network import (CHECKPOINT_MAGIC, ModelConfig, Network,
+from diffumamba.network import (CHECKPOINT_MAGIC, CheckpointError, ModelConfig, Network,
                                 desk_config, init_residual_block,
                                 load_checkpoint, paper_scale_config,
                                 residual_block, save_checkpoint)
@@ -195,7 +195,7 @@ class TestGradHandover:
         assert all(p.grad is not None and not p.grad.flags["WRITEABLE"]
                    and np.isfinite(p.grad).all() for p in params.values())
         # the optimizer only reads grads, and rebinds C-ordered data
-        SGD(params).step(0.01, grad_clip=1.0)
+        SGD(params).step(0.01)
         assert all(p.data.flags["C_CONTIGUOUS"] for p in params.values())
 
 
@@ -368,6 +368,33 @@ class TestCheckpoint:
         for name, t in params.items():
             npt.assert_array_equal(m2.named_parameters()[name].data, t.data, err_msg=name)
             npt.assert_array_equal(aux["momentum"][name], momentum[name], err_msg=name)
+
+    @staticmethod
+    def _write_with_config_record(path, model, record):
+        meta = {"config.json": json_record(record), "meta.json": json_record({"step": 0})}
+        write_container(path, CHECKPOINT_MAGIC, 1,
+                        [{name: t.data for name, t in model.named_parameters().items()}, meta])
+
+    def test_loads_older_file_with_retired_config_keys(self, tmp_path):
+        # records written while the block widths and lambda's start were
+        # settable carry them at the values that are now constants
+        m = Network(tiny_config(seed=4))
+        record = {**m.cfg.to_dict(), "ssm_expand": 2, "ssm_conv_width": 3, "lambda_init": 0.5}
+        path = tmp_path / "old.ckpt"
+        self._write_with_config_record(path, m, record)
+        m2, _ = load_checkpoint(path)
+        assert m2.cfg == m.cfg
+        for name, t in m.named_parameters().items():
+            assert m2.named_parameters()[name].data.tobytes() == t.data.tobytes(), name
+
+    @pytest.mark.parametrize("key,value", [("ssm_expand", 4), ("ssm_conv_width", 4),
+                                           ("lambda_init", 1.0)])
+    def test_retired_config_key_at_another_value_is_refused(self, tmp_path, key, value):
+        m = Network(tiny_config())
+        path = tmp_path / "other.ckpt"
+        self._write_with_config_record(path, m, {**m.cfg.to_dict(), key: value})
+        with pytest.raises(CheckpointError, match=f"bad config record: {key} = "):
+            load_checkpoint(path)
 
     def test_save_load_dtype_preserved_f64(self, tmp_path, f64_mode):
         m = Network(tiny_config())

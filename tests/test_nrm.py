@@ -241,7 +241,7 @@ class TestAggregate:
 
 
 def _tiny_nrm(rng, stages=(2, 3), bottleneck=3):
-    return init_nrm(rng, stages, bottleneck, n_state=2, expand=2, conv_width=3)
+    return init_nrm(rng, stages, bottleneck, n_state=2)
 
 
 class TestNrmForward:

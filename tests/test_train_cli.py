@@ -13,9 +13,10 @@ from diffumamba.cli import build_parser, main
 from diffumamba.data import PhantomConfig, gen_phantoms, save_dataset
 from diffumamba.network import ModelConfig, Network, load_checkpoint
 from diffumamba.nnops import dice_ce_loss
-from diffumamba.tensor import NumericError, Tensor, set_default_dtype, set_gradient_fault
-from diffumamba.train import (SGD, ExperimentConfig, TrainConfig, paired_comparison,
-                              poly_lr, train_run)
+from diffumamba.tensor import (NumericError, Tensor, set_default_dtype, set_gradient_fault,
+                               zeros)
+from diffumamba.train import (GRAD_CLIP, MOMENTUM, SGD, ExperimentConfig, TrainConfig,
+                              paired_comparison, poly_lr, train_run)
 
 
 def tiny_model_cfg(**over):
@@ -46,24 +47,27 @@ class TestOptimizer:
     def test_grad_clip_bounds_update(self):
         model = Network(tiny_model_cfg())
         params = model.named_parameters()
-        opt = SGD(params, momentum=0.0, nesterov=False)
+        opt = SGD(params)
         for t in params.values():
             t.grad = np.full_like(t.data, 100.0)
-        assert opt.grad_norm() > 12.0
+        assert opt.grad_norm() > GRAD_CLIP
         before = {k: v.data.copy() for k, v in params.items()}
-        opt.step(lr=1.0, grad_clip=12.0)
+        opt.step(lr=0.01)
+        # the first step's buffer is the clipped g, so the update is (1 + mu) g
         moved = np.sqrt(sum(float(((params[k].data - before[k]) ** 2).sum())
                             for k in params))
-        npt.assert_allclose(moved, 12.0, rtol=1e-4)
+        npt.assert_allclose(moved, 1.99 * 12.0 * 0.01, rtol=1e-4)
 
     def test_nesterov_update_rule(self):
-        from diffumamba.tensor import Tensor
-        p = Tensor(np.array([1.0], dtype=np.float32), requires_grad=True)
-        opt = SGD({"p": p}, momentum=0.9, nesterov=True)
-        p.grad = np.array([1.0], dtype=np.float32)
-        opt.step(lr=0.1)
-        # buf = 1; update = g + mu*buf = 1.9; p = 1 - 0.19
-        npt.assert_allclose(p.data, [0.81], rtol=1e-6)
+        p = Tensor(np.array([1.0]), dtype=np.float64, requires_grad=True)
+        opt = SGD({"p": p})
+        for _ in range(2):
+            p.grad = np.array([1.0])
+            opt.step(lr=0.1)
+        # step 1: buf = 1, update = g + mu*buf = 1.99, p = 1 - 0.199
+        # step 2: buf = mu + 1 = 1.99, update = 1 + mu*1.99 = 2.9701, p = 0.801 - 0.29701
+        assert MOMENTUM == 0.99
+        npt.assert_allclose(p.data, [0.50399], rtol=1e-12)
 
     def test_grad_norm_reads_any_grad_layout(self):
         # a grad handed over as a transposed view gives the norm of its
@@ -87,7 +91,7 @@ class TestOptimizer:
         buffers = {k: b.copy() for k, b in opt.buffers.items()}
         params["head.bias"].grad[0] = bad
         with pytest.raises(NumericError, match=r"non-finite grads in 1 parameter\(s\): head.bias"):
-            opt.step(lr=0.1, grad_clip=None)
+            opt.step(lr=0.1)
         for k, v in params.items():
             npt.assert_array_equal(v.data, before[k], err_msg=k)
             npt.assert_array_equal(opt.buffers[k], buffers[k], err_msg=k)
@@ -304,6 +308,14 @@ def bad_label_manifest(tmp_path_factory):
     return save_dataset(samples, str(tmp_path_factory.mktemp("bad-label")))
 
 
+@pytest.fixture(scope="module")
+def odd_shape_manifest(tmp_path_factory):
+    """A manifest of 9 x 8 x 8 volumes: 9 is past the tiny model's total stride 2."""
+    samples = gen_phantoms(2, 3, PhantomConfig(shape=(9, 8, 8), n_blobs=(1, 1),
+                                               radius=(2.0, 3.0)))
+    return save_dataset(samples, str(tmp_path_factory.mktemp("odd-shape")))
+
+
 class TestCli:
     def test_gen_data_outputs(self, cli_dataset):
         assert (cli_dataset / "manifest.tsv").exists()
@@ -329,8 +341,41 @@ class TestCli:
         for name, t in first.named_parameters().items():
             assert t.data.tobytes() == again.named_parameters()[name].data.tobytes(), name
 
-    @pytest.mark.parametrize("flag", [["--batch-size", "0"], ["--epochs", "-3"]],
-                             ids=["zero-batch", "negative-epochs"])
+    def test_older_config_with_retired_keys_retrains_bitwise(self, cli_run, tmp_path):
+        # config.json files written while the optimizer settings, the block
+        # widths and lambda's start were settable carry them at the values
+        # that are now constants
+        cfg = json.loads((cli_run / "config.json").read_text())
+        cfg["model"].update(ssm_expand=2, ssm_conv_width=3, lambda_init=0.5)
+        cfg["train"].update(momentum=0.99, nesterov=True, poly_power=0.9, grad_clip=12.0)
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(cfg))
+        out = tmp_path / "again"
+        assert main(["train", "--config", str(old), "--out", str(out)]) == 0
+        first, _ = load_checkpoint(cli_run / "final.ckpt")
+        again, _ = load_checkpoint(out / "final.ckpt")
+        for name, t in first.named_parameters().items():
+            assert t.data.tobytes() == again.named_parameters()[name].data.tobytes(), name
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("train", "momentum", 0.9), ("train", "nesterov", False), ("train", "poly_power", 1.0),
+        ("train", "grad_clip", 1.0), ("model", "ssm_expand", 4), ("model", "lambda_init", 1.0)])
+    def test_retired_key_at_another_value_is_data_error(self, cli_dataset, cli_run, tmp_path,
+                                                       capsys, section, key, value):
+        cfg = json.loads((cli_run / "cfg.json").read_text())
+        cfg[section][key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        rc = main(["train", "--config", str(cfg_path), "--out", str(out),
+                   "--train-manifest", str(cli_dataset / "manifest.tsv")])
+        assert rc == 2
+        assert f"{key} = {value!r} is no longer settable" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [["--batch-size", "0"], ["--epochs", "-3"],
+                                      ["--lr", "nan"], ["--lr", "-1"]],
+                             ids=["zero-batch", "negative-epochs", "nan-lr", "negative-lr"])
     def test_bad_train_flag_is_data_error(self, cli_dataset, cli_run, tmp_path, capsys, flag):
         out = tmp_path / "out"
         rc = main(["train", "--config", str(cli_run / "cfg.json"), *flag,
@@ -345,13 +390,19 @@ class TestCli:
         run = tmp_path / "run"
         assert main(["train", "--f64", "--config", str(cli_run / "cfg.json"), "--epochs", "1",
                      "--train-manifest", manifest, "--out", str(run)]) == 0
-        set_default_dtype("f32")
         model, _ = load_checkpoint(run / "final.ckpt")
         assert {t.dtype for t in model.named_parameters().values()} == {np.dtype(np.float64)}
         x = Tensor(np.zeros((1, 1, 8, 8, 8)), dtype=np.float64)
         assert model.forward(x).dtype == np.float64
         assert main(["eval", "--checkpoint", str(run / "final.ckpt"), "--manifest", manifest,
                      "--out", str(tmp_path / "eval")]) == 0
+
+    def test_f64_ends_with_its_command(self, tmp_path):
+        # the f64 default is set in the context the command runs in, so it
+        # is gone when main returns, here after a data error
+        assert main(["train", "--f64", "--train-manifest", str(tmp_path / "nope.tsv"),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert zeros((1,)).dtype == np.float32
 
     def test_eval_command(self, cli_dataset, cli_run, tmp_path):
         rc = main(["eval", "--checkpoint", str(cli_run / "final.ckpt"),
@@ -412,7 +463,7 @@ class TestCli:
             "eval": "--out --checkpoint --manifest",
             "perturb": "--seed --out --checkpoint --manifest --families --levels",
             "analyze": "--seed --out --checkpoint --manifest --lambda-trace",
-            "selfcheck": "--seed --out --f64 --corrupt-adjoint",
+            "selfcheck": "--seed --out --corrupt-adjoint",
         }
         sub = next(a for a in build_parser()._actions if a.dest == "command")
         flags = {name: " ".join(a.option_strings[0] for a in p._actions
@@ -423,13 +474,11 @@ class TestCli:
     @pytest.mark.parametrize("command,flag", [
         ("gen-data", "--config"), ("gen-data", "--f64"), ("eval", "--config"), ("eval", "--f64"),
         ("eval", "--seed"), ("perturb", "--config"), ("perturb", "--f64"),
-        ("analyze", "--config"), ("analyze", "--f64")])
+        ("analyze", "--config"), ("analyze", "--f64"), ("selfcheck", "--f64")])
     def test_dropped_flag_is_usage_error(self, tmp_path, command, flag):
         value = {"--config": ["c.json"], "--seed": ["3"]}.get(flag, [])
-        if command == "gen-data":
-            args = ["--n", "1", "--size", "8", "8", "8"]
-        else:
-            args = ["--checkpoint", "nope.ckpt", "--manifest", "nope.tsv"]
+        args = {"gen-data": ["--n", "1", "--size", "8", "8", "8"], "selfcheck": []}.get(
+            command, ["--checkpoint", "nope.ckpt", "--manifest", "nope.tsv"])
         out = tmp_path / "out"
         assert main([command, flag, *value, *args, "--out", str(out)]) == 1
         assert not out.exists()
@@ -481,6 +530,31 @@ class TestCli:
         assert rc == 2
         assert "label classes span [0, 2], outside [0, 2)" in capsys.readouterr().err
         assert not out.exists()             # rejected before any output is written
+
+    @pytest.mark.parametrize("command", ["train", "eval", "perturb", "analyze"])
+    def test_volume_past_the_model_stride_is_data_error(self, cli_run, odd_shape_manifest,
+                                                        tmp_path, capsys, command):
+        if command == "train":
+            args = ["--config", str(cli_run / "cfg.json"), "--epochs", "1",
+                    "--train-manifest", odd_shape_manifest]
+        else:
+            args = ["--checkpoint", str(cli_run / "final.ckpt"), "--manifest", odd_shape_manifest]
+        out = tmp_path / "out"
+        rc = main([command, *args, "--out", str(out)])
+        assert rc == 2
+        assert "spatial dim 9 (axis 0) not divisible by total stride 2" in capsys.readouterr().err
+        assert not out.exists()             # rejected before any output is written
+
+    @pytest.mark.parametrize("flag", [["--size", "0", "8", "8"], ["--blobs", "2", "1"],
+                                      ["--blobs", "-1", "1"], ["--radius", "5", "2"],
+                                      ["--radius", "0", "2"]],
+                             ids=["empty-axis", "blobs-reversed", "negative-blobs",
+                                  "radius-reversed", "zero-radius"])
+    def test_bad_gen_data_geometry_is_data_error(self, tmp_path, capsys, flag):
+        out = tmp_path / "out"
+        assert main(["gen-data", "--n", "1", *flag, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert not out.exists()
 
     def test_empty_manifest_is_data_error(self, tmp_path):
         manifest = tmp_path / "empty.tsv"
